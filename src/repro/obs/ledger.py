@@ -86,13 +86,21 @@ class RunLedger:
         if not run_id:
             raise ValueError("run record has no run_id")
         digest = metrics_digest(record)
+        line = _dump(record) + "\n"
         with self._append_lock:
             existing = self.get(run_id)
             if existing is not None and metrics_digest(existing) == digest:
                 return run_id
             os.makedirs(self.root, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(_dump(record) + "\n")
+            with open(self.path, "ab+") as handle:
+                size = handle.seek(0, os.SEEK_END)
+                if size:
+                    handle.seek(size - 1)
+                    if handle.read(1) != b"\n":
+                        # A writer died mid-line: end its fragment so it
+                        # cannot swallow this row.
+                        line = "\n" + line
+                handle.write(line.encode("utf-8"))
         return run_id
 
     def set_baseline(self, record: Dict[str, Any]) -> Path:
@@ -105,15 +113,26 @@ class RunLedger:
     # -- reading ---------------------------------------------------------
 
     def records(self) -> List[Dict[str, Any]]:
-        """Every record in append order (oldest first)."""
+        """Every record in append order (oldest first).
+
+        A line that does not decode to a JSON object is skipped: the
+        fragment a crashed writer left, or the tail of a row another
+        thread is appending right now (reads take no lock).
+        """
         if not self.path.exists():
             return []
         out: List[Dict[str, Any]] = []
         with open(self.path, "r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
-                if line:
-                    out.append(json.loads(line))
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                if isinstance(record, dict):
+                    out.append(record)
         return out
 
     def get(self, run_id: str) -> Optional[Dict[str, Any]]:

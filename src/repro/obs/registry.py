@@ -198,6 +198,15 @@ class MetricsRegistry:
 
     # -- reading ---------------------------------------------------------
 
+    def histogram_stats(self, name: str, **labels: object) -> HistogramStats:
+        """Summary of one histogram series, read without creating it.
+
+        A series that does not exist reads as empty, as in
+        :meth:`MetricsSnapshot.histogram_stats`, and stays absent.
+        """
+        instrument = self._histograms.get(SeriesKey.make(name, labels))
+        return HistogramStats.from_values(instrument.values if instrument is not None else ())
+
     def series(self) -> List[SeriesKey]:
         """Every series currently registered, sorted by name then labels."""
         keys = list(self._counters) + list(self._gauges) + list(self._histograms)

@@ -98,7 +98,9 @@ def _rng_stream_names(result: "RunResult") -> List[str]:
 def _gate_delay_stats(telemetry: Optional["Telemetry"]) -> Optional[Dict[str, float]]:
     if telemetry is None:
         return None
-    stats = telemetry.snapshot().histogram_stats("gate_delay_ms")
+    # Only this series is needed; a full snapshot would summarise every
+    # histogram of the run (all the per-stage series) to read it.
+    stats = telemetry.registry.histogram_stats("gate_delay_ms")
     if not stats.count:
         return None
     return {

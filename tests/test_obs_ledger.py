@@ -1,6 +1,7 @@
 """Run records (runmeta) and the append-only run ledger."""
 
 import json
+import threading
 
 import pytest
 
@@ -115,6 +116,24 @@ class TestBuildRecord:
         assert again["run_id"] == record["run_id"]
 
 
+def append_rows(ledger, rows, half_written, half_read):
+    """Append ``rows`` to ``ledger``, the first one in two writes.
+
+    The first row lands as a large row or a slow disk splits one, with
+    a read in between (``half_written`` → ``half_read``); the rest go
+    through ``append()`` while the reader keeps reading.
+    """
+    line = json.dumps(rows[0], sort_keys=True, separators=(",", ":"))
+    with open(ledger.path, "a", encoding="utf-8") as handle:
+        handle.write(line[: len(line) // 2])
+        handle.flush()
+        half_written.set()
+        half_read.wait(10.0)
+        handle.write(line[len(line) // 2 :] + "\n")
+    for row in rows[1:]:
+        ledger.append(row)
+
+
 class TestRunLedger:
     def test_append_and_get(self, tmp_path, record):
         ledger = RunLedger(tmp_path / "runs")
@@ -142,6 +161,50 @@ class TestRunLedger:
     def test_record_without_id_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             RunLedger(tmp_path / "runs").append({"metrics": {}})
+
+    def test_fragment_at_tail_keeps_earlier_rows(self, tmp_path, record):
+        ledger = RunLedger(tmp_path / "runs")
+        ledger.append(record)
+        with open(ledger.path, "a", encoding="utf-8") as handle:
+            handle.write('{"run_id": "dead')  # a writer died mid-row
+        assert ledger.records() == [record]
+        assert ledger.get(record["run_id"]) == record
+
+    def test_append_after_fragment_keeps_both_rows(self, tmp_path, record):
+        ledger = RunLedger(tmp_path / "runs")
+        ledger.append(record)
+        with open(ledger.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record)[:40])
+        changed = json.loads(json.dumps(record))
+        changed["metrics"]["client_fps"] += 1.0
+        ledger.append(changed)
+        assert ledger.records() == [record, changed]
+        assert ledger.path.read_text(encoding="utf-8").endswith("\n")
+
+    def test_reader_during_appends_never_raises(self, tmp_path, record):
+        ledger = RunLedger(tmp_path / "runs")
+        ledger.append(record)
+        rows = []
+        for index in range(20):
+            row = json.loads(json.dumps(record))
+            row["run_id"] = f"{index:016x}"
+            rows.append(row)
+        half_written = threading.Event()
+        half_read = threading.Event()
+        writer = threading.Thread(
+            target=append_rows, args=(ledger, rows, half_written, half_read)
+        )
+        writer.start()
+        try:
+            assert half_written.wait(10.0)
+            assert ledger.records() == [record]
+            half_read.set()
+            while writer.is_alive():
+                ledger.records()
+        finally:
+            half_read.set()
+            writer.join()
+        assert ledger.records() == [record] + rows
 
     def test_baseline_pin_and_read(self, tmp_path, record):
         ledger = RunLedger(tmp_path / "runs")

@@ -23,7 +23,7 @@ from repro.obs import Telemetry
 from repro.regulators import make_regulator
 from repro.workloads import PRIVATE_CLOUD, Resolution
 
-from tests.test_obs_benchmark import OVERHEAD_LIMIT, BaselineEnvironment, best_of
+from tests.test_obs_benchmark import OVERHEAD_LIMIT, BaselineEnvironment, best_of_interleaved
 
 
 def make_server(n=2, telemetry=None, duration=6000.0, seed=1):
@@ -122,14 +122,17 @@ class TestDisabledOverhead:
             server.run()
             return time.perf_counter() - start  # simlint: disable=R2 -- scheduler fairness test times host-side work on purpose
 
-        run_server()  # warm caches on the current engine
-        monkeypatch.setattr(server_mod, "Environment", BaselineEnvironment)
-        run_server()  # and on the baseline
-        for _ in range(3):
+        def run_baseline():
             monkeypatch.setattr(server_mod, "Environment", BaselineEnvironment)
-            baseline = best_of(run_server, rounds=3)
-            monkeypatch.undo()
-            current = best_of(run_server, rounds=3)
+            try:
+                return run_server()
+            finally:
+                monkeypatch.undo()
+
+        run_server()  # warm caches on the current engine
+        run_baseline()  # and on the baseline
+        for _ in range(3):
+            baseline, current = best_of_interleaved(run_baseline, run_server, rounds=3)
             ratio = current / baseline
             if ratio < OVERHEAD_LIMIT:
                 return

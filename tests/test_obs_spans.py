@@ -132,3 +132,75 @@ class TestTelemetrySpanHooks:
         assert snap.counter_value("frames_created_total", session="s0") == 1
         assert snap.counter_value("frames_created_total", session="s1") == 1
         assert snap.counter_value("frames_created_total") == 0
+        # Once each view has bound its handles, further events still land
+        # in that view's own series.
+        for view, durations in ((s0, (2.0, 3.0)), (s1, (7.0,))):
+            for index, duration in enumerate(durations):
+                frame = make_frame(10 + index)
+                view.frame_opened(frame, at=0.0)
+                view.stage_complete(frame, "render", 0.0, duration)
+        snap = root.snapshot()
+        stats0 = snap.histogram_stats("stage_ms", stage="render", session="s0")
+        stats1 = snap.histogram_stats("stage_ms", stage="render", session="s1")
+        assert (stats0.count, stats0.sum) == (2, 5.0)
+        assert (stats1.count, stats1.sum) == (1, 7.0)
+        assert snap.counter_value("stage_frames_total", stage="render", session="s0") == 2
+        assert snap.counter_value("stage_frames_total", stage="render") == 0
+        assert snap.counter_value("frames_created_total", session="s0") == 3
+
+
+class TestBoundHandles:
+    def test_series_keys_scale_with_series_not_frames(self, monkeypatch):
+        # Hooks bind each series once, so a longer run builds no more
+        # series keys than a short one: O(series), not O(frames).
+        from repro.experiments.executor import execute_cell
+        from repro.experiments.plan import bench_demands
+        from repro.obs.registry import SeriesKey
+
+        calls = []
+        make = SeriesKey.make
+
+        def counting_make(name, labels):
+            calls.append(name)
+            return make(name, labels)
+
+        monkeypatch.setattr(SeriesKey, "make", staticmethod(counting_make))
+        counts = []
+        for duration_ms in (1000.0, 3000.0):
+            spec = bench_demands(
+                ["IM"], ["ODR60"], [1], duration_ms=duration_ms, warmup_ms=500.0
+            ).specs[0]
+            calls.clear()
+            outcome = execute_cell(spec, collect_ledger=True, git_rev="test")
+            assert outcome.ledger_record["metrics"]["gate_delay"]["count"] > 0
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    def test_count_and_observe_bind_per_label_set(self):
+        tel = Telemetry()
+        for _ in range(3):
+            tel.count("pacing_sleeps_total")
+            tel.count("retries_total", 2.0, kind="a")
+            tel.observe("pacing_sleep_ms", 4.0, kind="a")
+        tel.count("retries_total", kind="b")
+        snap = tel.snapshot()
+        assert snap.counter_value("pacing_sleeps_total") == 3
+        assert snap.counter_value("retries_total", kind="a") == 6
+        assert snap.counter_value("retries_total", kind="b") == 1
+        assert snap.histogram_stats("pacing_sleep_ms", kind="a").count == 3
+
+    def test_kind_conflict_still_raises(self):
+        tel = Telemetry()
+        tel.count("frames_total")
+        tel.count("frames_total")
+        with pytest.raises(ValueError):
+            tel.observe("frames_total", 1.0)
+
+    def test_registry_histogram_stats_creates_no_series(self):
+        tel = Telemetry()
+        assert tel.registry.histogram_stats("gate_delay_ms").count == 0
+        assert tel.registry.series() == []
+        tel.frame_opened(make_frame(1), at=0.0, gate_delay_ms=3.0)
+        stats = tel.registry.histogram_stats("gate_delay_ms")
+        assert stats == tel.snapshot().histogram_stats("gate_delay_ms")
+        assert stats.count == 1 and stats.max == 3.0
