@@ -1,52 +1,31 @@
-"""The execution layer: run a plan's cells, serially or in parallel.
+"""The execution layer: the cell body, and the CLI's executors.
 
-An executor takes a :class:`~repro.experiments.plan.Plan`, skips every
-cell the :class:`~repro.experiments.store.ResultStore` already holds,
-executes the missing ones, and returns an :class:`ExecutionReport` in
-plan order.  Two strategies ship:
+:func:`execute_cell` is the single place a cell turns into numbers:
+it is what pool workers run (via the chunk runner
+:func:`execute_cells`), what in-process execution runs, and what
+``Runner.run_cell`` ultimately calls.  Everything it needs is derived
+from the plain-data :class:`~repro.experiments.plan.CellSpec`, so a
+cell computes the same bits in any process.
 
-* :class:`SerialExecutor` — one cell after another, in-process; the
-  behaviour the old lazy ``Runner`` had, made explicit.
+The executors are thin adapters over the one sweep loop,
+:class:`~repro.experiments.scheduling.SweepLoop` — the same loop the
+service gateway runs its jobs through:
+
+* :class:`SerialExecutor` — every missing cell in-process, one after
+  another;
 * :class:`ParallelExecutor` — a fan-out over a
-  :class:`~repro.experiments.pool.WorkerPool` (``--workers N``),
-  driven by the shared scheduling core
-  (:func:`~repro.experiments.scheduling.schedule_cells`).  Each worker
-  runs the same deterministic discrete-event simulation from the same
-  :class:`CellSpec`, so the records it returns are **bit-identical**
-  to a serial run — cells share no state, and every RNG stream is
-  seeded from the spec alone.  Small cells are batched ``chunk`` per
-  pool submission to amortize pickle/IPC overhead, and a caller that
-  already owns a warm pool (the service gateway) passes it as
-  ``pool=`` so worker spawn is paid once per server, not per sweep.
+  :class:`~repro.experiments.pool.WorkerPool` (``--workers N``), with
+  chunked submissions, a per-cell timeout (``cell_timeout_s``) and
+  bounded retry of cells lost to a worker crash (``max_attempts``).  A
+  caller that already owns a warm pool passes it as ``pool=``.
+  Records are **bit-identical** to a serial run — cells share no
+  state, and every RNG stream is seeded from the spec alone.
 
-Each finished cell is written through to the store and appended to the
-run ledger *as it completes*, so an interrupted sweep still persists
-every finished cell.
-
-**Fault tolerance.**  A sweep survives its own failures: a cell that
-raises becomes a :class:`CellFailure` on the report instead of
-aborting the plan; the parallel executor additionally takes a
-per-cell timeout (``cell_timeout_s``) and retries cells lost to a
-worker crash (:class:`~concurrent.futures.process.BrokenProcessPool`)
-up to ``max_attempts`` times in a respawned pool.  The report's
-:attr:`~ExecutionReport.failures` enumerate what ultimately failed;
-:attr:`~ExecutionReport.ok` gates exit codes, and a follow-up
-``--resume`` run re-executes only the missing cells, bit-identically.
-
-The cell body (:func:`execute_cell`) is the single place a cell turns
-into numbers: it is what workers run (via the chunk runner
-:func:`execute_cells`), what the serial path runs, and what
-``Runner.run_cell`` ultimately calls.
-
-**Sweep telemetry.**  Executors optionally narrate themselves into a
-:class:`~repro.obs.sweep.SweepEventBus` (``bus=``): cell
-scheduled/cached/started/finished/failed/retried/timed-out events,
-pool openings and breakages, worker spawns, and store quarantines.
-Workers measure per-cell resources
-(:class:`~repro.obs.sweep.CellResources`) and ship live events back
-over the pool's manager queue.  The plane is strictly out-of-band —
-with ``bus=None`` (the default) every hook site is one ``is None``
-branch and results are bit-identical either way.
+An executor adds only what a one-shot CLI sweep needs around the loop:
+its ``sweep_begin``/``sweep_end`` frame and ``cell_quarantined``
+events on an optional :class:`~repro.obs.sweep.SweepEventBus`
+(``bus=``; with ``bus=None`` nothing is emitted and results are
+bit-identical either way).
 """
 
 from __future__ import annotations
@@ -54,10 +33,10 @@ from __future__ import annotations
 import os
 import signal
 from functools import partial
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.experiments.plan import CellSpec, Plan
-from repro.experiments.pool import WorkerPool
+from repro.experiments.pool import EventSink, WorkerPool
 from repro.experiments.record import build_experiment_record
 from repro.experiments.results import (
     CellFailure,
@@ -65,11 +44,7 @@ from repro.experiments.results import (
     ExecutionError,
     ExecutionReport,
 )
-from repro.experiments.results import exec_meta as _exec_meta
-from repro.experiments.scheduling import (
-    cell_event_fields as _cell_fields,
-)
-from repro.experiments.scheduling import resolve_chunk, schedule_cells
+from repro.experiments.scheduling import SweepLoop
 from repro.experiments.store import ResultStore
 from repro.metrics.recovery import RecoveryStats, recovery_stats
 from repro.obs import sweep as sweepbus
@@ -132,8 +107,9 @@ def execute_cell(
     collect_ledger: bool = False,
     telemetry_dir: Optional[str] = None,
     git_rev: Optional[str] = None,
+    sink: Optional[EventSink] = None,
 ) -> CellOutcome:
-    """Execute one cell: the deterministic unit both executors run.
+    """Execute one cell: the deterministic unit every sweep runs.
 
     Everything the simulation needs is derived from the plain-data
     ``spec`` — including its fault plan, whose stochastic details
@@ -141,10 +117,12 @@ def execute_cell(
     a worker process; the returned outcome (record + optional ledger
     run record) is likewise plain data.  ``git_rev`` is resolved by the
     caller once per plan, not per cell (workers may not even be inside
-    the repo).
+    the repo).  ``sink`` routes the cell's events in-process; without
+    it they go to the process's worker sink.
     """
     sweepbus.emit_cell_event(
         sweepbus.CELL_STARTED,
+        sink=sink,
         run_id=spec.run_id,
         label=spec.label,
         pid=os.getpid(),
@@ -226,11 +204,13 @@ def execute_cells(
     collect_ledger: bool = False,
     telemetry_dir: Optional[str] = None,
     git_rev: Optional[str] = None,
+    sink: Optional[EventSink] = None,
 ) -> List[Union[CellOutcome, CellFailure]]:
-    """The chunk runner workers execute: one result per cell, in order.
+    """The chunk runner, in a pool worker or in-process: one result per
+    cell, in order.
 
     A cell that raises becomes a :class:`CellFailure` *inside* the
-    worker, so one bad cell cannot poison its chunk-mates — a chunk
+    runner, so one bad cell cannot poison its chunk-mates — a chunk
     future only raises when the worker itself dies (crash) or the
     caller times the chunk out.
     """
@@ -243,6 +223,7 @@ def execute_cells(
                     collect_ledger=collect_ledger,
                     telemetry_dir=telemetry_dir,
                     git_rev=git_rev,
+                    sink=sink,
                 )
             )
         except Exception as exc:
@@ -271,6 +252,12 @@ class SerialExecutor:
     """Execute a plan's missing cells one after another, in-process."""
 
     name = "serial"
+    # The loop settings; ParallelExecutor sets them per instance.
+    workers = 1
+    cell_timeout_s: Optional[float] = None
+    max_attempts = 2
+    chunk: Optional[int] = None
+    pool: Optional[WorkerPool] = None
 
     def run(
         self,
@@ -292,114 +279,44 @@ class SerialExecutor:
         observation only; the schedule is identical with or without it.
         """
         store = store if store is not None else ResultStore()
+        loop = SweepLoop(
+            store,
+            ledger,
+            partial(
+                execute_cells,
+                collect_ledger=ledger is not None,
+                telemetry_dir=telemetry_dir,
+                git_rev=git_rev,
+            ),
+            pool=self.pool,
+            workers=self.workers,
+            chunk=self.chunk,
+            cell_timeout_s=self.cell_timeout_s,
+            max_attempts=self.max_attempts,
+        )
+        if bus is None:
+            return loop.run(plan)
         sweep_started = host_wallclock()
+        bus.emit(
+            sweepbus.SWEEP_BEGIN,
+            cells=len(plan),
+            executor=self.name,
+            workers=self.workers,
+        )
         restore_quarantine = store.on_quarantine
-        if bus is not None:
-            bus.emit(
-                sweepbus.SWEEP_BEGIN,
-                cells=len(plan),
-                executor=self.name,
-                workers=getattr(self, "workers", 1),
-            )
-            store.on_quarantine = lambda run_id, path: bus.emit(
-                sweepbus.CELL_QUARANTINED, run_id=run_id, path=path
-            )
-        outcomes: Dict[str, CellOutcome] = {}
-        failures: Dict[str, CellFailure] = {}
+        store.on_quarantine = lambda run_id, path: bus.emit(
+            sweepbus.CELL_QUARANTINED, run_id=run_id, path=path
+        )
         try:
-            missing: List[CellSpec] = []
-            for spec in plan:
-                record = store.get(spec.run_id)
-                if record is not None:
-                    outcomes[spec.run_id] = CellOutcome(
-                        spec=spec,
-                        record=record,
-                        ledger_record=None,
-                        wall_clock_s=0.0,
-                        cached=True,
-                    )
-                    if bus is not None:
-                        bus.emit(sweepbus.CELL_CACHED, **_cell_fields(spec))
-                else:
-                    missing.append(spec)
-                    if bus is not None:
-                        bus.emit(sweepbus.CELL_SCHEDULED, **_cell_fields(spec))
-            collect_ledger = ledger is not None
-            for item in self._execute(
-                missing, collect_ledger, telemetry_dir, git_rev, bus
-            ):
-                if isinstance(item, CellFailure):
-                    failures[item.spec.run_id] = item
-                    if bus is not None:
-                        bus.emit(
-                            sweepbus.CELL_FAILED,
-                            error=item.error,
-                            attempts=item.attempts,
-                            **_cell_fields(item.spec),
-                        )
-                    continue
-                store.put(item.spec.run_id, item.record, exec_meta=_exec_meta(item))
-                if ledger is not None and item.ledger_record is not None:
-                    ledger.append(item.ledger_record)
-                outcomes[item.spec.run_id] = item
-                if bus is not None:
-                    resources = (
-                        item.resources.to_dict() if item.resources is not None else None
-                    )
-                    bus.emit(
-                        sweepbus.CELL_FINISHED,
-                        wall_s=item.wall_clock_s,
-                        resources=resources,
-                        **_cell_fields(item.spec),
-                    )
+            report = loop.run(plan, bus=bus)
         finally:
             store.on_quarantine = restore_quarantine
-        if bus is not None:
-            bus.emit(
-                sweepbus.SWEEP_END,
-                executed=sum(1 for o in outcomes.values() if not o.cached),
-                cached=sum(1 for o in outcomes.values() if o.cached),
-                failed=len(failures),
-                wall_s=host_wallclock() - sweep_started,
-            )
-        return ExecutionReport(
-            outcomes=tuple(
-                outcomes[run_id] for run_id in plan.run_ids if run_id in outcomes
-            ),
-            failures=tuple(
-                failures[run_id] for run_id in plan.run_ids if run_id in failures
-            ),
+        bus.emit(
+            sweepbus.SWEEP_END,
+            **report.counts(),
+            wall_s=host_wallclock() - sweep_started,
         )
-
-    # -- strategy ----------------------------------------------------------
-
-    def _execute(
-        self,
-        specs: Sequence[CellSpec],
-        collect_ledger: bool,
-        telemetry_dir: Optional[str],
-        git_rev: Optional[str],
-        bus: Optional[SweepEventBus] = None,
-    ) -> Iterator[Union[CellOutcome, CellFailure]]:
-        if bus is not None:
-            # In-process execution: cell events go straight to the bus.
-            sweepbus.attach_worker_sink(
-                lambda kind, fields: bus.emit(kind, **fields)
-            )
-        try:
-            for spec in specs:
-                try:
-                    yield execute_cell(
-                        spec,
-                        collect_ledger=collect_ledger,
-                        telemetry_dir=telemetry_dir,
-                        git_rev=git_rev,
-                    )
-                except Exception as exc:
-                    yield CellFailure(spec, f"{type(exc).__name__}: {exc}", attempts=1)
-        finally:
-            if bus is not None:
-                sweepbus.detach_worker_sink()
+        return report
 
 
 class ParallelExecutor(SerialExecutor):
@@ -423,10 +340,9 @@ class ParallelExecutor(SerialExecutor):
     respawned pool until each has had ``max_attempts`` executions.
 
     By default each ``run`` spins up (and tears down) its own
-    :class:`~repro.experiments.pool.WorkerPool`.  Pass ``pool=`` to
-    run against a caller-owned pool instead — the service gateway
-    keeps one warm pool for its whole lifetime and routes every job
-    through it, paying worker spawn once per server.
+    :class:`~repro.experiments.pool.WorkerPool` — or runs in-process
+    when at most one cell is missing.  Pass ``pool=`` to run against a
+    caller-owned pool instead, paying worker spawn once for many runs.
     """
 
     name = "parallel"
@@ -453,55 +369,6 @@ class ParallelExecutor(SerialExecutor):
         self.chunk = chunk
         #: A caller-owned pool to run against (``None`` → per-run pool).
         self.pool = pool
-
-    def _execute(
-        self,
-        specs: Sequence[CellSpec],
-        collect_ledger: bool,
-        telemetry_dir: Optional[str],
-        git_rev: Optional[str],
-        bus: Optional[SweepEventBus] = None,
-    ) -> Iterator[Union[CellOutcome, CellFailure]]:
-        workers = min(self.workers, len(specs))
-        if workers <= 1 and self.pool is None:
-            yield from super()._execute(
-                specs, collect_ledger, telemetry_dir, git_rev, bus
-            )
-            return
-        run_chunk = partial(
-            execute_cells,
-            collect_ledger=collect_ledger,
-            telemetry_dir=telemetry_dir,
-            git_rev=git_rev,
-        )
-        chunk = resolve_chunk(len(specs), workers, self.chunk, self.cell_timeout_s)
-        pool = self.pool
-        owned = pool is None
-        if pool is None:
-            pool = WorkerPool(workers, events=bus is not None)
-        previous_sink: Any = None
-        if bus is not None:
-            # Route worker-side events (worker_spawned, cell_started,
-            # resources) into this run's bus for the duration of the
-            # run; a borrowed pool gets its previous sink back after.
-            previous_sink = pool.attach_sink(
-                lambda kind, fields: bus.emit(kind, **fields)
-            )
-        try:
-            yield from schedule_cells(
-                pool,
-                specs,
-                run_chunk,
-                chunk=chunk,
-                cell_timeout_s=self.cell_timeout_s,
-                max_attempts=self.max_attempts,
-                bus=bus,
-            )
-        finally:
-            if bus is not None:
-                pool.attach_sink(previous_sink)
-            if owned:
-                pool.close()
 
 
 def make_executor(

@@ -101,6 +101,10 @@ class ExecutionReport:
         """Cells joined from another job's in-flight execution."""
         return sum(1 for o in self.outcomes if o.deduped)
 
+    def counts(self) -> Dict[str, int]:
+        """``executed``/``cached``/``failed``, as ``sweep_end`` carries them."""
+        return {"executed": self.executed, "cached": self.cached, "failed": len(self.failures)}
+
     @property
     def cell_seconds(self) -> float:
         """Summed per-cell wall clock (CPU-time-like; overlaps in parallel)."""

@@ -1,44 +1,64 @@
-"""The scheduling core: submit, harvest, retry — against any worker pool.
+"""The one sweep loop, shared by the CLI executors and the gateway.
 
-This is the loop that used to live inside ``ParallelExecutor._execute``,
-extracted so both the one-shot CLI executors and the long-lived service
-gateway (:mod:`repro.service`) drive cells through the same code:
-
-* :func:`schedule_cells` pushes cell specs through a
-  :class:`~repro.experiments.pool.WorkerPool` in **chunks** (one pool
-  submission carries ``chunk`` cells, amortizing pickle/IPC overhead on
-  small cells), harvests results in submission order, and applies the
-  crash-tolerance policy: per-chunk timeout, pool respawn after
-  breakage or a hang, and bounded per-cell retry.
-* :func:`resolve_chunk` picks the chunk size: explicit wins, a per-cell
-  timeout forces ``1`` (a timeout must bound one cell, not a batch),
-  otherwise enough chunks to keep every worker busy a few rounds.
-
-The scheduling is observation-transparent: with a ``bus`` it narrates
-pool openings/breakages, timeouts and retries; without one the schedule
-is identical.  Determinism is untouched — chunking changes *how many
-cells ride one pickle*, never what any cell computes.
+:class:`SweepLoop` turns a plan into results for
+``SerialExecutor``/``ParallelExecutor`` (one loop per run) and the
+service's ``SweepScheduler`` (one loop per server).  Below it,
+:func:`schedule_cells` pushes cells through a
+:class:`~repro.experiments.pool.WorkerPool` in chunks sized by
+:func:`resolve_chunk`, with per-chunk timeout, pool respawn and bounded
+per-cell retry.  With a ``bus`` everything narrates itself as sweep
+events; without one nothing is emitted and the schedule is identical.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from repro.experiments.plan import CellSpec
-from repro.experiments.pool import WorkerPool
-from repro.experiments.results import CellFailure, CellOutcome
+from repro.experiments.plan import CellSpec, Plan
+from repro.experiments.pool import PoolUnavailableError, WorkerPool
+from repro.experiments.record import ExperimentRecord
+from repro.experiments.results import (
+    CellFailure,
+    CellOutcome,
+    ExecutionReport,
+    exec_meta,
+)
+from repro.experiments.store import ResultStore
 from repro.obs import sweep as sweepbus
+from repro.obs.ledger import RunLedger
 from repro.obs.sweep import SweepEventBus
 
-__all__ = ["cell_event_fields", "resolve_chunk", "schedule_cells"]
+__all__ = [
+    "EventRouter",
+    "InflightRegistry",
+    "ResultPublisher",
+    "SweepLoop",
+    "SweepTally",
+    "cell_event_fields",
+    "resolve_chunk",
+    "schedule_cells",
+]
 
-#: A chunk runner: executes a list of cells in a worker, returning one
-#: result per cell *in order* (per-cell exceptions become failures
-#: inside the worker — a raising chunk future means crash or timeout).
-ChunkRunner = Callable[[List[CellSpec]], List[Union[CellOutcome, CellFailure]]]
+#: A chunk runner: executes a list of cells, returning one result per
+#: cell *in order* (per-cell exceptions become failures inside the
+#: runner — a raising chunk future means crash or timeout).  It also
+#: takes ``sink=``, the in-process route for its cells' events.
+ChunkRunner = Callable[..., List[Union[CellOutcome, CellFailure]]]
 
 
 def cell_event_fields(spec: CellSpec) -> Dict[str, Any]:
@@ -230,4 +250,390 @@ def _requeue(
                 spec,
                 f"worker crashed (gave up after {attempted} attempt(s))",
                 attempts=attempted,
+            )
+
+
+# -- the sweep loop --------------------------------------------------------
+
+
+class _Inflight:
+    """One claimed cell: who owns it, and how it resolved."""
+
+    __slots__ = ("owner", "done", "error")
+
+    def __init__(self, owner: str) -> None:
+        self.owner = owner
+        self.done = threading.Event()
+        self.error: Optional[str] = None
+
+
+class InflightRegistry:
+    """Claim-or-join arbitration for concurrently demanded cells.
+
+    The first claimer of a ``run_id`` owns its execution; later
+    claimers join and :meth:`wait` for the owner to resolve.  A cell
+    resolved with an error is re-claimable (the next job to demand it
+    retries); a cell resolved clean stays joined forever — its record
+    is in the store.  Deadlock-free by construction: a job resolves
+    every cell it owns (success, failure, or owner-abort) *before* it
+    waits on any cell it joined, so cross-job waits only ever point at
+    execution phases, never at other waits.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: Dict[str, _Inflight] = {}
+
+    def claim(self, run_id: str, owner: str) -> bool:
+        """True → ``owner`` executes this cell; False → join and wait."""
+        with self._lock:
+            entry = self._entries.get(run_id)
+            if entry is None or (entry.done.is_set() and entry.error is not None):
+                self._entries[run_id] = _Inflight(owner)
+                return True
+            return False
+
+    def resolve(self, run_id: str, error: Optional[str] = None) -> None:
+        """Owner's completion signal: clean, or with a failure cause."""
+        with self._lock:
+            entry = self._entries.get(run_id)
+        if entry is not None and not entry.done.is_set():
+            entry.error = error
+            entry.done.set()
+
+    def wait(self, run_id: str, timeout_s: Optional[float] = None) -> Optional[str]:
+        """Block until the owner resolves; returns its error (None = clean)."""
+        with self._lock:
+            entry = self._entries.get(run_id)
+        if entry is None:
+            return "in-flight entry vanished before resolution"
+        if not entry.done.wait(timeout_s):
+            return f"timed out waiting for in-flight owner ({entry.owner})"
+        return entry.error
+
+    def abort_owned(self, owner: str, error: str) -> None:
+        """Resolve every unresolved cell ``owner`` claimed, as failed.
+
+        Called from the owning job's ``finally`` so joiners never wait
+        on a job that died before reaching a cell.
+        """
+        with self._lock:
+            entries = [
+                e for e in self._entries.values() if e.owner == owner
+            ]
+        for entry in entries:
+            if not entry.done.is_set():
+                entry.error = error
+                entry.done.set()
+
+
+class ResultPublisher:
+    """The single write path for finished cells: store + ledger, once.
+
+    Ownership (one publisher call per unique ``run_id``) is the
+    :class:`InflightRegistry`'s guarantee; the lock here additionally
+    keeps the store write and the ledger append of one cell adjacent,
+    so a concurrent reader never sees a ledger row whose cell file is
+    still being written.
+    """
+
+    def __init__(self, store: ResultStore, ledger: Optional[RunLedger]) -> None:
+        self._store = store
+        self._ledger = ledger
+        self._lock = threading.Lock()
+
+    def publish(self, outcome: CellOutcome) -> None:
+        with self._lock:
+            self._store.put(
+                outcome.spec.run_id, outcome.record, exec_meta=exec_meta(outcome)
+            )
+            if self._ledger is not None and outcome.ledger_record is not None:
+                self._ledger.append(outcome.ledger_record)
+
+
+class EventRouter:
+    """Fan cell events out to the bus of the sweep that owns the cell.
+
+    Cell events identify cells (``run_id``), not sweeps; the router
+    holds the run→bus mapping for every cell currently owned by a
+    running sweep.  It is both the pool's event sink (worker events,
+    called on the pool's drain thread) and the in-process path's
+    per-call sink.  Events without a ``run_id`` (``worker_spawned``)
+    are pool-level and broadcast to every active sweep.
+    ``deactivate`` removes a sweep under the dispatch lock, so once it
+    returns no further event can reach that sweep's bus — the sweep
+    then emits its ``sweep_end`` knowing its stream is sealed.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._by_run: Dict[str, SweepEventBus] = {}
+        self._active: Dict[str, SweepEventBus] = {}
+
+    def activate(self, job_id: str, bus: SweepEventBus, run_ids: List[str]) -> None:
+        with self._lock:
+            self._active[job_id] = bus
+            for run_id in run_ids:
+                self._by_run[run_id] = bus
+
+    def deactivate(self, job_id: str) -> None:
+        with self._lock:
+            bus = self._active.pop(job_id, None)
+            if bus is not None:
+                self._by_run = {
+                    run_id: b for run_id, b in self._by_run.items() if b is not bus
+                }
+
+    def dispatch(self, kind: str, fields: Dict[str, Any]) -> None:
+        """Deliver one cell event to its owning sweep's bus (if any)."""
+        with self._lock:
+            run_id = fields.get("run_id")
+            if run_id is None:
+                for bus in self._active.values():
+                    bus.emit(kind, **fields)
+                return
+            bus = self._by_run.get(str(run_id))
+            if bus is not None:
+                bus.emit(kind, **fields)
+
+
+def _recalled(spec: CellSpec, record: ExperimentRecord, deduped: bool = False) -> CellOutcome:
+    """A cell this sweep did not simulate: recalled from the store, or
+    joined from another sweep's execution (``deduped``)."""
+    return CellOutcome(spec, record, None, wall_clock_s=0.0, cached=True, deduped=deduped)
+
+
+@dataclass
+class SweepTally:
+    """A sweep's results so far, by ``run_id`` — readable even after
+    the sweep raised, which is how the gateway journals and frames a
+    job that died mid-way."""
+
+    outcomes: Dict[str, CellOutcome] = field(default_factory=dict)
+    failures: Dict[str, CellFailure] = field(default_factory=dict)
+
+    def report(self, plan: Plan) -> ExecutionReport:
+        """Everything tallied, in plan order."""
+        return ExecutionReport(
+            outcomes=tuple(
+                self.outcomes[run_id] for run_id in plan.run_ids if run_id in self.outcomes
+            ),
+            failures=tuple(
+                self.failures[run_id] for run_id in plan.run_ids if run_id in self.failures
+            ),
+        )
+
+
+class SweepLoop:
+    """Store pass → claim → execute → publish → join, for any caller.
+
+    For each plan, in order:
+
+    1. **store pass** — a cell counts as done only when the store holds
+       it *and* the ledger (if any) holds its ``run_id``.  A crash
+       between ``store.put`` and ``ledger.append`` therefore re-executes
+       that cell (bit-identically) instead of leaving the ledger one
+       row short for good;
+    2. **claim** — each missing cell is claimed through the
+       :class:`InflightRegistry`; a cell another sweep already runs is
+       joined, not executed twice;
+    3. **execute** — on the pool via :func:`schedule_cells`, else
+       in-process cell by cell.  A run with no ``pool``, ``workers > 1``
+       and more than one cell spins up (and closes) its own pool; a pool
+       that cannot provide workers at all degrades to in-process
+       execution (``degraded_serial``);
+    4. **publish** — :class:`ResultPublisher`: ``store.put``, then
+       ``ledger.append``, then ``cell_finished``;
+    5. **join and report** — wait on joined cells, then report in plan
+       order.
+
+    ``run_chunk`` is a :func:`functools.partial` of
+    :func:`~repro.experiments.executor.execute_cells` carrying the
+    ledger/telemetry/git-rev settings.  Concurrent sweeps on one loop
+    (the gateway's jobs) share its :attr:`inflight`, :attr:`publisher`
+    and :attr:`router`, and are told apart by ``owner``.
+    """
+
+    def __init__(
+        self,
+        store: ResultStore,
+        ledger: Optional[RunLedger],
+        run_chunk: ChunkRunner,
+        pool: Optional[WorkerPool] = None,
+        workers: int = 1,
+        chunk: Optional[int] = None,
+        cell_timeout_s: Optional[float] = None,
+        max_attempts: int = 2,
+    ) -> None:
+        self.store = store
+        self.ledger = ledger
+        self.run_chunk = run_chunk
+        self.pool = pool
+        self.workers = workers
+        self.chunk = chunk
+        self.cell_timeout_s = cell_timeout_s
+        self.max_attempts = max_attempts
+        self.inflight = InflightRegistry()
+        self.publisher = ResultPublisher(store, ledger)
+        self.router = EventRouter()
+
+    def run(
+        self,
+        plan: Plan,
+        owner: str = "local",
+        bus: Optional[SweepEventBus] = None,
+        tally: Optional[SweepTally] = None,
+    ) -> ExecutionReport:
+        """Run ``plan`` as ``owner``; results accumulate in ``tally``."""
+        tally = tally if tally is not None else SweepTally()
+        ledgered: Optional[Set[str]] = None
+        owned: List[CellSpec] = []
+        joined: List[CellSpec] = []
+        for spec in plan:
+            record = self.store.get(spec.run_id)
+            if record is not None and self.ledger is not None:
+                # Read on the first store hit only: a sweep into an
+                # empty store never pays the ledger scan.
+                if ledgered is None:
+                    ledgered = {
+                        str(row.get("run_id", "")) for row in self.ledger.records()
+                    }
+                if spec.run_id not in ledgered:
+                    record = None
+            if record is not None:
+                tally.outcomes[spec.run_id] = _recalled(spec, record)
+                if bus is not None:
+                    bus.emit(sweepbus.CELL_CACHED, **cell_event_fields(spec))
+            elif self.inflight.claim(spec.run_id, owner):
+                owned.append(spec)
+                if bus is not None:
+                    bus.emit(sweepbus.CELL_SCHEDULED, **cell_event_fields(spec))
+            else:
+                joined.append(spec)
+        if owned:
+            self._execute_owned(owned, owner, bus, tally)
+        for spec in joined:
+            self._await_joined(spec, bus, tally)
+        return tally.report(plan)
+
+    def _execute_owned(
+        self,
+        owned: List[CellSpec],
+        owner: str,
+        bus: Optional[SweepEventBus],
+        tally: SweepTally,
+    ) -> None:
+        """Run the claimed cells; publish, narrate and resolve each once."""
+        if bus is not None:
+            self.router.activate(owner, bus, [spec.run_id for spec in owned])
+        try:
+            for item in self._results(owned, bus):
+                run_id = item.spec.run_id
+                if isinstance(item, CellFailure):
+                    self._fail(item, bus, tally)
+                    self.inflight.resolve(run_id, error=item.error)
+                    continue
+                self.publisher.publish(item)
+                tally.outcomes[run_id] = item
+                if bus is not None:
+                    resources = (
+                        item.resources.to_dict() if item.resources is not None else None
+                    )
+                    bus.emit(
+                        sweepbus.CELL_FINISHED,
+                        wall_s=item.wall_clock_s,
+                        resources=resources,
+                        **cell_event_fields(item.spec),
+                    )
+                self.inflight.resolve(run_id)
+        finally:
+            # Whatever happened above, joiners must never wait forever:
+            # any cell this owner claimed but did not resolve is failed.
+            self.inflight.abort_owned(owner, "owning job aborted")
+            self.router.deactivate(owner)
+
+    def _results(
+        self, specs: List[CellSpec], bus: Optional[SweepEventBus]
+    ) -> Iterator[Union[CellOutcome, CellFailure]]:
+        """One result per cell: on the pool if there is one, else in-process."""
+        workers = min(self.workers, len(specs))
+        pool = self.pool
+        if pool is None:
+            if workers <= 1:
+                yield from self._in_process(specs)
+                return
+            pool = WorkerPool(workers, events=bus is not None)
+        previous = pool.attach_sink(self.router.dispatch) if bus is not None else None
+        done: Set[str] = set()
+        try:
+            for item in schedule_cells(
+                pool,
+                specs,
+                self.run_chunk,
+                chunk=resolve_chunk(
+                    len(specs), workers, self.chunk, self.cell_timeout_s
+                ),
+                cell_timeout_s=self.cell_timeout_s,
+                max_attempts=self.max_attempts,
+                bus=bus,
+            ):
+                done.add(item.spec.run_id)
+                yield item
+        except PoolUnavailableError as exc:
+            # The pool cannot provide workers at all (closed, or the
+            # host refuses to spawn processes) — respawning cannot
+            # help.  Degrade to in-process execution of the remaining
+            # cells through the same chunk runner: slower,
+            # bit-identical, never silently dropped.
+            remaining = [spec for spec in specs if spec.run_id not in done]
+            if bus is not None:
+                bus.emit(
+                    sweepbus.DEGRADED_SERIAL,
+                    reason=f"{type(exc).__name__}: {exc}",
+                    cells=len(remaining),
+                )
+            yield from self._in_process(remaining)
+        finally:
+            if bus is not None:
+                # A borrowed pool gets its previous sink back (the
+                # gateway's pool holds the router from the start).
+                pool.attach_sink(previous)
+            if pool is not self.pool:
+                pool.close()
+
+    def _in_process(
+        self, specs: List[CellSpec]
+    ) -> Iterator[Union[CellOutcome, CellFailure]]:
+        # Cell events go straight to the router, per call: the
+        # process-global worker sink is left alone, so concurrent
+        # in-process sweeps cannot steal each other's events.
+        for spec in specs:
+            yield from self.run_chunk([spec], sink=self.router.dispatch)
+
+    def _await_joined(
+        self, spec: CellSpec, bus: Optional[SweepEventBus], tally: SweepTally
+    ) -> None:
+        """Collect a cell another concurrent sweep owns (cross-job dedupe)."""
+        error = self.inflight.wait(spec.run_id)
+        record = self.store.get(spec.run_id) if error is None else None
+        if error is None and record is None:
+            error = "owner resolved but result missing from store"
+        if record is None:
+            self._fail(CellFailure(spec, f"deduped execution failed: {error}"), bus, tally)
+            return
+        tally.outcomes[spec.run_id] = _recalled(spec, record, deduped=True)
+        if bus is not None:
+            bus.emit(sweepbus.CELL_DEDUPED, **cell_event_fields(spec))
+
+    @staticmethod
+    def _fail(
+        failure: CellFailure, bus: Optional[SweepEventBus], tally: SweepTally
+    ) -> None:
+        tally.failures[failure.spec.run_id] = failure
+        if bus is not None:
+            bus.emit(
+                sweepbus.CELL_FAILED,
+                error=failure.error,
+                attempts=failure.attempts,
+                **cell_event_fields(failure.spec),
             )

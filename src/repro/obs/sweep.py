@@ -390,12 +390,11 @@ class SweepEventBus:
 
 # -- the worker-side sink --------------------------------------------------
 #
-# ``execute_cell`` runs in whatever process the executor chose.  It
-# emits through a process-global sink: the serial executor points the
-# sink straight at the bus; the parallel executor's worker initializer
-# points it at a multiprocessing queue whose other end the parent
-# drains into the bus.  With no sink attached (the default), emitting
-# is a single ``is None`` branch — the disabled path.
+# ``execute_cell`` runs in whatever process the sweep loop chose.  A
+# pool worker emits through a process-global sink pointed at a
+# multiprocessing queue the parent drains into the bus; in-process
+# execution passes a ``sink`` per call, so concurrent in-process sweeps
+# never share one.  With no sink, emitting is one ``is None`` branch.
 
 _WORKER_SINK: Optional[Callable[[str, Dict[str, Any]], None]] = None
 
@@ -412,9 +411,15 @@ def detach_worker_sink() -> None:
     _WORKER_SINK = None
 
 
-def emit_cell_event(kind: str, **fields: Any) -> None:
-    """Emit one event from cell-execution context (no-op when detached)."""
-    sink = _WORKER_SINK
+def emit_cell_event(
+    kind: str,
+    sink: Optional[Callable[[str, Dict[str, Any]], None]] = None,
+    **fields: Any,
+) -> None:
+    """Emit one event from cell-execution context (no-op when detached);
+    ``sink`` overrides the process-global worker sink for this call."""
+    if sink is None:
+        sink = _WORKER_SINK
     if sink is None:
         return
     try:

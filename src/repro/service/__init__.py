@@ -19,10 +19,10 @@ Layering (network-facing down to the shared experiment core):
 * :mod:`repro.service.errors` — the typed failure taxonomy
   (:class:`TransportError` / :class:`ProtocolError` /
   :class:`ServerBusy` / :class:`JobLost`) shared by both ends;
-* :mod:`repro.service.scheduler` — jobs → the shared scheduling core,
-  with cross-job dedupe (:class:`InflightRegistry`), exactly-once
-  publication (:class:`ResultPublisher`), per-job event routing,
-  admission control, and degraded serial execution;
+* :mod:`repro.service.scheduler` — jobs → the shared sweep loop
+  (:class:`InflightRegistry`, :class:`ResultPublisher` and
+  :class:`EventRouter` live in :mod:`repro.experiments.scheduling`),
+  admission control, and journaled recovery;
 * :mod:`repro.service.journal` — the append-only job journal behind
   ``serve --resume`` crash recovery;
 * :mod:`repro.service.jobs` — the job layer over
@@ -35,6 +35,11 @@ See ``docs/SERVICE.md`` for the protocol and lifecycle reference and
 ``docs/ROBUSTNESS.md`` for the failure-mode matrix.
 """
 
+from repro.experiments.scheduling import (
+    EventRouter,
+    InflightRegistry,
+    ResultPublisher,
+)
 from repro.service.client import (
     RetryPolicy,
     ServiceClient,
@@ -52,13 +57,7 @@ from repro.service.gateway import ServiceGateway
 from repro.service.jobs import Job, JobSpec, JobState
 from repro.service.journal import JobJournal, journal_path_for
 from repro.service.protocol import PROTOCOL_VERSION, build_plan, plan_payload
-from repro.service.scheduler import (
-    EventRouter,
-    InflightRegistry,
-    ResultPublisher,
-    Subscription,
-    SweepScheduler,
-)
+from repro.service.scheduler import Subscription, SweepScheduler
 
 __all__ = [
     "EventRouter",

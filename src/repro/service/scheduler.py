@@ -4,31 +4,17 @@
 It owns the shared execution state — one warm
 :class:`~repro.experiments.pool.WorkerPool`, one
 :class:`~repro.experiments.store.ResultStore`, one
-:class:`~repro.obs.ledger.RunLedger` — and runs each submitted job on
-a thread through the same scheduling core
-(:func:`~repro.experiments.scheduling.schedule_cells`) the offline
-executors use.  Three small pieces make concurrent jobs safe:
+:class:`~repro.obs.ledger.RunLedger` — and one
+:class:`~repro.experiments.scheduling.SweepLoop` over them, the same
+sweep loop the CLI executors run.  Every job runs through that loop on
+a thread, so concurrent jobs share its in-flight dedupe (each unique
+cell executes once; overlapping jobs join it), its single publish path
+(one store ``put`` and one ledger append per unique ``run_id``), and
+its event router (each job's stream narrates exactly its own cells).
+Records and metrics digests are therefore bit-identical to a serial run
+of the union plan.
 
-* :class:`InflightRegistry` — cross-job in-flight dedupe by ``run_id``.
-  The first job to reach a missing cell *claims* it and executes; any
-  concurrent job with the same cell *joins* and waits for the owner's
-  result.  Two clients submitting overlapping matrices execute each
-  unique cell exactly once, and both see the identical record (the
-  cell is content-addressed; whoever runs it computes the same bits).
-* :class:`ResultPublisher` — the single write path for finished cells.
-  Only the owning job publishes a cell, so the store sees one ``put``
-  and the ledger one append per unique ``run_id`` — never one per
-  requesting job.
-* :class:`EventRouter` — fans worker-side sweep events (which carry a
-  ``run_id``, not a job id) out to the bus of the job that owns the
-  cell, so each job's event stream narrates exactly its own sweep.
-
-Determinism is inherited, not re-proven: cells execute through the
-same :func:`~repro.experiments.executor.execute_cells` body as offline
-runs, so records and metrics digests are bit-identical to a serial run
-of the union plan — the acceptance invariant the service tests check.
-
-The scheduler is also the gateway's survival layer:
+What is left here is the job layer:
 
 * **admission control** — at most ``max_queued_jobs`` non-terminal jobs
   are admitted; beyond that :meth:`SweepScheduler.submit` raises
@@ -39,15 +25,10 @@ The scheduler is also the gateway's survival layer:
   attached, every accepted job is journaled before it runs and again
   when it finishes; :meth:`SweepScheduler.recover` replays
   submitted-but-unfinished jobs after a crash under their original ids
-  and tokens.  The store pass only trusts cells present in **both** the
-  store and the ledger, so a crash torn between ``store.put`` and
-  ``ledger.append`` re-executes that cell (bit-identically; the ledger
-  append then dedupes) instead of silently dropping its ledger row;
-* **degraded serial execution** — when the warm pool cannot provide
-  workers at all (:class:`~repro.experiments.pool.PoolUnavailableError`),
-  the job falls back to in-process serial execution of its remaining
-  cells through the same ``execute_cells`` body, emitting
-  ``degraded_serial`` — slower, never wrong.
+  and tokens;
+* **job framing** — each job's bus opens with ``sweep_begin`` (plus
+  ``job_recovered`` for a replayed job) and closes with ``sweep_end``
+  on every exit path.
 """
 
 from __future__ import annotations
@@ -56,22 +37,11 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro.experiments.executor import execute_cells
-from repro.experiments.plan import CellSpec
-from repro.experiments.pool import PoolUnavailableError, WorkerPool
-from repro.experiments.results import (
-    CellFailure,
-    CellOutcome,
-    ExecutionReport,
-    exec_meta,
-)
-from repro.experiments.scheduling import (
-    cell_event_fields,
-    resolve_chunk,
-    schedule_cells,
-)
+from repro.experiments.pool import WorkerPool
+from repro.experiments.scheduling import SweepLoop, SweepTally
 from repro.experiments.store import ResultStore
 from repro.obs import sweep as sweepbus
 from repro.obs.ledger import RunLedger
@@ -82,152 +52,7 @@ from repro.service.errors import ServerBusy
 from repro.service.jobs import Job, JobSpec, JobState
 from repro.service.journal import JobJournal
 
-__all__ = [
-    "EventRouter",
-    "InflightRegistry",
-    "ResultPublisher",
-    "Subscription",
-    "SweepScheduler",
-]
-
-
-class _Inflight:
-    """One claimed cell: who owns it, and how it resolved."""
-
-    __slots__ = ("owner", "done", "error")
-
-    def __init__(self, owner: str) -> None:
-        self.owner = owner
-        self.done = threading.Event()
-        self.error: Optional[str] = None
-
-
-class InflightRegistry:
-    """Claim-or-join arbitration for concurrently demanded cells.
-
-    The first claimer of a ``run_id`` owns its execution; later
-    claimers join and :meth:`wait` for the owner to resolve.  A cell
-    resolved with an error is re-claimable (the next job to demand it
-    retries); a cell resolved clean stays joined forever — its record
-    is in the store.  Deadlock-free by construction: a job resolves
-    every cell it owns (success, failure, or owner-abort) *before* it
-    waits on any cell it joined, so cross-job waits only ever point at
-    execution phases, never at other waits.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: Dict[str, _Inflight] = {}
-
-    def claim(self, run_id: str, owner: str) -> bool:
-        """True → ``owner`` executes this cell; False → join and wait."""
-        with self._lock:
-            entry = self._entries.get(run_id)
-            if entry is None or (entry.done.is_set() and entry.error is not None):
-                self._entries[run_id] = _Inflight(owner)
-                return True
-            return False
-
-    def resolve(self, run_id: str, error: Optional[str] = None) -> None:
-        """Owner's completion signal: clean, or with a failure cause."""
-        with self._lock:
-            entry = self._entries.get(run_id)
-        if entry is not None and not entry.done.is_set():
-            entry.error = error
-            entry.done.set()
-
-    def wait(self, run_id: str, timeout_s: Optional[float] = None) -> Optional[str]:
-        """Block until the owner resolves; returns its error (None = clean)."""
-        with self._lock:
-            entry = self._entries.get(run_id)
-        if entry is None:
-            return "in-flight entry vanished before resolution"
-        if not entry.done.wait(timeout_s):
-            return f"timed out waiting for in-flight owner ({entry.owner})"
-        return entry.error
-
-    def abort_owned(self, owner: str, error: str) -> None:
-        """Resolve every unresolved cell ``owner`` claimed, as failed.
-
-        Called from the owning job's ``finally`` so joiners never wait
-        on a job that died before reaching a cell.
-        """
-        with self._lock:
-            entries = [
-                e for e in self._entries.values() if e.owner == owner
-            ]
-        for entry in entries:
-            if not entry.done.is_set():
-                entry.error = error
-                entry.done.set()
-
-
-class ResultPublisher:
-    """The single write path for finished cells: store + ledger, once.
-
-    Ownership (one publisher call per unique ``run_id``) is the
-    :class:`InflightRegistry`'s guarantee; the lock here additionally
-    keeps the store write and the ledger append of one cell adjacent,
-    so a concurrent reader never sees a ledger row whose cell file is
-    still being written.
-    """
-
-    def __init__(self, store: ResultStore, ledger: Optional[RunLedger]) -> None:
-        self._store = store
-        self._ledger = ledger
-        self._lock = threading.Lock()
-
-    def publish(self, outcome: CellOutcome) -> None:
-        with self._lock:
-            self._store.put(
-                outcome.spec.run_id, outcome.record, exec_meta=exec_meta(outcome)
-            )
-            if self._ledger is not None and outcome.ledger_record is not None:
-                self._ledger.append(outcome.ledger_record)
-
-
-class EventRouter:
-    """Fan worker-side events out to the owning job's bus.
-
-    Worker events identify cells (``run_id``), not jobs; the router
-    holds the run→bus mapping for every cell currently owned by a
-    running job.  Events without a ``run_id`` (``worker_spawned``) are
-    pool-level and broadcast to every active job.  ``deactivate``
-    removes a job under the dispatch lock, so once it returns no
-    further event can reach that job's bus — the job then emits its
-    ``sweep_end`` knowing its stream is sealed.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._by_run: Dict[str, SweepEventBus] = {}
-        self._active: Dict[str, SweepEventBus] = {}
-
-    def activate(self, job_id: str, bus: SweepEventBus, run_ids: List[str]) -> None:
-        with self._lock:
-            self._active[job_id] = bus
-            for run_id in run_ids:
-                self._by_run[run_id] = bus
-
-    def deactivate(self, job_id: str) -> None:
-        with self._lock:
-            bus = self._active.pop(job_id, None)
-            if bus is not None:
-                self._by_run = {
-                    run_id: b for run_id, b in self._by_run.items() if b is not bus
-                }
-
-    def dispatch(self, kind: str, fields: Dict[str, Any]) -> None:
-        """The pool's event sink (called on the pool's drain thread)."""
-        with self._lock:
-            run_id = fields.get("run_id")
-            if run_id is None:
-                for bus in self._active.values():
-                    bus.emit(kind, **fields)
-                return
-            bus = self._by_run.get(str(run_id))
-            if bus is not None:
-                bus.emit(kind, **fields)
+__all__ = ["Subscription", "SweepScheduler"]
 
 
 class Subscription:
@@ -320,20 +145,25 @@ class SweepScheduler:
         self.store = store
         self.ledger = ledger
         self.pool = pool if pool is not None else WorkerPool(workers, events=True)
-        self.chunk = chunk
-        self.cell_timeout_s = cell_timeout_s
-        self.max_attempts = max_attempts
-        self.git_rev = git_rev
         #: Where job buses persist their events (None → in-memory only).
         self.events_path = events_path
         #: Admission bound: most non-terminal jobs held at once.
         self.max_queued_jobs = max_queued_jobs
         #: Crash-recovery journal (None → job state is memory-only).
         self.journal = journal
-        self.inflight = InflightRegistry()
-        self.publisher = ResultPublisher(store, ledger)
-        self.router = EventRouter()
-        self.pool.attach_sink(self.router.dispatch)
+        #: The sweep loop every job runs through (shared dedupe,
+        #: publication and event routing).
+        self.loop = SweepLoop(
+            store,
+            ledger,
+            partial(execute_cells, collect_ledger=ledger is not None, git_rev=git_rev),
+            pool=self.pool,
+            workers=self.pool.workers,
+            chunk=chunk,
+            cell_timeout_s=cell_timeout_s,
+            max_attempts=max_attempts,
+        )
+        self.pool.attach_sink(self.loop.router.dispatch)
         self._jobs: Dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
         self._job_counter = 0
@@ -512,21 +342,12 @@ class SweepScheduler:
 
     # -- the job body ------------------------------------------------------
 
-    def _ledger_run_ids(self) -> Optional[Set[str]]:
-        """All ``run_id``s the ledger holds (None when no ledger)."""
-        if self.ledger is None:
-            return None
-        return {
-            str(record.get("run_id", "")) for record in self.ledger.records()
-        }
-
     def _run_job(self, job: Job) -> None:
         job.state = JobState.RUNNING
         job.started_epoch_s = host_epoch()
         sweep_started = host_wallclock()
         bus = job.bus
-        outcomes: Dict[str, CellOutcome] = {}
-        failures: Dict[str, CellFailure] = {}
+        tally = SweepTally()
         try:
             bus.emit(
                 sweepbus.SWEEP_BEGIN,
@@ -541,67 +362,18 @@ class SweepScheduler:
                     cells=len(job.plan),
                     label=job.spec.label,
                 )
-            # The store pass only trusts cells the *ledger* also has: a
-            # crash torn between store.put and ledger.append would
-            # otherwise leave a resumed sweep's ledger permanently one
-            # row short.  Re-executing such a cell is bit-identical and
-            # its ledger append dedupes, so the repair is free of drift.
-            ledgered = self._ledger_run_ids()
-            missing: List[CellSpec] = []
-            for spec in job.plan:
-                record = self.store.get(spec.run_id)
-                if record is not None and (
-                    ledgered is None or spec.run_id in ledgered
-                ):
-                    outcomes[spec.run_id] = CellOutcome(
-                        spec=spec,
-                        record=record,
-                        ledger_record=None,
-                        wall_clock_s=0.0,
-                        cached=True,
-                    )
-                    bus.emit(sweepbus.CELL_CACHED, **cell_event_fields(spec))
-                else:
-                    missing.append(spec)
-            owned: List[CellSpec] = []
-            joined: List[CellSpec] = []
-            for spec in missing:
-                if self.inflight.claim(spec.run_id, job.job_id):
-                    owned.append(spec)
-                    bus.emit(sweepbus.CELL_SCHEDULED, **cell_event_fields(spec))
-                else:
-                    joined.append(spec)
-            self._execute_owned(job, owned, outcomes, failures)
-            self._await_joined(job, joined, outcomes, failures)
-            job.report = ExecutionReport(
-                outcomes=tuple(
-                    outcomes[run_id]
-                    for run_id in job.plan.run_ids
-                    if run_id in outcomes
-                ),
-                failures=tuple(
-                    failures[run_id]
-                    for run_id in job.plan.run_ids
-                    if run_id in failures
-                ),
-            )
+            job.report = self.loop.run(job.plan, owner=job.job_id, bus=bus, tally=tally)
             job.state = JobState.DONE
         except Exception as exc:  # infrastructure failure, not a cell failure
             job.error = f"{type(exc).__name__}: {exc}"
             job.state = JobState.FAILED
         finally:
             job.finished_epoch_s = host_epoch()
+            counts = tally.report(job.plan).counts()
             if self.journal is not None:
                 try:
                     self.journal.record_finished(
-                        job.job_id,
-                        state=job.state.value,
-                        executed=sum(
-                            1 for o in outcomes.values() if not o.cached
-                        ),
-                        cached=sum(1 for o in outcomes.values() if o.cached),
-                        failed=len(failures),
-                        error=job.error,
+                        job.job_id, state=job.state.value, error=job.error, **counts
                     )
                 except OSError:
                     # A full disk must not unwind past the sweep_end
@@ -612,142 +384,11 @@ class SweepScheduler:
                 # off it, so it is emitted on every exit path.
                 bus.emit(
                     sweepbus.SWEEP_END,
-                    executed=sum(1 for o in outcomes.values() if not o.cached),
-                    cached=sum(1 for o in outcomes.values() if o.cached),
-                    failed=len(failures),
+                    **counts,
                     wall_s=host_wallclock() - sweep_started,
                 )
             finally:
                 bus.close()
-
-    def _execute_owned(
-        self,
-        job: Job,
-        owned: List[CellSpec],
-        outcomes: Dict[str, CellOutcome],
-        failures: Dict[str, CellFailure],
-    ) -> None:
-        """Run this job's claimed cells; publish and resolve each once."""
-        if not owned:
-            return
-        bus = job.bus
-        self.router.activate(job.job_id, bus, [spec.run_id for spec in owned])
-        run_chunk = partial(
-            execute_cells,
-            collect_ledger=self.ledger is not None,
-            git_rev=self.git_rev,
-        )
-        chunk = resolve_chunk(
-            len(owned), self.pool.workers, self.chunk, self.cell_timeout_s
-        )
-        try:
-            try:
-                for item in schedule_cells(
-                    self.pool,
-                    owned,
-                    run_chunk,
-                    chunk=chunk,
-                    cell_timeout_s=self.cell_timeout_s,
-                    max_attempts=self.max_attempts,
-                    bus=bus,
-                ):
-                    self._absorb_result(job, item, outcomes, failures)
-            except PoolUnavailableError as exc:
-                # The pool cannot provide workers at all (closed, or the
-                # host refuses to spawn processes) — respawning cannot
-                # help.  Degrade to serial in-process execution of the
-                # remaining cells through the exact same execute_cells
-                # body: slower, bit-identical, never silently dropped.
-                remaining = [
-                    spec
-                    for spec in owned
-                    if spec.run_id not in outcomes
-                    and spec.run_id not in failures
-                ]
-                bus.emit(
-                    sweepbus.DEGRADED_SERIAL,
-                    reason=f"{type(exc).__name__}: {exc}",
-                    cells=len(remaining),
-                )
-                for item in execute_cells(
-                    remaining,
-                    collect_ledger=self.ledger is not None,
-                    git_rev=self.git_rev,
-                ):
-                    self._absorb_result(job, item, outcomes, failures)
-        finally:
-            # Whatever happened above, joiners must never wait forever:
-            # any cell this job claimed but did not resolve is failed.
-            self.inflight.abort_owned(job.job_id, "owning job aborted")
-            self.router.deactivate(job.job_id)
-
-    def _absorb_result(
-        self,
-        job: Job,
-        item: Any,
-        outcomes: Dict[str, CellOutcome],
-        failures: Dict[str, CellFailure],
-    ) -> None:
-        """Record one owned cell's result: publish, narrate, resolve."""
-        bus = job.bus
-        run_id = item.spec.run_id
-        if isinstance(item, CellFailure):
-            failures[run_id] = item
-            bus.emit(
-                sweepbus.CELL_FAILED,
-                error=item.error,
-                attempts=item.attempts,
-                **cell_event_fields(item.spec),
-            )
-            self.inflight.resolve(run_id, error=item.error)
-            return
-        self.publisher.publish(item)
-        outcomes[run_id] = item
-        resources = (
-            item.resources.to_dict() if item.resources is not None else None
-        )
-        bus.emit(
-            sweepbus.CELL_FINISHED,
-            wall_s=item.wall_clock_s,
-            resources=resources,
-            **cell_event_fields(item.spec),
-        )
-        self.inflight.resolve(run_id)
-
-    def _await_joined(
-        self,
-        job: Job,
-        joined: List[CellSpec],
-        outcomes: Dict[str, CellOutcome],
-        failures: Dict[str, CellFailure],
-    ) -> None:
-        """Collect cells another concurrent job owns (cross-job dedupe)."""
-        bus = job.bus
-        for spec in joined:
-            error = self.inflight.wait(spec.run_id)
-            record = self.store.get(spec.run_id) if error is None else None
-            if error is None and record is None:
-                error = "owner resolved but result missing from store"
-            if error is not None:
-                failure = CellFailure(spec, f"deduped execution failed: {error}")
-                failures[spec.run_id] = failure
-                bus.emit(
-                    sweepbus.CELL_FAILED,
-                    error=failure.error,
-                    attempts=1,
-                    **cell_event_fields(spec),
-                )
-                continue
-            assert record is not None
-            outcomes[spec.run_id] = CellOutcome(
-                spec=spec,
-                record=record,
-                ledger_record=None,
-                wall_clock_s=0.0,
-                cached=True,
-                deduped=True,
-            )
-            bus.emit(sweepbus.CELL_DEDUPED, **cell_event_fields(spec))
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -186,10 +186,26 @@ class TestWarmStart:
 
     def test_cached_cells_skip_ledger(self, tmp_path):
         plan = Plan([spec()])
-        ledger = RunLedger(tmp_path / "ledger")
-        SerialExecutor().run(plan, store=ResultStore(tmp_path / "cells"), ledger=ledger)
-        SerialExecutor().run(plan, store=ResultStore(tmp_path / "cells"), ledger=ledger)
-        assert len(ledger.records()) == 1
+        # First run ledgered: the second recalls the cell and appends
+        # nothing.  First run unledgered (a store hit the ledger lacks,
+        # as after a crash between put and append): the cell is not
+        # trusted, so it re-executes once and its row lands.
+        for case, first_ledgered, executed in (
+            ("both", True, 0),
+            ("store-only", False, 1),
+        ):
+            ledger = RunLedger(tmp_path / case / "ledger")
+            store_dir = tmp_path / case / "cells"
+            SerialExecutor().run(
+                plan,
+                store=ResultStore(store_dir),
+                ledger=ledger if first_ledgered else None,
+            )
+            second = SerialExecutor().run(
+                plan, store=ResultStore(store_dir), ledger=ledger
+            )
+            assert second.executed == executed, case
+            assert len(ledger.records()) == 1, case
 
 
 class TestRunnerFacade:
@@ -220,8 +236,9 @@ class TestRunnerFacade:
 
 
 class TestCliResume:
-    def test_matrix_resume_skips_executed_cells(self, tmp_path, capsys):
-        argv = [
+    @staticmethod
+    def argv(tmp_path):
+        return [
             "--duration", "2000", "--warmup", "500",
             "matrix", str(tmp_path / "matrix.csv"),
             "--ledger", str(tmp_path / "ledger"),
@@ -229,9 +246,31 @@ class TestCliResume:
             "--groups", "Priv720p",
             "--resume",
         ]
+
+    def test_matrix_resume_skips_executed_cells(self, tmp_path, capsys):
+        argv = self.argv(tmp_path)
         assert main(list(argv)) == 0
         first = capsys.readouterr().out
         assert "executed=7 cached=0" in first
         assert main(list(argv)) == 0
         second = capsys.readouterr().out
         assert "executed=0 cached=7" in second
+
+    def test_resume_reexecutes_cell_missing_from_ledger(self, tmp_path, capsys):
+        """A crash between store.put and ledger.append leaves a cell in
+        the store without its ledger row; --resume must re-run it."""
+        argv = self.argv(tmp_path)
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        ledger_path = tmp_path / "ledger" / "ledger.jsonl"
+        lines = ledger_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        dropped = json.loads(lines[-1])
+        ledger_path.write_text("".join(lines[:-1]), encoding="utf-8")
+
+        assert main(list(argv)) == 0
+        assert "executed=1 cached=6" in capsys.readouterr().out
+        rows = RunLedger(tmp_path / "ledger").records()
+        assert len(rows) == 7
+        assert len({row["run_id"] for row in rows}) == 7
+        (redone,) = [row for row in rows if row["run_id"] == dropped["run_id"]]
+        assert metrics_digest(redone) == metrics_digest(dropped)

@@ -200,17 +200,3 @@ class TestDeterminismWithFaults:
         )
         assert clean.digest != faulted.digest
 
-
-class TestDeprecationShim:
-    def test_old_inject_stall_warns_and_still_works(self):
-        from repro.pipeline.faults import inject_stall
-
-        config = SystemConfig(
-            "IM", PRIVATE_CLOUD, Resolution.R720P, seed=1,
-            duration_ms=4000.0, warmup_ms=500.0,
-        )
-        system = CloudSystem(config, make_regulator("NoReg"))
-        with pytest.deprecated_call():
-            inject_stall(system, "encode", 2000.0, 300.0)
-        result = system.run()
-        assert delivered_in(result, 2050.0, 2250.0) == 0

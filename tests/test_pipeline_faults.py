@@ -9,7 +9,7 @@ frames.
 import pytest
 
 from repro import CloudSystem, SystemConfig, make_regulator
-from repro.pipeline.faults import StallInjector, inject_stall
+from repro.faults import StallInjector, inject_stall
 from repro.simcore import Environment
 from repro.simcore.tracing import windowed_counts
 from repro.workloads import PRIVATE_CLOUD, Resolution

@@ -178,6 +178,9 @@ class TestKillDashNineRecovery:
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
+            # Its own process group, so cleanup reaches the pool workers
+            # (same command line) and not only the serve parent.
+            start_new_session=True,
         )
         port = None
         assert proc.stdout is not None
@@ -190,6 +193,14 @@ class TestKillDashNineRecovery:
                 break
         assert port, "server never reported its port"
         return proc, port
+
+    @staticmethod
+    def _kill_group(proc):
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # the server and its workers already exited
+        proc.wait(timeout=30)
 
     def test_sigkill_resume_executes_only_missing_cells(self, tmp_path):
         ledger_dir = tmp_path / "ledger"
@@ -220,8 +231,7 @@ class TestKillDashNineRecovery:
             else:
                 pytest.fail("first cell never persisted before the kill")
         finally:
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.wait(timeout=30)
+            self._kill_group(proc)
 
         journal = JobJournal(journal_path_for(ledger_dir))
         assert [e.job_id for e in journal.pending()] == [job_id]
@@ -252,9 +262,7 @@ class TestKillDashNineRecovery:
             client.shutdown()
             proc.wait(timeout=30)
         finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=30)
+            self._kill_group(proc)
 
         # Post-mortem: journal drained, one ledger row per cell, and the
         # interrupted sweep's bits match an uninterrupted offline run.
