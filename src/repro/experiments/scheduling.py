@@ -486,20 +486,16 @@ class SweepLoop:
     ) -> ExecutionReport:
         """Run ``plan`` as ``owner``; results accumulate in ``tally``."""
         tally = tally if tally is not None else SweepTally()
-        ledgered: Optional[Set[str]] = None
         owned: List[CellSpec] = []
         joined: List[CellSpec] = []
         for spec in plan:
             record = self.store.get(spec.run_id)
-            if record is not None and self.ledger is not None:
-                # Read on the first store hit only: a sweep into an
-                # empty store never pays the ledger scan.
-                if ledgered is None:
-                    ledgered = {
-                        str(row.get("run_id", "")) for row in self.ledger.records()
-                    }
-                if spec.run_id not in ledgered:
-                    record = None
+            if (
+                record is not None
+                and self.ledger is not None
+                and spec.run_id not in self.ledger
+            ):
+                record = None
             if record is not None:
                 tally.outcomes[spec.run_id] = _recalled(spec, record)
                 if bus is not None:

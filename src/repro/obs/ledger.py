@@ -26,8 +26,9 @@ from __future__ import annotations
 import json
 import os
 import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs.runmeta import metrics_digest
 
@@ -51,14 +52,44 @@ def load_record(path: Union[str, Path]) -> Dict[str, Any]:
 
 
 class RunLedger:
-    """Append-only JSONL store of run records under one directory."""
+    """Append-only JSONL store of run records under one directory.
+
+    Lookups by ``run_id`` (:meth:`append`'s dedupe check, :meth:`get`,
+    ``run_id in ledger`` and :meth:`digest`) go through an in-memory
+    index: ``run_id`` → (row position, byte offset) of the id's latest
+    row.  The file stays the only record of truth.  Every lookup first
+    indexes the complete (``\n``-terminated) lines appended since the
+    last one, so rows another instance or process wrote show up, and a
+    half-written row is never read.  The index starts over when the
+    file is missing, is another file (new ``(st_dev, st_ino)``), or no
+    longer holds the last indexed line just before the indexed offset
+    (it was rewritten in place).  It is built on first use, which
+    parses the file once; after that a lookup parses only the new rows,
+    plus the one row it returns or compares.  :meth:`records`,
+    :meth:`latest` and ``len()`` are full scans.
+    """
 
     def __init__(self, root: Union[str, Path] = DEFAULT_LEDGER_DIR) -> None:
         self.root = Path(root)
-        # append() is read-check-append; concurrent service jobs that
-        # finish cells simultaneously must not interleave those steps,
-        # or the same record lands twice before either read sees it.
-        self._append_lock = threading.Lock()
+        # Guards the index, and makes append() read-check-append one
+        # step: concurrent service jobs that finish cells simultaneously
+        # must not interleave those, or the same record lands twice.
+        self._lock = threading.Lock()
+        self._reset_index()
+
+    def _reset_index(self) -> None:
+        #: run_id -> (row position, byte offset) of the id's latest row.
+        self._rows: Dict[str, Tuple[int, int]] = {}
+        #: metrics_digest of the row ``_rows`` points at, once computed.
+        self._digests: Dict[str, str] = {}
+        #: (st_dev, st_ino) of the indexed file.
+        self._file_id: Optional[Tuple[int, int]] = None
+        #: Bytes indexed so far; always the end of a line.
+        self._offset = 0
+        #: The last indexed line, newline included; it ends at ``_offset``.
+        self._tail = b""
+        #: Rows indexed so far, i.e. the next row's position.
+        self._count = 0
 
     @property
     def path(self) -> Path:
@@ -69,6 +100,68 @@ class RunLedger:
     def baseline_path(self) -> Path:
         """Location of the pinned baseline record."""
         return self.root / "baseline.json"
+
+    # -- the index -------------------------------------------------------
+
+    @contextmanager
+    def _indexed(self) -> Iterator[Optional[BinaryIO]]:
+        """Hold the lock with the index current; yields the open file
+        (None when there is none) so a row is read from the same file."""
+        with self._lock:
+            try:
+                handle = open(self.path, "rb")
+            except FileNotFoundError:
+                self._reset_index()
+                yield None
+                return
+            with handle:
+                self._index_new_lines(handle)
+                yield handle
+
+    def _index_new_lines(self, handle: BinaryIO) -> None:
+        stat = os.fstat(handle.fileno())
+        file_id = (stat.st_dev, stat.st_ino)
+        handle.seek(self._offset - len(self._tail))
+        data = handle.read()
+        # Another file, or this one rewritten in place (a file shorter
+        # than the indexed offset cannot hold the last indexed line).
+        if file_id != self._file_id or not data.startswith(self._tail):
+            self._reset_index()
+            self._file_id = file_id
+            handle.seek(0)
+            data = handle.read()
+        data = data[len(self._tail) :]
+        # Only complete lines: a row still being written (or a crashed
+        # writer's fragment) waits until a newline ends it.
+        end = data.rfind(b"\n") + 1
+        if not end:
+            return
+        lines = data[:end].split(b"\n")[:-1]
+        offset = self._offset
+        for line in lines:
+            row_offset = offset
+            offset += len(line) + 1
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            if isinstance(record, dict):
+                run_id = str(record.get("run_id", ""))
+                self._rows[run_id] = (self._count, row_offset)
+                self._digests.pop(run_id, None)
+                self._count += 1
+        self._offset = offset
+        self._tail = lines[-1] + b"\n"
+
+    def _digest(self, handle: Optional[BinaryIO], run_id: str) -> Optional[str]:
+        """Memoized ``metrics_digest`` of ``run_id``'s latest row."""
+        digest = self._digests.get(run_id)
+        if digest is None and handle is not None and run_id in self._rows:
+            row = _read_row(handle, self._rows[run_id][1])
+            digest = self._digests[run_id] = metrics_digest(row)
+        return digest
 
     # -- writing ---------------------------------------------------------
 
@@ -87,9 +180,8 @@ class RunLedger:
             raise ValueError("run record has no run_id")
         digest = metrics_digest(record)
         line = _dump(record) + "\n"
-        with self._append_lock:
-            existing = self.get(run_id)
-            if existing is not None and metrics_digest(existing) == digest:
+        with self._indexed() as indexed:
+            if self._digest(indexed, run_id) == digest:
                 return run_id
             os.makedirs(self.root, exist_ok=True)
             with open(self.path, "ab+") as handle:
@@ -137,11 +229,21 @@ class RunLedger:
 
     def get(self, run_id: str) -> Optional[Dict[str, Any]]:
         """Latest record whose ``run_id`` starts with ``run_id``."""
-        match: Optional[Dict[str, Any]] = None
-        for record in self.records():
-            if str(record.get("run_id", "")).startswith(run_id):
-                match = record
-        return match
+        with self._indexed() as handle:
+            matches = [row for key, row in self._rows.items() if key.startswith(run_id)]
+            if handle is None or not matches:
+                return None
+            return _read_row(handle, max(matches)[1])
+
+    def __contains__(self, run_id: object) -> bool:
+        """Whether some row has exactly this ``run_id``."""
+        with self._indexed():
+            return run_id in self._rows
+
+    def digest(self, run_id: str) -> Optional[str]:
+        """``metrics_digest`` of the latest row with exactly this ``run_id``."""
+        with self._indexed() as handle:
+            return self._digest(handle, run_id)
 
     def latest(self, offset: int = 0) -> Optional[Dict[str, Any]]:
         """The most recently appended record (``offset`` steps back)."""
@@ -158,6 +260,13 @@ class RunLedger:
 
     def __len__(self) -> int:
         return len(self.records())
+
+
+def _read_row(handle: BinaryIO, offset: int) -> Dict[str, Any]:
+    """The indexed row starting at byte ``offset`` of ``handle``."""
+    handle.seek(offset)
+    row: Dict[str, Any] = json.loads(handle.readline())
+    return row
 
 
 def resolve_record(ref: str, ledger: RunLedger) -> Dict[str, Any]:

@@ -345,6 +345,15 @@ class SweepEventBus:
         """Invoke ``callback(event)`` after every emitted event."""
         self._subscribers.append(callback)
 
+    def unsubscribe(self, callback: Callable[[SweepEvent], None]) -> None:
+        """Stop invoking ``callback`` (no-op if it is not subscribed).
+
+        An emit already under way may still call it once.
+        """
+        with self._lock:
+            if callback in self._subscribers:
+                self._subscribers.remove(callback)
+
     def emit(self, kind: str, **fields: Any) -> SweepEvent:
         """Append one event (and persist/notify); returns it."""
         with self._lock:

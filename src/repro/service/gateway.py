@@ -294,10 +294,6 @@ class ServiceGateway:
                 "cells": None,
             }
         ledger = self.scheduler.ledger
-        digests: Dict[str, str] = {}
-        if ledger is not None:
-            for row in ledger.records():
-                digests[str(row.get("run_id", ""))] = metrics_digest(row)
         cells = []
         for outcome in job.report.outcomes:
             run_id = outcome.spec.run_id
@@ -309,7 +305,9 @@ class ServiceGateway:
                     "cached": outcome.cached,
                     "deduped": outcome.deduped,
                     "wall_clock_s": outcome.wall_clock_s,
-                    "metrics_digest": digests.get(run_id),
+                    "metrics_digest": (
+                        ledger.digest(run_id) if ledger is not None else None
+                    ),
                 }
             )
         for failure in job.report.failures:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
@@ -81,6 +82,7 @@ class Subscription:
         self._closed = False
         self._pending: List[SweepEvent] = []
         self._last_seq = since_seq
+        self._bus: Optional[SweepEventBus] = None
 
     def _on_event(self, event: SweepEvent) -> None:
         with self._lock:
@@ -96,6 +98,7 @@ class Subscription:
         deliver(event)
 
     def start(self, bus: SweepEventBus) -> "Subscription":
+        self._bus = bus
         bus.subscribe(self._on_event)
         history = list(bus.events)
         with self._lock:
@@ -115,9 +118,12 @@ class Subscription:
         return self
 
     def close(self) -> None:
-        """Stop delivery (the bus keeps the dead callback; it no-ops)."""
+        """Stop delivery and leave the bus, which then holds no
+        reference to ``deliver``."""
         with self._lock:
             self._closed = True
+        if self._bus is not None:
+            self._bus.unsubscribe(self._on_event)
 
 
 class SweepScheduler:
@@ -362,7 +368,16 @@ class SweepScheduler:
                     cells=len(job.plan),
                     label=job.spec.label,
                 )
-            job.report = self.loop.run(job.plan, owner=job.job_id, bus=bus, tally=tally)
+            report = self.loop.run(job.plan, owner=job.job_id, bus=bus, tally=tally)
+            # The server keeps every finished job for ``result``; the
+            # ledger rows its cells produced are on disk, and ``result``
+            # reads their digests from the ledger, so drop the copies.
+            job.report = replace(
+                report,
+                outcomes=tuple(
+                    replace(outcome, ledger_record=None) for outcome in report.outcomes
+                ),
+            )
             job.state = JobState.DONE
         except Exception as exc:  # infrastructure failure, not a cell failure
             job.error = f"{type(exc).__name__}: {exc}"

@@ -1,6 +1,8 @@
 """Run records (runmeta) and the append-only run ledger."""
 
+import copy
 import json
+import os
 import threading
 
 import pytest
@@ -212,6 +214,179 @@ class TestRunLedger:
         path = ledger.set_baseline(record)
         assert ledger.baseline() == record
         assert load_record(path) == record
+
+
+def renamed(record, run_id):
+    return dict(copy.deepcopy(record), run_id=run_id)
+
+
+def rerun_with_new_content(record):
+    row = copy.deepcopy(record)
+    row["metrics"]["client_fps"] += 1.0
+    return row
+
+
+class TestLedgerIndex:
+    """The in-memory run_id index agrees with the file, which stays the truth."""
+
+    def test_dedupe_compares_the_exact_run_id(self, tmp_path, record):
+        ledger = RunLedger(tmp_path / "runs")
+        ledger.append(renamed(record, "abc"))
+        # Same measured content, but "ab" is another id: it must land,
+        # although "abc" is the latest row whose id starts with "ab".
+        assert ledger.append(renamed(record, "ab")) == "ab"
+        assert [row["run_id"] for row in ledger.records()] == ["abc", "ab"]
+        ledger.append(renamed(record, "ab"))
+        ledger.append(renamed(record, "abc"))
+        assert len(ledger) == 2
+
+    def test_get_is_latest_prefix_match(self, tmp_path, record):
+        ledger = RunLedger(tmp_path / "runs")
+        ledger.append(renamed(record, "ab"))
+        ledger.append(renamed(record, "abc"))
+        assert ledger.get("ab")["run_id"] == "abc"
+        assert ledger.get("abc")["run_id"] == "abc"
+        assert ledger.get("abd") is None
+        assert "ab" in ledger and "a" not in ledger
+
+    def test_digest_of_the_latest_version(self, tmp_path, record):
+        ledger = RunLedger(tmp_path / "runs")
+        assert ledger.digest(record["run_id"]) is None
+        ledger.append(record)
+        assert ledger.digest(record["run_id"]) == metrics_digest(record)
+        changed = rerun_with_new_content(record)
+        ledger.append(changed)
+        assert ledger.digest(record["run_id"]) == metrics_digest(changed)
+        assert RunLedger(ledger.root).digest(record["run_id"]) == (
+            metrics_digest(changed)
+        )
+
+    def test_another_instance_appends_show_up(self, tmp_path, record):
+        first = RunLedger(tmp_path / "runs")
+        first.append(record)
+        assert first.get("feed") is None  # index warm
+        second = RunLedger(tmp_path / "runs")
+        row = renamed(record, "feedfacefeedface")
+        second.append(row)
+        assert "feedfacefeedface" in first
+        assert first.get("feed") == row
+        first.append(row)  # deduped against the other instance's row
+        assert len(first) == 2
+
+    def test_last_line_dropped_in_place(self, tmp_path, record):
+        ledger = RunLedger(tmp_path / "runs")
+        row = renamed(record, "feedfacefeedface")
+        ledger.append(record)
+        ledger.append(row)
+        assert ledger.get("feed") == row
+        lines = ledger.path.read_bytes().splitlines(keepends=True)
+        with open(ledger.path, "r+b") as handle:  # same inode, shorter
+            handle.truncate(len(lines[0]))
+        assert ledger.get("feed") is None
+        assert "feedfacefeedface" not in ledger
+        ledger.append(row)
+        assert ledger.records() == [record, row]
+
+    def test_last_line_rewritten_in_place_same_size(self, tmp_path, record):
+        ledger = RunLedger(tmp_path / "runs")
+        first = renamed(record, "feedfacefeedface")
+        ledger.append(first)
+        assert ledger.get("feed") == first
+        text = ledger.path.read_bytes().replace(b"feedface", b"deadbeef")
+        with open(ledger.path, "r+b") as handle:
+            handle.write(text)
+        assert ledger.get("feed") is None
+        assert ledger.get("dead")["run_id"] == "deadbeefdeadbeef"
+
+    def test_file_replaced(self, tmp_path, record):
+        ledger = RunLedger(tmp_path / "runs")
+        row = renamed(record, "feedfacefeedface")
+        ledger.append(record)
+        ledger.append(row)
+        assert ledger.get("feed") == row
+        lines = ledger.path.read_bytes().splitlines(keepends=True)
+        swap = tmp_path / "swap.jsonl"
+        swap.write_bytes(lines[0])
+        os.replace(swap, ledger.path)
+        assert ledger.get("feed") is None
+        ledger.append(row)
+        assert ledger.records() == [record, row]
+
+    def test_file_replaced_with_the_same_last_row(self, tmp_path, record):
+        ledger = RunLedger(tmp_path / "runs")
+        row = renamed(record, "feedfacefeedface")
+        ledger.append(record)
+        ledger.append(row)
+        assert record["run_id"] in ledger
+        # Same size and same last row; only the inode tells it apart.
+        other = renamed(record, "deadbeefdeadbeef")
+        lines = ledger.path.read_bytes().splitlines(keepends=True)
+        swap = tmp_path / "swap.jsonl"
+        swap.write_bytes(lines[0].replace(record["run_id"].encode(), b"deadbeef" * 2) + lines[1])
+        os.replace(swap, ledger.path)
+        assert record["run_id"] not in ledger
+        assert ledger.get("dead") == other
+        assert ledger.get("feed") == row
+
+    def test_file_removed(self, tmp_path, record):
+        ledger = RunLedger(tmp_path / "runs")
+        ledger.append(record)
+        ledger.path.unlink()
+        assert record["run_id"] not in ledger
+        ledger.append(record)
+        assert ledger.records() == [record]
+
+    def test_append_output_is_unchanged(self, tmp_path, record):
+        ledger = RunLedger(tmp_path / "runs")
+        changed = rerun_with_new_content(record)
+        ab = renamed(record, "ab")
+        for row in (record, record, changed, changed, ab, record, ab):
+            ledger.append(row)
+        expected = [record, changed, ab, record]
+        assert ledger.path.read_text(encoding="utf-8") == "".join(
+            json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
+            for row in expected
+        )
+
+    def test_warm_index_parses_only_new_rows(self, tmp_path, record, monkeypatch):
+        ledger = RunLedger(tmp_path / "runs")
+        other = RunLedger(tmp_path / "runs")
+        rows = [renamed(record, f"{index:016x}") for index in range(14)]
+        for row in rows[:10]:
+            ledger.append(row)
+        assert rows[0]["run_id"] in ledger and rows[0]["run_id"] in other
+        parsed = []
+        loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed.append(json.JSONDecoder().decode(text.decode("utf-8")))
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr("repro.obs.ledger.json.loads", counting_loads)
+        other.append(rows[10])
+        assert parsed == []  # no row was added before it
+        other.append(rows[11])
+        assert parsed == [rows[10]]  # the one row added since its last call
+        parsed.clear()
+        assert rows[11]["run_id"] in ledger
+        assert parsed == rows[10:12]
+        parsed.clear()
+        ledger.append(rows[12])
+        assert parsed == []
+        assert rows[12]["run_id"] in ledger and rows[0]["run_id"] in ledger
+        assert parsed == [rows[12]]
+        parsed.clear()
+        assert ledger.get(rows[0]["run_id"]) == rows[0]
+        assert parsed == [rows[0]]  # the row it returns, nothing else
+        parsed.clear()
+        ledger.append(rows[10])  # deduped: reads the one row it compares
+        assert parsed == [rows[10]]
+        assert ledger.digest(rows[10]["run_id"]) == metrics_digest(rows[10])
+        assert parsed == [rows[10]]  # memoized
+        other.append(rows[13])
+        parsed.clear()
+        assert ledger.get(rows[13]["run_id"][:8]) == rows[13]
+        assert parsed == [rows[13], rows[13]]  # indexed, then returned
 
 
 class TestResolveRecord:

@@ -8,9 +8,11 @@ cell in flight long enough for the second client to join it.
 """
 
 import asyncio
+import gc
 import socket
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.obs import sweep as sweepbus
 from repro.obs.ledger import RunLedger
 from repro.obs.runmeta import metrics_digest
 from repro.service import ServiceClient, ServiceGateway, SweepScheduler
+from repro.service.scheduler import Subscription
 from repro.service.protocol import (
     build_plan,
     decode_frame,
@@ -221,6 +224,38 @@ class TestWatchStream:
             seqs = [e.seq for e in events]
             assert seqs == sorted(set(seqs))
 
+
+    def test_closed_subscription_leaves_the_bus(self):
+        bus = sweepbus.SweepEventBus()
+        seen = []
+
+        def deliver(event):
+            seen.append(event.kind)
+
+        subscription = Subscription(deliver).start(bus)
+        bus.emit(sweepbus.POOL_BROKEN)
+        subscription.close()
+        bus.emit(sweepbus.POOL_BROKEN)
+        assert seen == ["pool_broken"]
+        ref = weakref.ref(deliver)
+        del deliver, subscription
+        gc.collect()
+        assert ref() is None
+
+    def test_finished_job_keeps_no_ledger_rows(self, tmp_path):
+        plan = Plan([spec("IM"), spec("STK", "NoReg")])
+        with GatewayHarness(tmp_path) as harness:
+            client = harness.client()
+            job = client.submit(plan_payload(plan))
+            assert client.wait(job["job_id"])["executed"] == 2
+            report = harness.scheduler.get(job["job_id"]).report
+            assert [o.ledger_record for o in report.outcomes] == [None, None]
+            # ``result`` still serves each cell's digest, from the ledger.
+            rows = {r["run_id"]: r for r in harness.ledger.records()}
+            cells = client.result(job["job_id"])["cells"]
+            assert {c["run_id"]: c["metrics_digest"] for c in cells} == {
+                run_id: metrics_digest(row) for run_id, row in rows.items()
+            }
 
 class TestRestartResume:
     def test_restart_serves_cells_from_persistent_store(self, tmp_path):
