@@ -17,7 +17,11 @@ compares: one flat JSON document per executed simulation carrying
   significance test);
 * **engine statistics** — events fired, events/sec, peak heap depth,
   taken from the run's :class:`~repro.obs.probes.EngineProbe` when one
-  was attached.
+  was attached (``system.env.probe``, with or without telemetry).
+
+Nothing here needs telemetry: gate delays come from the run itself
+(``system.app.gate_delays``), so a ledger cell runs with only the engine
+probe.
 
 Everything is plain ``dict``/``list``/scalar so records survive JSONL
 round-trips bit-identically.
@@ -30,8 +34,10 @@ import json
 import subprocess
 from typing import Any, Dict, List, Mapping, Optional, TYPE_CHECKING
 
+from repro.obs.probes import EngineProbe
+from repro.obs.registry import HistogramStats
+
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.telemetry import Telemetry
     from repro.pipeline.system import RunResult
 
 __all__ = [
@@ -95,12 +101,10 @@ def _rng_stream_names(result: "RunResult") -> List[str]:
     return names
 
 
-def _gate_delay_stats(telemetry: Optional["Telemetry"]) -> Optional[Dict[str, float]]:
-    if telemetry is None:
-        return None
-    # Only this series is needed; a full snapshot would summarise every
-    # histogram of the run (all the per-stage series) to read it.
-    stats = telemetry.registry.histogram_stats("gate_delay_ms")
+def _gate_delay_stats(result: "RunResult") -> Optional[Dict[str, float]]:
+    # The same values, in the same order, as telemetry's gate_delay_ms
+    # histogram, so the summary is bit-identical to it.
+    stats = HistogramStats.from_values(result.system.app.gate_delays)
     if not stats.count:
         return None
     return {
@@ -119,11 +123,12 @@ def _drop_counts(result: "RunResult") -> Dict[str, int]:
 
 
 def _engine_stats(
-    telemetry: Optional["Telemetry"], wall_clock_s: Optional[float]
+    result: "RunResult", wall_clock_s: Optional[float]
 ) -> Optional[Dict[str, Any]]:
-    if telemetry is None or telemetry.probe is None:
+    engine_probe = result.system.env.probe
+    if not isinstance(engine_probe, EngineProbe):
         return None
-    probe = telemetry.probe.summary()
+    probe = engine_probe.summary()
     events_fired = int(probe["events_fired"])  # type: ignore[arg-type]
     stats: Dict[str, Any] = {
         "events_scheduled": probe["events_scheduled"],
@@ -156,7 +161,6 @@ def build_record(
     config = result.config
     seed = int(config.seed)
     payload = dict(config_payload)
-    telemetry = result.telemetry()
 
     gap = result.fps_gap()
     mtp_samples = [float(s) for s in result.mtp_samples()]
@@ -193,7 +197,7 @@ def build_record(
         "stage_utilization": stage_utilization,
         "drop_counts": _drop_counts(result),
     }
-    gate = _gate_delay_stats(telemetry)
+    gate = _gate_delay_stats(result)
     if gate is not None:
         metrics["gate_delay"] = gate
 
@@ -214,7 +218,7 @@ def build_record(
             "mtp_ms": mtp_samples,
         },
     }
-    engine = _engine_stats(telemetry, wall_clock_s)
+    engine = _engine_stats(result, wall_clock_s)
     if engine is not None:
         record["engine"] = engine
     return record

@@ -64,6 +64,9 @@ class Application3D:
         self.priority_armed = False
         self._frame_ids = itertools.count(1)
         self.frames: List[Frame] = []
+        #: Time each frame waited in the regulator's gate (ms), one per
+        #: frame in ``frames`` order — what run records summarise.
+        self.gate_delays: List[float] = []
         self.process = self.env.process(self.run(), name="app")
 
     # -- input path ------------------------------------------------------
@@ -140,10 +143,10 @@ class Application3D:
             finally:
                 self.in_gate = False
             frame = self._begin_frame()
+            gate_delay_ms = env.now - gate_entered
+            self.gate_delays.append(gate_delay_ms)
             if system.telemetry is not None:
-                system.telemetry.frame_opened(
-                    frame, env.now, gate_delay_ms=env.now - gate_entered
-                )
+                system.telemetry.frame_opened(frame, env.now, gate_delay_ms=gate_delay_ms)
             frame.t_render_start = env.now
             yield from self._busy_stage("render", self._render_sampler, frame)
             frame.t_render_end = env.now

@@ -24,8 +24,16 @@ from repro.experiments import (
     execute_cell,
     make_executor,
 )
+from repro.experiments.chaos import chaos_demands
+from repro.obs import Telemetry, build_record
 from repro.obs.ledger import RunLedger
+from repro.obs.probes import EngineProbe
+from repro.obs.registry import MetricsRegistry
 from repro.obs.runmeta import metrics_digest
+from repro.obs.spans import SpanStore
+from repro.pipeline import CloudSystem, SystemConfig
+from repro.regulators import make_regulator
+from repro.workloads import PLATFORMS, PRIVATE_CLOUD, Resolution
 
 DURATION_MS = 2000.0
 WARMUP_MS = 500.0
@@ -274,3 +282,102 @@ class TestCliResume:
         assert len({row["run_id"] for row in rows}) == 7
         (redone,) = [row for row in rows if row["run_id"] == dropped["run_id"]]
         assert metrics_digest(redone) == metrics_digest(dropped)
+
+
+
+def without_wall_fields(row):
+    """A ledger row minus the fields that measure host time."""
+    row = dict(row, engine=dict(row["engine"]))
+    del row["wall_clock_s"]
+    del row["engine"]["events_per_sec"], row["engine"]["wall_per_sim_second_mean"]
+    return row
+
+
+def stall_storm_spec() -> CellSpec:
+    plan = chaos_demands(
+        ["IM"],
+        ["ODR60"],
+        fault_classes=["stall_storm"],
+        seeds=[1],
+        duration_ms=DURATION_MS,
+        warmup_ms=WARMUP_MS,
+        include_baseline=False,
+    )
+    return plan.specs[0]
+
+
+def full_telemetry_row(cell: CellSpec):
+    """``build_record`` over ``cell`` run with ``Telemetry(engine_probe=True)``,
+    and that telemetry."""
+    config = SystemConfig(
+        benchmark=cell.benchmark,
+        platform=PLATFORMS[cell.platform],
+        resolution=Resolution(cell.resolution),
+        seed=cell.seed,
+        duration_ms=cell.duration_ms,
+        warmup_ms=cell.warmup_ms,
+    )
+    telemetry = Telemetry(engine_probe=True)
+    system = CloudSystem(
+        config, make_regulator(cell.regulator), telemetry=telemetry, fault_plan=cell.fault_plan()
+    )
+    row = build_record(
+        system.run(), cell.config_payload(), label=cell.label, wall_clock_s=1.0, git_rev="r"
+    )
+    return row, telemetry
+
+
+class TestLedgerCellRows:
+    """Ledger cells run with only the engine probe, yet their rows equal
+    those of a full-telemetry run of the same cell."""
+
+    @pytest.mark.parametrize(
+        "cell",
+        [spec(regulator=name) for name in ("NoReg", "ODR60", "Int60")] + [stall_storm_spec()],
+        ids=["NoReg", "ODR60", "Int60", "stall_storm"],
+    )
+    def test_row_producers_agree(self, cell, tmp_path):
+        lean = execute_cell(cell, collect_ledger=True, git_rev="r")
+        traced = execute_cell(
+            cell, collect_ledger=True, telemetry_dir=str(tmp_path), git_rev="r"
+        )
+        assert list(tmp_path.iterdir())
+        assert lean.record == traced.record
+        row, telemetry = full_telemetry_row(cell)
+        expected = without_wall_fields(row)
+        # The row's summaries are the telemetry's own.
+        gate = telemetry.registry.histogram_stats("gate_delay_ms")
+        assert expected["metrics"]["gate_delay"] == {
+            "count": float(gate.count),
+            "mean_ms": gate.mean,
+            "p99_ms": gate.p99,
+        }
+        assert expected["engine"]["events_fired"] == telemetry.probe.events_fired
+        assert without_wall_fields(lean.ledger_record) == expected
+        assert without_wall_fields(traced.ledger_record) == expected
+        assert lean.resources.events_fired == expected["engine"]["events_fired"]
+
+    def test_ledger_path_builds_no_telemetry(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the ledger path built telemetry")
+
+        monkeypatch.setattr(SpanStore, "__init__", refuse)
+        monkeypatch.setattr(MetricsRegistry, "__init__", refuse)
+        outcome = execute_cell(spec(regulator="ODR60"), collect_ledger=True, git_rev="r")
+        row = outcome.ledger_record
+        assert row["engine"]["events_fired"] > 0
+        assert row["metrics"]["gate_delay"]["count"] > 0
+
+    def test_probe_and_telemetry_probe_are_exclusive(self):
+        config = SystemConfig("IM", PRIVATE_CLOUD, Resolution.R720P)
+        with pytest.raises(ValueError):
+            CloudSystem(
+                config,
+                make_regulator("ODR60"),
+                probe=EngineProbe(),
+                telemetry=Telemetry(engine_probe=True),
+            )
+        # A telemetry without its own probe leaves room for one.
+        probe = EngineProbe()
+        system = CloudSystem(config, make_regulator("ODR60"), probe=probe, telemetry=Telemetry())
+        assert system.env.probe is probe

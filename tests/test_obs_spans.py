@@ -150,9 +150,10 @@ class TestTelemetrySpanHooks:
 
 
 class TestBoundHandles:
-    def test_series_keys_scale_with_series_not_frames(self, monkeypatch):
+    def test_series_keys_scale_with_series_not_frames(self, monkeypatch, tmp_path):
         # Hooks bind each series once, so a longer run builds no more
-        # series keys than a short one: O(series), not O(frames).
+        # series keys than a short one: O(series), not O(frames).  A
+        # telemetry directory makes the cell record full telemetry.
         from repro.experiments.executor import execute_cell
         from repro.experiments.plan import bench_demands
         from repro.obs.registry import SeriesKey
@@ -171,10 +172,12 @@ class TestBoundHandles:
                 ["IM"], ["ODR60"], [1], duration_ms=duration_ms, warmup_ms=500.0
             ).specs[0]
             calls.clear()
-            outcome = execute_cell(spec, collect_ledger=True, git_rev="test")
+            outcome = execute_cell(
+                spec, collect_ledger=True, telemetry_dir=str(tmp_path), git_rev="test"
+            )
             assert outcome.ledger_record["metrics"]["gate_delay"]["count"] > 0
             counts.append(len(calls))
-        assert counts[0] == counts[1]
+        assert counts[0] == counts[1] > 0
 
     def test_count_and_observe_bind_per_label_set(self):
         tel = Telemetry()

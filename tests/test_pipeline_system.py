@@ -160,3 +160,21 @@ class TestBehaviouralShape:
         base = run("NoReg", duration=6000)
         free = run("NoReg", duration=6000, contention_beta=0.0)
         assert free.client_fps > base.client_fps * 1.1
+
+
+class TestGateDelays:
+    """The run's own gate delays are what telemetry's histogram holds."""
+
+    @pytest.mark.parametrize("spec", ["ODR60", "Int60", "RVS60"])
+    def test_gate_delays_match_telemetry_histogram(self, spec):
+        from repro.obs import Telemetry
+        from repro.obs.registry import HistogramStats
+
+        telemetry = Telemetry()
+        config = SystemConfig("IM", PRIVATE_CLOUD, Resolution.R720P, seed=1,
+                              duration_ms=3000.0, warmup_ms=1500.0)
+        app = CloudSystem(config, make_regulator(spec), telemetry=telemetry).run().system.app
+        assert len(app.gate_delays) == len(app.frames) > 0
+        assert HistogramStats.from_values(app.gate_delays) == (
+            telemetry.registry.histogram_stats("gate_delay_ms")
+        )
