@@ -25,10 +25,10 @@ the sweep runs); ``matrix`` additionally takes ``--benchmarks`` /
     consolidate multi-tenant sessions-per-server sweep
     breakdown   decompose MtP latency by pipeline component
     list        list benchmarks, platforms, and configuration labels
-    lint        run the simlint determinism/DES-correctness static analysis
-    analyze     whole-program determinism analyzer: call-graph purity
-                dataflow, cache-key/schema drift checks, fork safety
-                (text/json/sarif output, suppression baseline, cache)
+    analyze     static determinism analysis: clocks, entropy and set
+                iteration in every file, call-graph purity, engine
+                process and timestamp checks, cache-key/schema drift,
+                fork safety (text/json/sarif output, baseline, cache)
     verify-determinism
                 run one scenario twice under the same seed and compare
                 schedule fingerprints
@@ -280,31 +280,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resolution", choices=[r.value for r in Resolution], default="720p"
     )
 
-    lint = sub.add_parser(
-        "lint",
-        help="simlint: determinism & DES-correctness static analysis",
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    lint.add_argument(
-        "--format", choices=["text", "json"], default="text", dest="fmt",
-        help="output format",
-    )
-    lint.add_argument(
-        "--select",
-        help="comma-separated rule ids to run (e.g. R1,R2); default: all",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
-
     analyze = sub.add_parser(
         "analyze",
-        help="whole-program determinism analyzer: purity dataflow, "
-             "contract drift, fork safety",
+        help="static determinism analysis: purity, simulation "
+             "correctness, contract drift, fork safety",
     )
     analyze.add_argument(
         "paths", nargs="*", default=["src/repro", "tests"],
@@ -634,32 +613,6 @@ def _cmd_trace(args: argparse.Namespace) -> str:
         n_lines = write_jsonl(telemetry, args.jsonl)
         lines.append(f"  wrote {n_lines} JSONL records to {args.jsonl}")
     return "\n".join(lines)
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.devtools.simlint import RULES, lint_paths
-
-    if args.list_rules:
-        for rule, summary in sorted(RULES.items()):
-            print(f"{rule}  {summary}")
-        return 0
-    select = args.select.split(",") if args.select else None
-    try:
-        report = lint_paths(args.paths, select=select)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-    if args.fmt == "json":
-        print(report.to_json())
-    else:
-        for finding in report.findings:
-            print(finding.render())
-        counts = ", ".join(f"{r}: {n}" for r, n in sorted(report.counts().items()))
-        print(
-            f"simlint: {len(report.findings)} finding(s) in "
-            f"{report.files_scanned} file(s)" + (f"  [{counts}]" if counts else "")
-        )
-    return 0 if report.ok else 1
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -1387,8 +1340,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _dispatch(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "lint":
-        return _cmd_lint(args)
     if args.command == "analyze":
         return _cmd_analyze(args)
     if args.command == "verify-determinism":

@@ -2,19 +2,17 @@
 
 Two complementary halves:
 
-:mod:`repro.devtools.simlint`
-    Static analysis — eight AST rules (R1-R8) enforcing the determinism
-    and DES-correctness conventions (seeded randomness only, no wall
-    clock in sim paths, no mutable defaults, ordered iteration, real
-    generators for engine processes, epsilon time comparisons, no
-    module-level mutable state, annotated public simcore/core API).
+:mod:`repro.devtools.analyzer`
+    Static analysis — the whole-program analyzer: raw clocks and
+    entropy, set iteration, module state, engine process bodies and
+    timestamp equality, cache-key and schema drift, fork safety.
 
 :mod:`repro.devtools.determinism`
     Runtime verification — run a small scenario twice under the same
     seed, SHA-256 the full event schedule + frame spans, and fail on
     divergence.
 
-Both are wired into the CLI (``odr-sim lint``,
+Both are wired into the CLI (``odr-sim analyze``,
 ``odr-sim verify-determinism``) and CI; see docs/STATIC_ANALYSIS.md.
 """
 
@@ -25,23 +23,11 @@ from repro.devtools.determinism import (
     fingerprint_run,
     verify_determinism,
 )
-from repro.devtools.simlint import (
-    RULES,
-    Finding,
-    LintReport,
-    lint_paths,
-    lint_source,
-)
 
 __all__ = [
     "DeterminismReport",
-    "Finding",
-    "LintReport",
-    "RULES",
     "RunFingerprint",
     "ScheduleRecorder",
     "fingerprint_run",
-    "lint_paths",
-    "lint_source",
     "verify_determinism",
 ]

@@ -1,12 +1,14 @@
 """Whole-program determinism analyzer for the ODR reproduction.
 
-Where :mod:`repro.devtools.simlint` judges each file in isolation, this
-package links the whole tree: per-module facts feed a call graph, a
-purity dataflow walks the closure of the sim-pure boundary, contract
-passes cross-check structures that must stay in sync (CellSpec fields
-vs the run-id hash, FaultSpec subclasses vs their registry and catalog,
-sweep-event kinds vs the schema and docs), and a fork-safety pass vets
-everything handed to worker pools.  ``odr-sim analyze`` is the CLI.
+The repository's one static-analysis layer.  Per-module facts feed a
+call graph; a purity pass flags raw clocks and entropy in every file
+and environment reads and global writes reachable from the sim-pure
+boundary; simulation-correctness rules check engine process bodies and
+timestamp comparisons; contract passes cross-check structures that must
+stay in sync (CellSpec fields vs the run-id hash, FaultSpec subclasses
+vs their registry and catalog, sweep-event kinds vs the schema and
+docs); and a fork-safety pass vets everything handed to worker pools.
+``odr-sim analyze`` is the CLI.
 """
 
 from repro.devtools.analyzer.driver import DEFAULT_DOCS, analyze, collect_sources

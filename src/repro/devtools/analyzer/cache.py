@@ -8,23 +8,34 @@ changed; renames hit too, because the key is the content hash, not the
 path.  The whole-program passes always run fresh — they are cheap and
 depend on the cross-product of files, which no per-file key captures.
 
-The cache file is a plain JSON object, versioned so a facts-schema
-change invalidates everything at once, and it is advisory: a missing,
-corrupt, or stale-version cache means a cold run, never an error.
+The cache file is a plain JSON object stamped with the SHA-256 of the
+extractor's own source (:mod:`.facts`), so any change to what
+extraction records — a new taint kind, a fixed visitor — invalidates
+everything at once without anyone remembering to bump a version.  It
+is advisory: a missing, corrupt, or stale-extractor cache means a cold
+run, never an error.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from typing import Any, Dict, Mapping, Optional
 
+from repro.devtools.analyzer import facts as _facts
 from repro.devtools.analyzer.facts import ModuleFacts, facts_from_payload
 
-__all__ = ["FactsCache"]
+__all__ = ["EXTRACTOR_DIGEST", "FactsCache"]
 
-#: Bump when the ModuleFacts payload shape changes.
-CACHE_VERSION = 1
+
+def _source_digest(path: str) -> str:
+    with open(path, "rb") as handle:
+        return hashlib.sha256(handle.read()).hexdigest()
+
+
+#: SHA-256 of the extractor source; cached facts are valid only under it.
+EXTRACTOR_DIGEST = _source_digest(_facts.__file__)
 
 
 class FactsCache:
@@ -42,7 +53,7 @@ class FactsCache:
                     payload = json.load(handle)
                 if (
                     isinstance(payload, dict)
-                    and payload.get("version") == CACHE_VERSION
+                    and payload.get("extractor") == EXTRACTOR_DIGEST
                     and isinstance(payload.get("entries"), dict)
                 ):
                     self._entries = payload["entries"]
@@ -77,7 +88,7 @@ class FactsCache:
     def save(self) -> None:
         if self.path is None or not self._dirty:
             return
-        payload = {"version": CACHE_VERSION, "entries": self._entries}
+        payload = {"extractor": EXTRACTOR_DIGEST, "entries": self._entries}
         tmp = f"{self.path}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:

@@ -25,8 +25,8 @@ fact and fails when they disagree:
     somewhere in ``src``.
 ``C5``
     Registries vs their documentation tables: every event kind in the
-    docs/OBSERVABILITY.md schema table, every analyzer + simlint rule
-    id in the docs/STATIC_ANALYSIS.md rule index.
+    docs/OBSERVABILITY.md schema table, every analyzer rule id in the
+    docs/STATIC_ANALYSIS.md rule index.
 """
 
 from __future__ import annotations
@@ -304,7 +304,6 @@ def _docs_findings(
     graph: ProgramGraph,
     docs: Mapping[str, str],
     analyzer_rules: Mapping[str, str],
-    simlint_rules: Mapping[str, str],
 ) -> List[Finding]:
     """C5: registry ids must appear in their documentation tables."""
     findings: List[Finding] = []
@@ -336,7 +335,7 @@ def _docs_findings(
     sa_doc = next((p for p in docs if p.endswith("STATIC_ANALYSIS.md")), None)
     if sa_doc is not None:
         text = docs[sa_doc]
-        for rule_id in sorted(set(analyzer_rules) | set(simlint_rules)):
+        for rule_id in sorted(analyzer_rules):
             if f"| {rule_id} " not in text and f"`{rule_id}`" not in text:
                 findings.append(
                     Finding(
@@ -358,7 +357,6 @@ def contract_findings(
     graph: ProgramGraph,
     docs: Optional[Mapping[str, str]] = None,
     analyzer_rules: Optional[Mapping[str, str]] = None,
-    simlint_rules: Optional[Mapping[str, str]] = None,
 ) -> List[Finding]:
     """All C-family findings for the analyzed tree."""
     findings: List[Finding] = []
@@ -366,7 +364,5 @@ def contract_findings(
     findings.extend(_fault_findings(graph))
     findings.extend(_sweep_findings(graph))
     if docs:
-        findings.extend(
-            _docs_findings(graph, docs, analyzer_rules or {}, simlint_rules or {})
-        )
+        findings.extend(_docs_findings(graph, docs, analyzer_rules or {}))
     return findings

@@ -3,13 +3,13 @@
 The pipeline is strictly phased:
 
 1. **Walk** the requested paths for ``.py`` files (skipping caches and
-   hidden directories), read each source — an ``overlay`` mapping can
-   replace or add sources without touching disk, which is how the
-   negative-drift tests prove the contract rules fire.
+   hidden directories; any other path is an error), read each source —
+   an ``overlay`` mapping can replace or add sources without touching
+   disk, which is how the negative-drift tests prove the rules fire.
 2. **Extract** per-module facts, consulting the per-file-hash cache.
 3. **Link** everything into one :class:`ProgramGraph`.
-4. **Run passes**: purity (P1-P5), contracts (C1-C5), fork safety
-   (F1-F2).
+4. **Run passes**: purity (P1-P7), simulation correctness (D1-D2),
+   contracts (C1-C5), fork safety (F1-F2).
 5. **Filter**: ``--select`` subset, line-scoped waivers (tracking which
    actually fired), suppression baseline, then W1 for waivers that
    suppressed nothing.
@@ -32,6 +32,7 @@ from repro.devtools.analyzer.baseline import (
 )
 from repro.devtools.analyzer.cache import FactsCache
 from repro.devtools.analyzer.contracts import contract_findings
+from repro.devtools.analyzer.des import des_findings
 from repro.devtools.analyzer.facts import (
     ModuleFacts,
     extract_module,
@@ -43,11 +44,6 @@ from repro.devtools.analyzer.forksafety import fork_safety_findings
 from repro.devtools.analyzer.graph import ProgramGraph, build_graph
 from repro.devtools.analyzer.purity import purity_findings
 from repro.devtools.analyzer.rules import RULES, normalize_select
-
-try:  # the C5 docs check cross-references simlint's rule registry
-    from repro.devtools.simlint import RULES as SIMLINT_RULES
-except ImportError:  # pragma: no cover - simlint is part of this package
-    SIMLINT_RULES = {}
 
 __all__ = ["analyze", "collect_sources", "DEFAULT_DOCS"]
 
@@ -62,13 +58,19 @@ def collect_sources(
     """``path -> source`` for every ``.py`` under ``paths``.
 
     Overlay entries replace same-path disk content and add paths that
-    do not exist on disk at all.
+    do not exist on disk at all.  Any other path that is neither a
+    directory nor a ``.py`` file raises ``FileNotFoundError``, so a
+    mistyped path cannot pass as a clean run.
     """
+    overlay = overlay or {}
     sources: Dict[str, str] = {}
     for root in paths:
-        if os.path.isfile(root):
-            if root.endswith(".py"):
-                sources[root] = _read(root)
+        if root in overlay:
+            continue
+        if not os.path.isdir(root):
+            if not (root.endswith(".py") and os.path.isfile(root)):
+                raise FileNotFoundError(f"not a Python file or directory: {root}")
+            sources[root] = _read(root)
             continue
         for dirpath, dirnames, filenames in os.walk(root):
             dirnames[:] = sorted(
@@ -78,9 +80,7 @@ def collect_sources(
                 if name.endswith(".py"):
                     path = os.path.join(dirpath, name)
                     sources[path] = _read(path)
-    if overlay:
-        for path, text in overlay.items():
-            sources[path] = text
+    sources.update(overlay)
     return sources
 
 
@@ -145,7 +145,7 @@ def analyze(
     check; when absent, ``docs_paths`` (default :data:`DEFAULT_DOCS`)
     are read from disk where they exist.
     """
-    started = time.monotonic()  # simlint: disable=R2 -- timing the analyzer's own run, not sim state
+    started = time.monotonic()  # analyzer: allow=P1 -- timing the analyzer's own run, not sim state
     sources = collect_sources(paths, overlay)
     cache = FactsCache(cache_path)
     modules = _extract_all(sources, cache)
@@ -162,7 +162,8 @@ def analyze(
     findings: List[Finding] = []
     findings.extend(_parse_error_findings(modules))
     findings.extend(purity_findings(graph, roots))
-    findings.extend(contract_findings(graph, docs, RULES, SIMLINT_RULES))
+    findings.extend(des_findings(graph))
+    findings.extend(contract_findings(graph, docs, RULES))
     findings.extend(fork_safety_findings(graph))
 
     if select is not None:
@@ -190,5 +191,5 @@ def analyze(
         stale_baseline=list(stale),
         cache_hits=cache.hits,
         cache_misses=cache.misses,
-        elapsed_s=time.monotonic() - started,  # simlint: disable=R2 -- self-timing
+        elapsed_s=time.monotonic() - started,  # analyzer: allow=P1 -- self-timing
     )

@@ -11,9 +11,9 @@ files straight from disk and only the whole-program passes
 (:mod:`.graph`, :mod:`.purity`, :mod:`.contracts`) run fresh.
 
 Taint *events* recorded here are mechanical observations ("calls
-``time.time``", "iterates a set expression", "writes a global"); the
-purity pass decides which of them are findings, for which rule, and
-whether the function is reachable from the sim-pure boundary.
+``time.time``", "iterates a set expression", "writes a global",
+"registers ``loop(env)`` as an engine process"); the passes decide
+which of them are findings, for which rule, and in which scope.
 """
 
 from __future__ import annotations
@@ -57,9 +57,21 @@ CLOCK_ATTRS = frozenset(
 )
 DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 
-#: Entropy sources: ``module attribute`` pairs (None = any attribute).
+#: Entropy sources: importing one of these modules, or calling into it.
 ENTROPY_MODULES = frozenset({"random", "numpy.random", "secrets"})
 UUID_ENTROPY = frozenset({"uuid1", "uuid4"})
+#: Generator constructors that are deterministic when given a seed.
+SEEDED_CONSTRUCTORS = frozenset(
+    {"random.Random", "numpy.random.default_rng", "numpy.random.RandomState"}
+)
+
+#: Collection constructors whose result is mutable (module-state taint).
+MUTABLE_CALLS = frozenset(
+    {"list", "dict", "set", "defaultdict", "deque", "Counter", "OrderedDict", "bytearray"}
+)
+
+#: Name/attribute patterns that denote a float simulation timestamp.
+TIMESTAMP_RE = re.compile(r"(^now$|^t_|_ms$|_time$|_at$|timestamp)")
 
 #: Callables whose return value is a live OS/threading object (F2).
 SMUGGLED_FACTORIES = {
@@ -84,7 +96,9 @@ class TaintEvent:
     """One mechanical impurity observation inside a function body."""
 
     #: ``clock`` | ``entropy`` | ``env`` | ``global_write`` |
-    #: ``set_iter`` | ``dumps_unsorted`` | ``hash_digest``
+    #: ``set_iter`` | ``dumps_unsorted`` | ``hash_digest`` |
+    #: ``module_state`` | ``timestamp_eq`` | ``process`` (detail: the
+    #: registered callee as written)
     kind: str
     line: int
     col: int
@@ -281,6 +295,36 @@ def _is_set_expr(node: ast.expr) -> bool:
         return True
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         return node.func.id in ("set", "frozenset")
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitOr, ast.BitAnd, ast.Sub)):
+        # Union/intersection/difference of set expressions.
+        return _is_set_expr(node.left) or _is_set_expr(node.right)
+    return False
+
+
+def _is_mutable_value(node: ast.expr) -> bool:
+    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        dotted = _dotted(node.func)
+        return dotted is not None and dotted.rsplit(".", 1)[-1] in MUTABLE_CALLS
+    return False
+
+
+def _looks_like_timestamp(node: ast.expr) -> bool:
+    if isinstance(node, ast.Name):
+        return bool(TIMESTAMP_RE.search(node.id))
+    if isinstance(node, ast.Attribute):
+        return bool(TIMESTAMP_RE.search(node.attr))
+    return False
+
+
+def _is_generator(node: ast.AST) -> bool:
+    """True if the function's own body (not nested defs) contains a yield."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, (ast.Yield, ast.YieldFrom)) or _is_generator(child):
+            return True
     return False
 
 
@@ -365,6 +409,8 @@ class _Extractor(ast.NodeVisitor):
             )
             if alias.asname:
                 self.facts.imports[alias.asname] = alias.name
+            if alias.name in ENTROPY_MODULES:
+                self._taint("entropy", node, f"import {alias.name}")
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -376,6 +422,8 @@ class _Extractor(ast.NodeVisitor):
         for alias in node.names:
             local = alias.asname or alias.name
             self.facts.from_imports[local] = f"{mod}.{alias.name}" if mod else alias.name
+            if mod in ENTROPY_MODULES or f"{mod}.{alias.name}" in ENTROPY_MODULES:
+                self._taint("entropy", node, f"from {mod} import {alias.name}")
         self.generic_visit(node)
 
     # -- functions / classes ---------------------------------------------
@@ -387,12 +435,7 @@ class _Extractor(ast.NodeVisitor):
 
     def _visit_function(self, node: Any) -> None:
         qualname = self._qualname(node.name)
-        is_gen = any(
-            isinstance(child, (ast.Yield, ast.YieldFrom))
-            for child in ast.walk(node)
-            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-        )
-        fn = self._ensure_function(qualname, node.lineno, is_gen)
+        fn = self._ensure_function(qualname, node.lineno, _is_generator(node))
         if self._class_stack:
             self._class_stack[-1].methods.append(node.name)
         # Parameter annotations seed local type inference.
@@ -546,6 +589,43 @@ class _Extractor(ast.NodeVisitor):
                         names.append(self._resolve_alias(dotted))
         return names
 
+    def visit_Module(self, node: ast.Module) -> None:
+        self._module_state(node.body)
+        self.generic_visit(node)
+
+    def _module_state(self, body: Sequence[ast.stmt]) -> None:
+        """Module-level assignments of mutable values (dunders exempt)."""
+        for stmt in body:
+            if isinstance(stmt, ast.If):  # e.g. version guards
+                self._module_state(stmt.body)
+                self._module_state(stmt.orelse)
+                continue
+            if isinstance(stmt, ast.Assign):
+                targets, value = stmt.targets, stmt.value
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets, value = [stmt.target], stmt.value
+            else:
+                continue
+            if not _is_mutable_value(value):
+                continue
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            if names and all(n.startswith("__") and n.endswith("__") for n in names):
+                continue  # __all__ and friends: module metadata
+            self._taint("module_state", stmt, ", ".join(names) or "assignment")
+
+    def visit_Compare(self, node: ast.Compare) -> None:
+        operands = [node.left] + list(node.comparators)
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if not isinstance(op, (ast.Eq, ast.NotEq)):
+                continue
+            if any(isinstance(side, ast.Constant) and side.value is None for side in (left, right)):
+                continue  # `x == None` is an identity-style check, not float math
+            stamp = next((side for side in (left, right) if _looks_like_timestamp(side)), None)
+            if stamp is not None:
+                self._taint("timestamp_eq", node, _dotted(stamp) or "timestamp")
+                break
+        self.generic_visit(node)
+
     def visit_Global(self, node: ast.Global) -> None:
         if self._func_stack:
             self._taint(
@@ -561,6 +641,15 @@ class _Extractor(ast.NodeVisitor):
         if dotted:
             self._fn.calls.append(dotted)
         self._check_taint_call(node, resolved)
+        if (
+            dotted is not None
+            and dotted.rsplit(".", 1)[-1] == "process"
+            and node.args
+            and isinstance(node.args[0], ast.Call)
+        ):
+            body = _dotted(node.args[0].func)
+            if body is not None:
+                self._taint("process", node, body)
         self._check_emit(node, dotted, resolved)
         self._check_submit(node, dotted, resolved)
         self.generic_visit(node)
@@ -577,6 +666,8 @@ class _Extractor(ast.NodeVisitor):
             "datetime.date",
         ):
             self._taint("clock", node, f"{head}.{attr}()")
+        elif resolved in SEEDED_CONSTRUCTORS and (node.args or node.keywords):
+            pass  # an explicitly seeded generator is a pure function of its seed
         elif head in ENTROPY_MODULES or resolved in (
             "os.urandom",
         ) or (head == "uuid" and attr in UUID_ENTROPY):

@@ -152,9 +152,10 @@ class ProgramGraph:
             return
         self.edges.setdefault(caller, set()).add(callee)
 
-    def _resolve_call(
+    def resolve_call(
         self, mod: ModuleFacts, fn: FunctionFacts, written: str
     ) -> Optional[FunctionId]:
+        """The function a call written as ``written`` in ``fn`` invokes."""
         head, _, rest = written.partition(".")
         # self.method()
         if head == "self" and "." in fn.qualname and rest:
@@ -222,7 +223,7 @@ class ProgramGraph:
     def _link(self) -> None:
         for fid, (mod, fn) in self.functions.items():
             for written in fn.calls:
-                self._add_edge(fid, self._resolve_call(mod, fn, written))
+                self._add_edge(fid, self.resolve_call(mod, fn, written))
                 # A constructor call also implicitly reaches every method
                 # the instance's own __init__ registers; that shows up
                 # naturally through __init__'s refs/calls, so no extra

@@ -1,26 +1,32 @@
-"""Purity dataflow: raw nondeterminism sources vs the sim-pure boundary.
+"""Purity: raw nondeterminism sources, each judged in its own scope.
 
 The lattice is deliberately small — a function is **pure** until a raw
-taint event (clock read, entropy draw, environment read, global write)
-is observed in its body, and **impurity is a property of reachability**:
-a tainted function only becomes a finding when the whole-program call
-graph shows a path from a declared sim-pure root
-(:data:`~repro.devtools.analyzer.rules.PURITY_ROOTS`) to it.  Code
-outside the boundary (CLI rendering, dashboards, the analyzer itself)
-may read clocks freely; code inside may not, however many calls deep
-the read hides.
+taint event (clock read, entropy source, environment read, global
+write, set iteration, ...) is observed in its body.  Each rule then
+picks its scope:
+
+``P1`` / ``P2`` (clock, entropy)
+    Every scanned file.  The call graph cannot see every path the
+    engine takes (regulator hooks, buffers and RNG draws run through
+    callbacks it does not resolve), so these two never depend on
+    reachability.  When the site *is* reachable from a declared
+    sim-pure root (:data:`~repro.devtools.analyzer.rules.PURITY_ROOTS`)
+    the finding also carries the call chain.
+``P3`` / ``P4`` (environment reads, global writes)
+    Only inside the reachable closure of the sim-pure boundary: tools
+    around the simulation legitimately read their environment.
+``P5`` (unsorted ``json.dumps``)
+    Any function that also computes a content hash, reachable or not.
+``P6`` (set iteration)
+    Everywhere.
+``P7`` (module-level mutable state)
+    Module bodies in :data:`~repro.devtools.analyzer.rules.MODULE_STATE_PACKAGES`.
 
 Sanctioned sources live in the sanctuary modules (the injectable-clock
 home ``repro.obs.probes``, the seeded-RNG home ``repro.simcore.rng``,
 and the out-of-band observability plane) — raw reads there are by
-design and are *not* findings; calls into their wrappers from boundary
-code are likewise sanctioned, because the wrappers are injectable and
-observational.
-
-``P5`` (hash-order hazards) is boundary-independent: a content hash
-must be stable wherever it is computed, so any function that both
-computes a digest and folds in unordered iteration or unsorted
-``json.dumps`` is flagged, reachable or not.
+design and are *not* findings; calls into their wrappers are likewise
+sanctioned, because the wrappers are injectable and observational.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from repro.devtools.analyzer.graph import ProgramGraph
 from repro.devtools.analyzer.rules import (
     CLOCK_SANCTUARY_MODULES,
     ENTROPY_SANCTUARY_MODULES,
+    MODULE_STATE_PACKAGES,
     OBS_PLANE_MODULES,
     PURITY_ROOTS,
 )
@@ -62,6 +69,10 @@ def _sanctioned(module: str, kind: str) -> bool:
     return False
 
 
+def _in_packages(module: str, packages: Tuple[str, ...]) -> bool:
+    return any(module == pkg or module.startswith(pkg + ".") for pkg in packages)
+
+
 def _short_chain(chain: Tuple[str, ...], limit: int = 6) -> Tuple[str, ...]:
     if len(chain) <= limit:
         return chain
@@ -71,24 +82,26 @@ def _short_chain(chain: Tuple[str, ...], limit: int = 6) -> Tuple[str, ...]:
 def purity_findings(
     graph: ProgramGraph, roots: Optional[Tuple[str, ...]] = None
 ) -> List[Finding]:
-    """P1-P4 over the reachable closure, P5 everywhere."""
+    """P1-P7, each over its own scope (see the module docstring)."""
     roots = roots if roots is not None else PURITY_ROOTS
     reachable, parents = graph.reachable_from(list(roots))
     findings: List[Finding] = []
 
     for fid, (mod, fn) in graph.functions.items():
+        where = fn.qualname if fn.qualname != MODULE_BODY else "module body"
         in_boundary = fid in reachable
-        # P1-P4: raw sources inside the boundary.
-        if in_boundary:
-            for taint in fn.taints:
-                rule_noun = _TAINT_RULES.get(taint.kind)
-                if rule_noun is None:
-                    continue
+        hash_context = any(t.kind == "hash_digest" for t in fn.taints) or any(
+            call.rsplit(".", 1)[-1] in _FINGERPRINT_HELPERS for call in fn.calls
+        )
+        for taint in fn.taints:
+            rule_noun = _TAINT_RULES.get(taint.kind)
+            if rule_noun is not None:
                 rule, noun = rule_noun
                 if _sanctioned(mod.module, taint.kind):
                     continue
-                chain = _short_chain(graph.chain(parents, fid))
-                where = fn.qualname if fn.qualname != MODULE_BODY else "module body"
+                if rule in ("P3", "P4") and not in_boundary:
+                    continue
+                reach = " is reachable from the sim-pure boundary" if in_boundary else ""
                 findings.append(
                     Finding(
                         rule=rule,
@@ -96,22 +109,16 @@ def purity_findings(
                         line=taint.line,
                         col=taint.col,
                         message=(
-                            f"{noun} {taint.detail} in {where}() is reachable "
-                            f"from the sim-pure boundary; a run must be a pure "
-                            f"function of (config, seed)"
+                            f"{noun} {taint.detail} in {where}(){reach}; a run "
+                            f"must be a pure function of (config, seed)"
                         ),
-                        chain=chain,
+                        chain=(
+                            _short_chain(graph.chain(parents, fid)) if in_boundary else ()
+                        ),
                         detail=f"{taint.kind}:{taint.detail}",
                     )
                 )
-        # P5: hash-order hazards, boundary-independent.
-        hash_context = any(t.kind == "hash_digest" for t in fn.taints) or any(
-            call.rsplit(".", 1)[-1] in _FINGERPRINT_HELPERS for call in fn.calls
-        )
-        if hash_context:
-            for taint in fn.taints:
-                if taint.kind not in ("dumps_unsorted", "set_iter"):
-                    continue
+            elif taint.kind == "dumps_unsorted" and hash_context:
                 findings.append(
                     Finding(
                         rule="P5",
@@ -119,11 +126,41 @@ def purity_findings(
                         line=taint.line,
                         col=taint.col,
                         message=(
-                            f"{taint.detail} in hash-computing {fn.qualname}(): "
-                            f"dict/set order is unstable, so the digest is not "
-                            f"a function of the payload"
+                            f"{taint.detail} in hash-computing {where}(): dict "
+                            f"order is unstable, so the digest is not a function "
+                            f"of the payload"
                         ),
-                        detail=f"{taint.kind}",
+                        detail=taint.kind,
+                    )
+                )
+            elif taint.kind == "set_iter":
+                findings.append(
+                    Finding(
+                        rule="P6",
+                        path=mod.path,
+                        line=taint.line,
+                        col=taint.col,
+                        message=(
+                            f"{taint.detail} in {where}(): order depends on "
+                            f"hashing; sort it (sorted(...)) before iterating"
+                        ),
+                        detail=taint.kind,
+                    )
+                )
+            elif taint.kind == "module_state" and _in_packages(
+                mod.module, MODULE_STATE_PACKAGES
+            ):
+                findings.append(
+                    Finding(
+                        rule="P7",
+                        path=mod.path,
+                        line=taint.line,
+                        col=taint.col,
+                        message=(
+                            f"module-level mutable state ({taint.detail}): state "
+                            f"shared across runs breaks run independence"
+                        ),
+                        detail=f"{taint.kind}:{taint.detail}",
                     )
                 )
     return findings

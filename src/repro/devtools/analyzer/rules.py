@@ -8,9 +8,14 @@ against this module, so the docs cannot silently drift from the code).
 Families
 --------
 ``P*``
-    Purity dataflow: raw nondeterminism sources (wall clocks, entropy,
-    environment reads, hash-order hazards, global writes) reachable
-    from the declared sim-pure boundary.
+    Purity: raw nondeterminism sources.  Wall clocks and entropy are
+    findings in every scanned file outside their sanctuary modules;
+    environment reads and global writes only when reachable from the
+    declared sim-pure boundary; set iteration, unsorted hash payloads
+    and module-level mutable state wherever they occur.
+``D*``
+    Discrete-event-simulation correctness: engine processes must be
+    generators, and float sim timestamps are never compared with ==.
 ``C*``
     Contract drift: structures that must stay in sync — cache-key
     fields, the fault catalog, the sweep event schema, the docs tables.
@@ -28,6 +33,7 @@ from typing import Dict, Iterable, Optional, Set
 __all__ = [
     "CLOCK_SANCTUARY_MODULES",
     "ENTROPY_SANCTUARY_MODULES",
+    "MODULE_STATE_PACKAGES",
     "OBS_PLANE_MODULES",
     "PURITY_ROOTS",
     "RULES",
@@ -37,11 +43,15 @@ __all__ = [
 
 #: Rule id -> one-line summary (``--list-rules``, SARIF shortDescription).
 RULES: Dict[str, str] = {
-    "P1": "wall-clock read reachable from the sim-pure boundary",
-    "P2": "unseeded entropy source reachable from the sim-pure boundary",
+    "P1": "wall-clock read outside the injectable-clock home",
+    "P2": "unseeded entropy source outside the seeded-RNG home",
     "P3": "environment read reachable from the sim-pure boundary",
     "P4": "module global written from sim-pure code",
-    "P5": "unordered iteration or unsorted json.dumps feeding a content hash",
+    "P5": "unsorted json.dumps feeding a content hash",
+    "P6": "iteration over an unordered set expression",
+    "P7": "module-level mutable state in pipeline/regulators/core",
+    "D1": "non-generator registered as an engine process",
+    "D2": "==/!= comparison of float simulation timestamps",
     "C1": "CellSpec field missing from the content-address payload",
     "C2": "FaultSpec subclass not registered in the FAULT_TYPES catalog",
     "C3": "cataloged fault kind never exercised by a chaos fault class",
@@ -56,21 +66,25 @@ RULES: Dict[str, str] = {
 _EXPLANATIONS: Dict[str, str] = {
     "P1": (
         "Every run must be a pure function of (config, seed); a wall-clock\n"
-        "read (time.time/monotonic/perf_counter, datetime.now, ...) inside\n"
-        "code reachable from the engine's event loop or execute_cell makes\n"
-        "two identical runs diverge. The analyzer propagates taint over the\n"
-        "whole-program call graph, so a clock buried three calls deep is\n"
-        "still found and reported with its call chain. The sanctioned\n"
-        "escape hatch is repro.obs.probes (host_wallclock/host_epoch):\n"
-        "injectable, observational clocks that never feed back into\n"
-        "scheduling."
+        "read (time.time/monotonic/perf_counter, datetime.now, ...) in sim\n"
+        "code makes two identical runs diverge. Every scanned file is\n"
+        "checked, not only the code the call graph proves reachable, so a\n"
+        "clock in a regulator hook the graph cannot see is still found; when\n"
+        "the site is reachable from the sim-pure boundary the finding also\n"
+        "carries the call chain. The sanctioned escape hatch is\n"
+        "repro.obs.probes (host_wallclock/host_epoch): injectable,\n"
+        "observational clocks that never feed back into scheduling. Host-side\n"
+        "timing (benchmarks, the analyzer's own run) takes a waiver."
     ),
     "P2": (
-        "Unseeded entropy (module-level random, numpy.random, os.urandom,\n"
-        "uuid.uuid1/uuid4, secrets) reachable from the sim-pure boundary\n"
-        "breaks replayability. All randomness must flow through the seeded\n"
-        "RngRegistry streams in repro.simcore.rng, which derive every draw\n"
-        "from the experiment seed."
+        "Unseeded entropy (importing or calling random, numpy.random or\n"
+        "secrets; os.urandom; uuid.uuid1/uuid4) breaks replayability. Like\n"
+        "P1 this holds in every scanned file, with the call chain attached\n"
+        "when the site is reachable from the sim-pure boundary. All\n"
+        "randomness must flow through the seeded RngRegistry streams in\n"
+        "repro.simcore.rng, which derive every draw from the experiment\n"
+        "seed; an explicitly seeded random.Random(seed) or\n"
+        "default_rng(seed) is not a finding."
     ),
     "P3": (
         "os.environ / os.getenv reads reachable from the sim-pure boundary\n"
@@ -88,11 +102,40 @@ _EXPLANATIONS: Dict[str, str] = {
     ),
     "P5": (
         "A function that computes a content hash (hashlib, or the ledger's\n"
-        "config_fingerprint) must not fold in unordered iteration or\n"
-        "json.dumps(...) without sort_keys=True: dict/set order is an\n"
-        "accident of insertion history and hash seeding, so the 'same'\n"
-        "payload can produce different digests — cache misses at best,\n"
-        "cross-experiment collisions at worst."
+        "config_fingerprint) must not fold in json.dumps(...) without\n"
+        "sort_keys=True: dict order is an accident of insertion history,\n"
+        "so the 'same' payload can produce different digests — cache\n"
+        "misses at best, cross-experiment collisions at worst. (Set\n"
+        "iteration is P6, wherever it occurs.)"
+    ),
+    "P6": (
+        "Iterating a set expression (a literal, set()/frozenset(), a set\n"
+        "comprehension, or a union/intersection/difference of those) visits\n"
+        "elements in an order governed by hash seeding and insertion\n"
+        "history. An event scheduled or a digest folded from inside such a\n"
+        "loop ties the result to that order. Wrap the set in sorted(...).\n"
+        "Checked in every scanned file."
+    ),
+    "P7": (
+        "A module-level list/dict/set (or list()/dict()/defaultdict()/...)\n"
+        "in repro.pipeline, repro.regulators or repro.core is state shared\n"
+        "by every run in one process: run N's result can depend on whether\n"
+        "run N-1 happened. Keep mutable state on per-run objects; tuples,\n"
+        "frozensets and __all__ are fine."
+    ),
+    "D1": (
+        "env.process(f(...)) needs f to be a generator: a plain function\n"
+        "returns a value, not a process body, and the engine either raises\n"
+        "or silently runs nothing. The registered callee is resolved\n"
+        "through the whole-program call graph, so a non-generator imported\n"
+        "from another module is found too."
+    ),
+    "D2": (
+        "Two code paths computing 'the same' simulation time can differ in\n"
+        "the last ulp, so ==/!= on float timestamps (names like now, t_*,\n"
+        "*_ms, *_time, *_at) is a latent scheduling bug. Use an ordering\n"
+        "comparison, math.isclose or an explicit epsilon. Checked in repro.*\n"
+        "modules; tests assert exact reproduced timestamps on purpose."
     ),
     "C1": (
         "CellSpec.config_payload() is the cache key: the run_id hashes it.\n"
@@ -147,17 +190,18 @@ _EXPLANATIONS: Dict[str, str] = {
         "draws depend on parent-process history."
     ),
     "W1": (
-        "A waiver (`# analyzer: allow=P1 -- rationale`) must carry a\n"
-        "rationale and must still match a live finding on its line. A\n"
-        "stale waiver is worse than none: it documents a hazard that no\n"
-        "longer exists and will silently swallow the next, different\n"
-        "finding on that line. Delete waivers when the code they excuse\n"
-        "goes away."
+        "A waiver (`# analyzer: allow=P1 -- rationale`) is the only\n"
+        "suppression syntax. It must carry a rationale and must still match\n"
+        "a live finding on its line. A stale waiver is worse than none: it\n"
+        "documents a hazard that no longer exists and will silently swallow\n"
+        "the next, different finding on that line. Delete waivers when the\n"
+        "code they excuse goes away."
     ),
 }
 
 #: The declared sim-pure boundary: everything statically reachable from
-#: these functions must be free of raw nondeterminism sources.
+#: these functions must be free of environment reads and global writes
+#: (P3/P4), and P1/P2 findings inside it carry their call chain.
 #: ``module:*`` means every function and method in the module.
 PURITY_ROOTS = (
     "repro.simcore.engine:*",
@@ -169,13 +213,16 @@ PURITY_ROOTS = (
 #: observational and injectable); raw reads anywhere else are not.
 CLOCK_SANCTUARY_MODULES = frozenset({"repro.obs.probes"})
 
-#: The seeded-randomness home (mirrors simlint R1's allowlist).
+#: The seeded-randomness home: where seeds become streams.
 ENTROPY_SANCTUARY_MODULES = frozenset({"repro.simcore.rng"})
 
 #: The out-of-band observability plane: impure by design (resource
 #: metering, epoch timestamps), verified out-of-band by the double-run
 #: identity tests — raw sources inside these modules are sanctioned.
 OBS_PLANE_MODULES = frozenset({"repro.obs.probes", "repro.obs.sweep"})
+
+#: Packages in which module-level mutable state is a finding (P7).
+MODULE_STATE_PACKAGES = ("repro.pipeline", "repro.regulators", "repro.core")
 
 
 def explain(rule: str) -> Optional[str]:

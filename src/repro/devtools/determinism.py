@@ -1,12 +1,13 @@
 """Runtime determinism verification: run twice, hash, compare.
 
-``simlint`` (static) and ``mypy`` (types) catch determinism hazards a
-human can name in advance; this module catches the ones nobody named.
-:func:`verify_determinism` runs one small scenario **twice under the
-same seed**, fingerprints each run — a SHA-256 over the *entire event
-schedule* (every scheduled event's time/priority/heap depth, every
-fired event, every started process, bit-exact via IEEE-754 encoding)
-plus every frame span — and fails if the two digests diverge.
+``odr-sim analyze`` (static) and ``mypy`` (types) catch determinism
+hazards a human can name in advance; this module catches the ones
+nobody named.  :func:`verify_determinism` runs one small scenario
+**twice under the same seed**, fingerprints each run — a SHA-256 over
+the *entire event schedule* (every scheduled event's time/priority/heap
+depth, every fired event, every started process, bit-exact via
+IEEE-754 encoding) plus every frame span — and fails if the two
+digests diverge.
 
 Any nondeterminism that affects behaviour must perturb at least one
 event time, one scheduling order, or one frame's journey, so the

@@ -13,7 +13,7 @@ Two layers live here:
   generator (:class:`SplitMix64`) rather than :mod:`random` or the
   simulation's seeded streams: the resampling randomness is part of the
   *analysis*, must be reproducible from an explicit seed, and must
-  never touch the simulation's RNG registry (simlint rule R1).
+  never touch the simulation's RNG registry (analyzer rule P2).
 """
 
 from __future__ import annotations

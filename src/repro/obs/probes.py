@@ -20,7 +20,7 @@ runaway schedules visible:
   letting us run" metric.
 
 This module is the **only** sim-path module allowed to read the wall
-clock (``simlint`` rule R2's allowlist): wall time here is a read-only
+clock (analyzer rule P1's sanctuary): wall time here is a read-only
 *measurement* of the host, never an input to simulation behaviour, and
 even that read is injectable — tests pass a fake ``wallclock`` so probe
 arithmetic is itself deterministic.

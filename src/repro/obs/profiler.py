@@ -23,7 +23,7 @@ without one pays only the engine's ``is None`` branches, covered by the
 <5 % disabled-overhead guard in ``tests/test_obs_benchmark.py``.  All
 clock reads go through the probe clock inherited from
 :class:`EngineProbe` — injectable for deterministic tests, and the only
-wall-clock path simlint rule R2 sanctions.
+wall-clock path analyzer rule P1 sanctions.
 """
 
 from __future__ import annotations

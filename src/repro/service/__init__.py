@@ -19,10 +19,9 @@ Layering (network-facing down to the shared experiment core):
 * :mod:`repro.service.errors` — the typed failure taxonomy
   (:class:`TransportError` / :class:`ProtocolError` /
   :class:`ServerBusy` / :class:`JobLost`) shared by both ends;
-* :mod:`repro.service.scheduler` — jobs → the shared sweep loop
-  (:class:`InflightRegistry`, :class:`ResultPublisher` and
-  :class:`EventRouter` live in :mod:`repro.experiments.scheduling`),
-  admission control, and journaled recovery;
+* :mod:`repro.service.scheduler` — jobs → the sweep loop the CLI
+  shares (:mod:`repro.experiments.scheduling`), admission control, and
+  journaled recovery;
 * :mod:`repro.service.journal` — the append-only job journal behind
   ``serve --resume`` crash recovery;
 * :mod:`repro.service.jobs` — the job layer over
@@ -35,11 +34,6 @@ See ``docs/SERVICE.md`` for the protocol and lifecycle reference and
 ``docs/ROBUSTNESS.md`` for the failure-mode matrix.
 """
 
-from repro.experiments.scheduling import (
-    EventRouter,
-    InflightRegistry,
-    ResultPublisher,
-)
 from repro.service.client import (
     RetryPolicy,
     ServiceClient,
@@ -60,8 +54,6 @@ from repro.service.protocol import PROTOCOL_VERSION, build_plan, plan_payload
 from repro.service.scheduler import Subscription, SweepScheduler
 
 __all__ = [
-    "EventRouter",
-    "InflightRegistry",
     "Job",
     "JobJournal",
     "JobLost",
@@ -69,7 +61,6 @@ __all__ = [
     "JobState",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "ResultPublisher",
     "RetryPolicy",
     "ServerBusy",
     "ServiceClient",

@@ -131,7 +131,7 @@ class RngRegistry:
     and the set of registered paths documents exactly where randomness
     enters a run.
 
-    ``simlint`` rule R1 enforces the inverse property: no module outside
+    Analyzer rule P2 enforces the inverse property: no module outside
     :mod:`repro.simcore.rng` may touch ``random`` / ``numpy.random``
     directly, so every draw in the simulation is reachable from a
     registry (or a :class:`SeededRng` derived the same hash-based way)

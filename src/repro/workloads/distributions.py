@@ -80,7 +80,7 @@ class StageTimeModel:
         """Analytic mean of one spike (0 when spikes are disabled)."""
         # Sentinel check on a configured parameter (exact literal 0.0 set
         # by the user), not arithmetic on a simulation timestamp.
-        if self.spike_prob == 0 or self.spike_scale_ms == 0:  # simlint: disable=R6
+        if self.spike_prob == 0 or self.spike_scale_ms == 0:  # analyzer: allow=D2 -- configured sentinel, see above
             return 0.0
         return self.spike_scale_ms * self.spike_alpha / (self.spike_alpha - 1.0)
 

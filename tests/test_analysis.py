@@ -1,5 +1,4 @@
 """Tests for frame-log export, trace record/replay, and replication."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import io
 

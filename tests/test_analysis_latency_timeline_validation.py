@@ -1,5 +1,4 @@
 """Tests for latency breakdown, ASCII timelines, and profile validation."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 

@@ -24,7 +24,7 @@ class _WallClockJitterSampler:
         self.inner = inner
 
     def next(self):
-        jitter = (time.perf_counter() % 1e-3) * 1e-3  # simlint: disable=R2 -- measuring the lint run itself, host time is the subject
+        jitter = (time.perf_counter() % 1e-3) * 1e-3  # analyzer: allow=P1 -- the deliberate wall-clock leak the verifier must catch
         return self.inner.next() * (1.0 + jitter)
 
 

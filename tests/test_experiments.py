@@ -1,5 +1,4 @@
 """Tests for the experiment harness: configs, runner, report, user study."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 

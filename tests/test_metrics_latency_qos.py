@@ -1,5 +1,4 @@
 """Tests for MtP latency tracking and windowed QoS checks."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 from hypothesis import given, settings

@@ -1,5 +1,4 @@
 """Tests for frame-pacing analysis."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 from hypothesis import given, settings

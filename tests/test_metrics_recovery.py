@@ -1,5 +1,4 @@
 """Unit tests for the recovery analytics on synthetic event series."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 

@@ -1,5 +1,4 @@
 """Span lifecycle: open → stage intervals → close (display or drop)."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 

@@ -1,5 +1,4 @@
 """Tests for the client display presentation models."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 from hypothesis import given, settings
@@ -108,7 +107,7 @@ class TestVrrDisplay:
         allowing frames to arrive at high but varying rates" — a fixed
         60 Hz vsync display fed the same stream drops a third of the
         frames and adds most of a refresh period of latency."""
-        import random  # simlint: disable=R1 -- test shuffles input order to prove order-independence
+        import random  # analyzer: allow=P2 -- seeded arrival jitter for the display models, not sim randomness
 
         rng = random.Random(3)
         t, times = 0.0, []

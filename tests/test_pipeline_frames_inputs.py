@@ -1,5 +1,4 @@
 """Unit tests for Frame bookkeeping, contention tracking, and input generation."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 

@@ -1,5 +1,4 @@
 """Integration tests for the assembled cloud-3D system."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 

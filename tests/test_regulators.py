@@ -1,5 +1,4 @@
 """Tests for the baseline regulators and the factory."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 

@@ -1,5 +1,4 @@
 """Edge-case tests for simcore paths not covered by the basic suites."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 

@@ -1,5 +1,4 @@
 """Unit tests for the discrete-event engine."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 

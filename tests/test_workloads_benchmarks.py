@@ -1,5 +1,4 @@
 """Tests for benchmark and platform profiles."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import pytest
 

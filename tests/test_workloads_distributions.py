@@ -1,5 +1,4 @@
 """Tests for stage-time and frame-size models."""
-# simlint: disable-file=R6 -- determinism tests assert exact reproduced timestamps on purpose
 
 import math
 
