@@ -49,7 +49,7 @@ from repro.experiments.store import ResultStore
 from repro.metrics.recovery import RecoveryStats, recovery_stats
 from repro.obs import sweep as sweepbus
 from repro.obs.ledger import RunLedger
-from repro.obs.probes import EngineProbe, host_epoch, host_wallclock
+from repro.obs.probes import host_epoch, host_wallclock
 from repro.obs.runmeta import build_record
 from repro.obs.sweep import ResourceMeter, SweepEventBus
 from repro.pipeline import CloudSystem, SystemConfig
@@ -143,26 +143,18 @@ def execute_cell(
         warmup_ms=spec.warmup_ms,
     )
     # A ledger record reads gate delays from the run and engine
-    # statistics from an engine probe, so a ledger cell attaches only the
-    # probe; spans and metrics are recorded only when they are persisted.
+    # statistics from the environment's own counters, so a ledger cell
+    # runs the bare engine; spans and metrics are recorded only when they
+    # are persisted.
     telemetry = None
-    probe: Optional[EngineProbe] = None
     if telemetry_dir is not None:
         from repro.obs import Telemetry
 
         telemetry = Telemetry(engine_probe=collect_ledger)
-    elif collect_ledger:
-        probe = EngineProbe()
     meter = ResourceMeter()
-    system = CloudSystem(
-        sys_config, regulator, telemetry=telemetry, fault_plan=spec.fault_plan(), probe=probe
-    )
+    system = CloudSystem(sys_config, regulator, telemetry=telemetry, fault_plan=spec.fault_plan())
     result = system.run()
-    events_fired: Optional[int] = None
-    engine_probe = system.env.probe
-    if isinstance(engine_probe, EngineProbe):
-        events_fired = int(engine_probe.events_fired)
-    resources = meter.finish(events_fired=events_fired)
+    resources = meter.finish(events_fired=system.env.stats()["events_fired"])
     wall_clock_s = resources.wall_s
 
     ledger_record: Optional[Dict[str, Any]] = None

@@ -7,6 +7,11 @@ pays only one ``is None`` branch per scheduled/fired event, and a
 benchmark guard (``tests/test_obs_benchmark.py``) holds that under 5 %
 of pre-instrumentation runtime.
 
+The environment counts events, heap depth and processes itself
+(:meth:`~repro.simcore.engine.Environment.stats`), which is all a
+ledger row needs; a probe is for runs that want a per-event hook — the
+wall-time sampling below, the determinism recorder, the profiler.
+
 With a probe attached, the engine reports every scheduled event, every
 fired event, and every started process.  :class:`EngineProbe`
 aggregates those into the numbers that make engine-level hot spots and

@@ -15,13 +15,14 @@ compares: one flat JSON document per executed simulation carrying
   plus raw MtP samples, which the sentinel's Mann-Whitney test and
   bootstrap intervals need (a summary mean alone cannot support a
   significance test);
-* **engine statistics** — events fired, events/sec, peak heap depth,
-  taken from the run's :class:`~repro.obs.probes.EngineProbe` when one
-  was attached (``system.env.probe``, with or without telemetry).
+* **engine statistics** — events scheduled and fired, events/sec, peak
+  heap depth, processes started, read from the environment's own
+  counters (``system.env.stats()``), plus host seconds per simulated
+  second (cell wall time over simulated time).
 
-Nothing here needs telemetry: gate delays come from the run itself
-(``system.app.gate_delays``), so a ledger cell runs with only the engine
-probe.
+Nothing here needs telemetry or an engine probe: gate delays come from
+the run itself (``system.app.gate_delays``), so a ledger cell runs the
+bare engine.
 
 Everything is plain ``dict``/``list``/scalar so records survive JSONL
 round-trips bit-identically.
@@ -34,7 +35,6 @@ import json
 import subprocess
 from typing import Any, Dict, List, Mapping, Optional, TYPE_CHECKING
 
-from repro.obs.probes import EngineProbe
 from repro.obs.registry import HistogramStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,20 +122,20 @@ def _drop_counts(result: "RunResult") -> Dict[str, int]:
     return dict(sorted(counts.items()))
 
 
-def _engine_stats(
-    result: "RunResult", wall_clock_s: Optional[float]
-) -> Optional[Dict[str, Any]]:
-    engine_probe = result.system.env.probe
-    if not isinstance(engine_probe, EngineProbe):
-        return None
-    probe = engine_probe.summary()
-    events_fired = int(probe["events_fired"])  # type: ignore[arg-type]
+def _engine_stats(result: "RunResult", wall_clock_s: Optional[float]) -> Dict[str, Any]:
+    env = result.system.env
+    counts = env.stats()
+    events_fired = counts["events_fired"]
+    sim_s = env.now / 1000.0
     stats: Dict[str, Any] = {
-        "events_scheduled": probe["events_scheduled"],
+        "events_scheduled": counts["events_scheduled"],
         "events_fired": events_fired,
-        "max_heap_depth": probe["max_heap_depth"],
-        "processes_started": probe["processes_started"],
-        "wall_per_sim_second_mean": probe["wall_per_sim_second_mean"],
+        "max_heap_depth": counts["max_heap_depth"],
+        "processes_started": counts["processes_started"],
+        # Host seconds per simulated second, over the whole cell.
+        "wall_per_sim_second_mean": (
+            wall_clock_s / sim_s if wall_clock_s is not None and sim_s > 0.0 else None
+        ),
     }
     if wall_clock_s is not None and wall_clock_s > 0.0:
         stats["events_per_sec"] = events_fired / wall_clock_s
@@ -218,9 +218,7 @@ def build_record(
             "mtp_ms": mtp_samples,
         },
     }
-    engine = _engine_stats(result, wall_clock_s)
-    if engine is not None:
-        record["engine"] = engine
+    record["engine"] = _engine_stats(result, wall_clock_s)
     return record
 
 

@@ -230,7 +230,7 @@ class CellResources:
     cpu_user_s: float
     cpu_sys_s: float
     max_rss_kb: int
-    #: Engine events the cell fired (``None`` without a probe).
+    #: Engine events the cell fired (``Environment.stats()``).
     events_fired: Optional[int] = None
     events_per_sec: Optional[float] = None
 

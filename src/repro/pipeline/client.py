@@ -71,7 +71,8 @@ class Client:
     def receive(self, frame: Frame) -> None:
         """A frame arrives from the network (called by NetworkPath)."""
         frame.t_received = self.env.now
-        self.receive_queue.put(frame)
+        # The receive queue is unbounded, so the frame always fits.
+        self.receive_queue.try_put(frame)
 
     def run(self) -> ProcessGenerator:
         env = self.env

@@ -14,7 +14,7 @@ benchmarking practice of discarding start-up transients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
 
 from repro.metrics import (
     BoxStats,
@@ -93,11 +93,8 @@ class CloudSystem:
     per-frame spans, labeled metrics, and — when the telemetry object
     carries a probe — engine introspection.  Left as ``None``, every
     telemetry hook in the pipeline is a single ``is None`` branch.
-    ``probe`` attaches an engine observer (such as
-    :class:`~repro.obs.probes.EngineProbe`) without telemetry, for runs
-    that need engine statistics but no spans or metrics; it is a
-    ``ValueError`` to pass one together with a telemetry that carries
-    its own probe.
+    Engine statistics need neither: the environment counts them itself
+    (``system.env.stats()``).
     ``fault_plan`` injects declarative adverse events
     (:mod:`repro.faults`) — stalls, outages, loss bursts, preemption —
     deterministically seeded from the run's RNG tree.
@@ -112,7 +109,6 @@ class CloudSystem:
         bandwidth_schedule: Optional[Callable[[float], float]] = None,
         telemetry: Optional["Telemetry"] = None,
         fault_plan: Optional["FaultPlan"] = None,
-        probe: Optional[Any] = None,
     ) -> None:
         self.config = config
         self.benchmark = config.resolve_benchmark()
@@ -121,11 +117,7 @@ class CloudSystem:
         self.regulator = regulator
         self.telemetry = telemetry
 
-        if telemetry is not None and telemetry.probe is not None:
-            if probe is not None:
-                raise ValueError("probe= given, but the telemetry carries its own probe")
-            probe = telemetry.probe
-        self.env = Environment(probe=probe)
+        self.env = Environment(probe=telemetry.probe if telemetry is not None else None)
         self.rng = SeededRng(config.seed, name="system")
         # Shared-device hooks; single-session systems own their devices
         # outright (no queueing), multi-tenant sessions share Resources
@@ -256,10 +248,9 @@ class RunResult:
         ``result.telemetry().snapshot()`` — or ``None`` for a run
         executed without observability.  Ledger cells
         (``execute_cell(collect_ledger=True)`` without a telemetry
-        directory) run with only an engine probe, so this is ``None``
-        for them: their records read gate delays from
-        ``system.app.gate_delays`` and engine statistics from
-        ``system.env.probe``.
+        directory) run the bare engine, so this is ``None`` for them:
+        their records read gate delays from ``system.app.gate_delays``
+        and engine statistics from ``system.env.stats()``.
         """
         return self.system.telemetry
 

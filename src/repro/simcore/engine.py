@@ -13,7 +13,15 @@ The engine follows the classic event-calendar design:
 
 Time is a plain ``float``.  Throughout this repository the unit is
 **milliseconds** (the natural unit for frame timing), but the engine is
-unit-agnostic.
+unit-agnostic.  :attr:`Environment.now` is a plain attribute so hot
+paths read it without a property call; it is owned by the engine, which
+alone writes it (as it pops events and when ``run(until=...)`` ends).
+Everything else must treat it as read-only.
+
+The environment counts its own statistics — events scheduled and fired,
+peak calendar depth, processes started by name — and reports them via
+:meth:`Environment.stats`, so a run needs no attached observer to know
+what its engine did.
 
 Determinism: two events scheduled at the same time fire in scheduling
 order (FIFO), and all randomness in the wider library flows through
@@ -152,13 +160,17 @@ class Timeout(Event):
     """An event that fires ``delay`` time units after it is created."""
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        # ``not >=`` also rejects NaN, which would corrupt the calendar.
+        if not delay >= 0:
+            raise ValueError(f"invalid timeout delay {delay!r}")
+        # The Event fields, set directly: a timeout is the most common event.
+        self.env = env
+        self.callbacks = []
         self._value = value
-        env.schedule(self, delay=delay)
+        self._ok = True
+        self._defused = False
+        self.delay = delay
+        env.schedule(self, delay)
 
     @property
     def triggered(self) -> bool:  # a Timeout is born triggered
@@ -382,6 +394,10 @@ def _resolve_resume_hooks(probe: Optional[Any]) -> Optional[_ResumeHooks]:
 class Environment:
     """The simulation environment: clock, event calendar, process factory.
 
+    ``now`` is the current simulation time (milliseconds by library
+    convention).  It is a plain attribute for speed, written only by the
+    engine; treat it as read-only.
+
     Parameters
     ----------
     initial_time:
@@ -395,17 +411,15 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0, probe: Optional[Any] = None) -> None:
-        self._now = float(initial_time)
+        self.now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
+        #: Events scheduled so far; also the calendar's FIFO tie-breaker.
         self._eid = 0
+        self._peak_depth = 0
+        self._process_names: Dict[str, int] = {}
         self._active_process: Optional[Process] = None
         self._probe = probe
         self._resume_hooks = _resolve_resume_hooks(probe)
-
-    @property
-    def now(self) -> float:
-        """Current simulation time (milliseconds by library convention)."""
-        return self._now
 
     @property
     def active_process(self) -> Optional[Process]:
@@ -427,9 +441,30 @@ class Environment:
     def schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         """Put ``event`` on the calendar ``delay`` time units from now."""
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        queue = self._queue
+        heapq.heappush(queue, (self.now + delay, priority, self._eid, event))
+        depth = len(queue)
+        if depth > self._peak_depth:
+            self._peak_depth = depth
         if self._probe is not None:
-            self._probe.on_event_scheduled(self._now + delay, priority, len(self._queue))
+            self._probe.on_event_scheduled(self.now + delay, priority, depth)
+
+    def stats(self) -> Dict[str, Any]:
+        """The engine's own counts so far, as a flat dict.
+
+        ``events_fired`` is ``events_scheduled`` minus the events still
+        on the calendar: an event leaves the heap only by firing.
+        ``max_heap_depth`` is the calendar's peak length, counted after
+        each push.
+        """
+        names = self._process_names
+        return {
+            "events_scheduled": self._eid,
+            "events_fired": self._eid - len(self._queue),
+            "max_heap_depth": self._peak_depth,
+            "processes_started": sum(names.values()),
+            "process_names": dict(sorted(names.items())),
+        }
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -439,9 +474,9 @@ class Environment:
         """Process the next scheduled event."""
         if not self._queue:
             raise SimulationError("no more events")
-        self._now, _, _, event = heapq.heappop(self._queue)
+        self.now, _, _, event = heapq.heappop(self._queue)
         if self._probe is not None:
-            self._probe.on_event_fired(self._now, len(self._queue))
+            self._probe.on_event_fired(self.now, len(self._queue))
         callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
             raise SimulationError(f"{event!r} processed twice")
@@ -478,11 +513,11 @@ class Environment:
                 raise stop.value
             return stop.value
         horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(f"until={horizon} is in the past (now={self._now})")
+        if not horizon >= self.now:  # also rejects NaN
+            raise ValueError(f"until={horizon} is in the past (now={self.now})")
         while self._queue and self._queue[0][0] <= horizon:
             self.step()
-        self._now = horizon
+        self.now = horizon
         return None
 
     # -- factories -----------------------------------------------------
@@ -498,6 +533,8 @@ class Environment:
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process from ``generator``."""
         started = Process(self, generator, name=name)
+        names = self._process_names
+        names[started.name] = names.get(started.name, 0) + 1
         if self._probe is not None:
             self._probe.on_process_started(started.name)
         return started
@@ -512,8 +549,9 @@ class Environment:
 
     def call_at(self, when: float, func: Callable[[], None]) -> None:
         """Run ``func()`` at absolute simulation time ``when``."""
-        if when < self._now:
-            raise ValueError(f"call_at({when}) is in the past (now={self._now})")
+        # ``not >=`` also rejects NaN, which would never fire.
+        if not when >= self.now:
+            raise ValueError(f"call_at({when}) is in the past (now={self.now})")
 
         def _caller(_event: Event) -> None:
             func()
@@ -523,4 +561,4 @@ class Environment:
         event._value = None
         assert event.callbacks is not None  # freshly constructed, unprocessed
         event.callbacks.append(_caller)
-        self.schedule(event, delay=when - self._now)
+        self.schedule(event, delay=when - self.now)

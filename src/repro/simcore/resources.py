@@ -66,6 +66,20 @@ class Store:
         self._dispatch()
         return event
 
+    def try_put(self, item: Any) -> bool:
+        """Non-blocking put: store ``item`` now and return True, or return
+        False when the store is full or blocked putters are queued ahead.
+
+        Unlike :meth:`put` it schedules no event of its own, so a caller
+        that would never wait on the put costs the calendar nothing; a
+        waiting getter is served as :meth:`put` would serve it.
+        """
+        if self._put_waiters or len(self.items) >= self.capacity:
+            return False
+        self._store_item(item)
+        self._dispatch()
+        return True
+
     def try_get(self) -> Optional[Any]:
         """Non-blocking get: pop and return the oldest item, or None."""
         if not self.items:

@@ -33,7 +33,7 @@ from repro.obs.runmeta import metrics_digest
 from repro.obs.spans import SpanStore
 from repro.pipeline import CloudSystem, SystemConfig
 from repro.regulators import make_regulator
-from repro.workloads import PLATFORMS, PRIVATE_CLOUD, Resolution
+from repro.workloads import PLATFORMS, Resolution
 
 DURATION_MS = 2000.0
 WARMUP_MS = 500.0
@@ -327,14 +327,19 @@ def full_telemetry_row(cell: CellSpec):
     return row, telemetry
 
 
+#: The row's engine counts, each equal to an attached probe's.
+ENGINE_COUNTS = ("events_scheduled", "events_fired", "max_heap_depth", "processes_started")
+
+
 class TestLedgerCellRows:
-    """Ledger cells run with only the engine probe, yet their rows equal
-    those of a full-telemetry run of the same cell."""
+    """Ledger cells run the bare engine, yet their rows equal those of a
+    full-telemetry run of the same cell."""
 
     @pytest.mark.parametrize(
         "cell",
-        [spec(regulator=name) for name in ("NoReg", "ODR60", "Int60")] + [stall_storm_spec()],
-        ids=["NoReg", "ODR60", "Int60", "stall_storm"],
+        [spec(regulator=name) for name in ("NoReg", "ODR60", "Int60", "ODRMax", "RVS60")]
+        + [stall_storm_spec()],
+        ids=["NoReg", "ODR60", "Int60", "ODRMax", "RVS60", "stall_storm"],
     )
     def test_row_producers_agree(self, cell, tmp_path):
         lean = execute_cell(cell, collect_ledger=True, git_rev="r")
@@ -352,7 +357,9 @@ class TestLedgerCellRows:
             "mean_ms": gate.mean,
             "p99_ms": gate.p99,
         }
-        assert expected["engine"]["events_fired"] == telemetry.probe.events_fired
+        probe = telemetry.probe.summary()
+        for count in ENGINE_COUNTS:
+            assert expected["engine"][count] == probe[count], count
         assert without_wall_fields(lean.ledger_record) == expected
         assert without_wall_fields(traced.ledger_record) == expected
         assert lean.resources.events_fired == expected["engine"]["events_fired"]
@@ -363,21 +370,9 @@ class TestLedgerCellRows:
 
         monkeypatch.setattr(SpanStore, "__init__", refuse)
         monkeypatch.setattr(MetricsRegistry, "__init__", refuse)
+        # Nor an engine probe: the environment counts its own statistics.
+        monkeypatch.setattr(EngineProbe, "__init__", refuse)
         outcome = execute_cell(spec(regulator="ODR60"), collect_ledger=True, git_rev="r")
         row = outcome.ledger_record
         assert row["engine"]["events_fired"] > 0
         assert row["metrics"]["gate_delay"]["count"] > 0
-
-    def test_probe_and_telemetry_probe_are_exclusive(self):
-        config = SystemConfig("IM", PRIVATE_CLOUD, Resolution.R720P)
-        with pytest.raises(ValueError):
-            CloudSystem(
-                config,
-                make_regulator("ODR60"),
-                probe=EngineProbe(),
-                telemetry=Telemetry(engine_probe=True),
-            )
-        # A telemetry without its own probe leaves room for one.
-        probe = EngineProbe()
-        system = CloudSystem(config, make_regulator("ODR60"), probe=probe, telemetry=Telemetry())
-        assert system.env.probe is probe

@@ -7,9 +7,10 @@ Two complementary checks:
   for ``--benchmark-compare`` workflows across revisions;
 * a self-contained A/B guard comparing the current engine (probe hooks
   compiled in, ``probe=None``) against a baseline environment whose
-  ``schedule``/``step``/``process`` replicate the pre-telemetry bodies
-  with no probe branch at all.  This is the acceptance gate: the probe
-  branches on the disabled path must cost <5%.
+  ``schedule``/``step``/``process`` replicate the engine's bodies —
+  its own statistics included — with no probe branch at all.  This is
+  the acceptance gate: the probe branches on the disabled path must
+  cost <5%.
 """
 
 import heapq
@@ -42,16 +43,21 @@ def run_disabled():
 
 
 class BaselineEnvironment(Environment):
-    """Pre-telemetry hot path: schedule/step/process without probe branches."""
+    """The engine's hot path without probe branches: schedule/step/process
+    keep the environment's own statistics but never test for a probe."""
 
     def schedule(self, event, delay=0.0, priority=NORMAL):
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        queue = self._queue
+        heapq.heappush(queue, (self.now + delay, priority, self._eid, event))
+        depth = len(queue)
+        if depth > self._peak_depth:
+            self._peak_depth = depth
 
     def step(self):
         if not self._queue:
             raise RuntimeError("no more events")
-        self._now, _, _, event = heapq.heappop(self._queue)
+        self.now, _, _, event = heapq.heappop(self._queue)
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
@@ -64,7 +70,10 @@ class BaselineEnvironment(Environment):
     def process(self, generator, name=""):
         from repro.simcore.engine import Process
 
-        return Process(self, generator, name=name)
+        started = Process(self, generator, name=name)
+        names = self._process_names
+        names[started.name] = names.get(started.name, 0) + 1
+        return started
 
 
 def churn(env, events):

@@ -4,6 +4,7 @@ import pytest
 
 from repro import CloudSystem, SystemConfig, make_regulator
 from repro.pipeline.frames import DropReason
+from repro.simcore import Timeout
 from repro.workloads import GCE, PRIVATE_CLOUD, Resolution
 
 
@@ -83,6 +84,31 @@ class TestDeterminism:
         # instead — both systems must create frame #1 at t=0.
         assert a.system.app.frames[0].t_render_start == 0.0
         assert b.system.app.frames[0].t_render_start == 0.0
+
+
+class TestNoDeadEvents:
+    """Every event the pipeline fires, other than a timeout, is waited on:
+    an event nobody listens to is a heap round trip that changes nothing."""
+
+    @pytest.mark.parametrize("spec", ["NoReg", "ODR60", "RVS60"])
+    def test_fired_events_have_callbacks(self, spec):
+        config = SystemConfig("IM", PRIVATE_CLOUD, Resolution.R720P, seed=3,
+                              duration_ms=3000.0, warmup_ms=500.0)
+        system = CloudSystem(config, make_regulator(spec))
+        env = system.env
+        step = env.step
+        dead = []
+
+        def checked_step():
+            event = env._queue[0][3]
+            if not isinstance(event, Timeout) and not event.callbacks:
+                dead.append(type(event).__name__)
+            step()
+
+        env.step = checked_step
+        system.run()
+        assert dead == []
+        assert env.stats()["events_fired"] > 1000
 
 
 class TestRunResultAccessors:

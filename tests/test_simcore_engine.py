@@ -42,6 +42,19 @@ class TestClockAndTimeout:
         with pytest.raises(ValueError):
             env.timeout(-1.0)
 
+    def test_nan_timeout_rejected(self, env):
+        # A NaN delay passes ``delay < 0``; on the calendar it would fire
+        # out of order and drag the clock through NaN.
+        for delay in (5, 1, 3, 2, 4):
+            env.timeout(delay)
+        with pytest.raises(ValueError):
+            env.timeout(float("nan"))
+        times = []
+        while env.peek() != float("inf"):
+            env.step()
+            times.append(env.now)
+        assert times == [1.0, 2.0, 3.0, 4.0, 5.0]
+
     def test_run_until_number_advances_clock_exactly(self, env):
         env.run(until=42.5)
         assert env.now == 42.5
@@ -50,6 +63,9 @@ class TestClockAndTimeout:
         env.run(until=10)
         with pytest.raises(ValueError):
             env.run(until=5)
+        with pytest.raises(ValueError):
+            env.run(until=float("nan"))
+        assert env.now == 10.0
 
     def test_zero_delay_events_fire_in_fifo_order(self, env):
         order = []
@@ -280,6 +296,13 @@ class TestCallAt:
         with pytest.raises(ValueError):
             env.call_at(5.0, lambda: None)
 
+    def test_call_at_nan_raises(self, env):
+        # Queued behind a timeout, a NaN entry would be skipped by
+        # ``run(until=...)`` without ever running its function.
+        env.timeout(2.0)
+        with pytest.raises(ValueError):
+            env.call_at(float("nan"), lambda: None)
+
 
 class TestRunSemantics:
     def test_run_until_event(self, env):
@@ -310,3 +333,24 @@ class TestRunSemantics:
 
     def test_peek_empty_is_inf(self, env):
         assert env.peek() == float("inf")
+
+
+class TestStats:
+    def test_counts_schedules_fires_depth_and_processes(self, env):
+        def worker():
+            yield env.timeout(1)
+            yield env.timeout(1)
+
+        env.process(worker(), name="w")
+        env.process(worker(), name="w")
+        env.process(worker(), name="other")
+        env.timeout(10)
+        env.run(until=5)
+        stats = env.stats()
+        # 3 Initialize + 6 worker timeouts + 3 process exits + 1 pending.
+        assert stats["events_scheduled"] == 13
+        assert stats["events_fired"] == 12
+        # All three Initialize events plus the lone timeout were queued at once.
+        assert stats["max_heap_depth"] == 4
+        assert stats["processes_started"] == 3
+        assert stats["process_names"] == {"other": 1, "w": 2}

@@ -81,6 +81,44 @@ class TestStore:
         assert store.try_get() == "x"
         assert store.try_get() is None
 
+    def test_try_put_serves_a_waiting_getter(self, env):
+        store = Store(env)
+        got = []
+
+        def consumer():
+            got.append((yield store.get()))
+            got.append(env.now)
+
+        env.process(consumer())
+        env.run()
+        assert store.try_put("x") is True
+        env.run()
+        assert got == ["x", 0.0]
+        assert len(store) == 0
+
+    def test_try_put_schedules_no_event_of_its_own(self, env):
+        store = Store(env)
+        assert store.try_put("x") is True
+        assert env.peek() == float("inf")
+        assert store.try_get() == "x"
+
+    def test_try_put_refuses_when_full(self, env):
+        store = Store(env, capacity=1)
+        assert store.try_put(1) is True
+        assert store.try_put(2) is False
+        assert store.items == [1]
+
+    def test_try_put_refuses_when_putters_are_queued_ahead(self, env):
+        store = Store(env, capacity=1)
+        store.put(1)
+        blocked = store.put(2)
+        # Room appears without a dispatch: the blocked putter is still
+        # first in line, so try_put may not overtake it.
+        store.capacity = 2
+        assert store.try_put(3) is False
+        assert store.items == [1]
+        assert not blocked.triggered
+
     def test_clear_drops_items_and_unblocks_producers(self, env):
         store = Store(env, capacity=2)
         log = []
