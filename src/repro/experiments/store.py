@@ -106,9 +106,10 @@ class ResultStore:
         if exec_meta is not None:
             payload["exec"] = dict(exec_meta)
         tmp = path.with_suffix(".json.tmp")
+        # json.dumps takes the C encoder; json.dump to a handle never does.
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
+            handle.write(text)
         os.replace(tmp, path)
 
     def exec_meta(self, run_id: str) -> Optional[Dict[str, Any]]:

@@ -62,11 +62,14 @@ class ContentionTracker:
         self.stages = frozenset(stages)
         self.max_multiplier = max_multiplier
         self._busy: Dict[str, int] = {}
+        #: Running ``sum(self._busy.values())``.
+        self._busy_total = 0
 
     def enter(self, stage: str) -> None:
         """Mark ``stage`` busy (nested entries are counted)."""
         if stage in self.stages:
             self._busy[stage] = self._busy.get(stage, 0) + 1
+            self._busy_total += 1
 
     def exit(self, stage: str) -> None:
         """Mark one busy entry of ``stage`` finished."""
@@ -79,6 +82,7 @@ class ContentionTracker:
             del self._busy[stage]
         else:
             self._busy[stage] = count - 1
+        self._busy_total -= 1
 
     def busy_others(self, stage: str) -> int:
         """Busy memory-intensive activity competing with a new ``stage``.
@@ -89,10 +93,10 @@ class ContentionTracker:
         not entered yet, so in a single-session system this equals the
         number of other busy stages.
         """
-        return sum(self._busy.values())
+        return self._busy_total
 
     def multiplier(self, stage: str) -> float:
         """Service-time multiplier for ``stage`` starting right now."""
         if stage not in self.stages:
             return 1.0
-        return min(1.0 + self.beta * self.busy_others(stage), self.max_multiplier)
+        return min(1.0 + self.beta * self._busy_total, self.max_multiplier)

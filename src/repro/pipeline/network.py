@@ -17,10 +17,12 @@ policy and lives in the regulator's network loop.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.pipeline.frames import Frame
 from repro.simcore import Event, ProcessGenerator
+from repro.simcore.rng import lognormal_params
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.system import CloudSystem
@@ -44,7 +46,13 @@ class NetworkPath:
         self.platform = system.platform
         #: Optional time-varying capacity factor (repro.pipeline.netdyn).
         self.bandwidth_schedule = bandwidth_schedule
-        self._jitter_rng = system.rng.child("network", "jitter")
+        # Log-normal jitter of mean 1: exp(mu + sigma*z) on a block-drawn
+        # normal, as SeededRng.lognormal_mean_cv would draw it; none at cv 0.
+        jitter_cv = self.platform.transmit_jitter_cv
+        self._jitter_mu, self._jitter_sigma = lognormal_params(1.0, jitter_cv)
+        self._jitter_normal: Optional[Callable[[], float]] = (
+            system.rng.child("network", "jitter").claim_normals() if jitter_cv != 0 else None
+        )
         self.sent_count = 0
         self.sent_bytes = 0
 
@@ -60,7 +68,10 @@ class NetworkPath:
     def serialize_ms(self, size_bytes: int) -> float:
         """Draw the serialization time for a frame of ``size_bytes``."""
         base = self.platform.transmit_ms(size_bytes) / self.capacity_factor(self.env.now)
-        jitter = self._jitter_rng.lognormal_mean_cv(1.0, self.platform.transmit_jitter_cv)
+        normal = self._jitter_normal
+        jitter = 1.0 if normal is None else math.exp(
+            self._jitter_mu + self._jitter_sigma * normal()
+        )
         return base * jitter + self.PER_FRAME_OVERHEAD_MS
 
     def transmit(self, frame: Frame) -> ProcessGenerator:

@@ -31,37 +31,46 @@ class TraceRecord:
         return self.end - self.start
 
 
+#: One busy interval as stored: ``(stage, start, end)``.
+_Interval = Tuple[str, float, float]
+
+
 class IntervalTrace:
     """Accumulates per-stage busy intervals during a simulation run.
 
-    Records are kept both in global insertion order (for cross-stage
-    analyses like :func:`overlap_profile`) and indexed per stage, so
-    repeated per-stage queries — ``busy_time``/``utilization`` are
-    called once per stage per window by the hardware reports — cost
-    O(records of that stage) instead of O(all records).
+    Intervals are kept as plain ``(stage, start, end)`` tuples, both in
+    global insertion order (for cross-stage analyses like
+    :func:`overlap_profile`) and indexed per stage, so repeated
+    per-stage queries — ``busy_time``/``utilization`` are called once
+    per stage per window by the hardware reports — cost O(records of
+    that stage) instead of O(all records).  :meth:`records` builds
+    :class:`TraceRecord` objects only when asked.
     """
 
     def __init__(self) -> None:
-        self._records: List[TraceRecord] = []
-        self._by_stage: Dict[str, List[TraceRecord]] = {}
+        self._records: List[_Interval] = []
+        self._by_stage: Dict[str, List[_Interval]] = {}
 
     def record(self, stage: str, start: float, end: float) -> None:
         """Record that ``stage`` was busy on ``[start, end)``."""
-        if end < start:
-            raise ValueError(f"interval ends before it starts: {start}..{end}")
         if end > start:
-            rec = TraceRecord(stage, start, end)
+            rec = (stage, start, end)
             self._records.append(rec)
-            self._by_stage.setdefault(stage, []).append(rec)
+            per_stage = self._by_stage.get(stage)
+            if per_stage is None:
+                self._by_stage[stage] = [rec]
+            else:
+                per_stage.append(rec)
+        elif end < start:
+            raise ValueError(f"interval ends before it starts: {start}..{end}")
 
     def __len__(self) -> int:
         return len(self._records)
 
     def records(self, stage: Optional[str] = None) -> List[TraceRecord]:
         """All records, optionally filtered by stage name."""
-        if stage is None:
-            return list(self._records)
-        return list(self._by_stage.get(stage, ()))
+        intervals = self._records if stage is None else self._by_stage.get(stage, [])
+        return [TraceRecord(*rec) for rec in intervals]
 
     def stages(self) -> List[str]:
         return sorted(self._by_stage)
@@ -69,9 +78,9 @@ class IntervalTrace:
     def busy_time(self, stage: str, start: float = 0.0, end: float = float("inf")) -> float:
         """Total busy time of ``stage`` clipped to ``[start, end)``."""
         total = 0.0
-        for r in self._by_stage.get(stage, ()):
-            lo = max(r.start, start)
-            hi = min(r.end, end)
+        for _, rec_start, rec_end in self._by_stage.get(stage, ()):
+            lo = max(rec_start, start)
+            hi = min(rec_end, end)
             if hi > lo:
                 total += hi - lo
         return total
@@ -101,11 +110,11 @@ def overlap_profile(
         raise ValueError("empty window")
     wanted = set(stages)
     deltas: List[Tuple[float, int]] = []
-    for r in trace.records():
-        if r.stage not in wanted:
+    for stage, rec_start, rec_end in trace._records:
+        if stage not in wanted:
             continue
-        lo = max(r.start, start)
-        hi = min(r.end, end)
+        lo = max(rec_start, start)
+        hi = min(rec_end, end)
         if hi > lo:
             deltas.append((lo, +1))
             deltas.append((hi, -1))

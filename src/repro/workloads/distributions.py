@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
-from repro.simcore.rng import SeededRng
+from repro.simcore.rng import SeededRng, lognormal_params
 
 __all__ = ["FrameSizeModel", "FrameSizeSampler", "StageTimeModel", "StageTimeSampler"]
 
@@ -114,7 +115,13 @@ class StageTimeModel:
 
 
 class StageTimeSampler:
-    """Stateful AR(1) log-normal + Pareto-spike time generator."""
+    """Stateful AR(1) log-normal + Pareto-spike time generator.
+
+    Without spikes the stream feeds only the AR(1) normals, so the
+    sampler claims it as a block-drawn source; with spikes it calls the
+    stream's bound numpy draws in the scalar order (normal, spike
+    Bernoulli, Pareto) — see :mod:`repro.simcore.rng`.
+    """
 
     def __init__(self, model: StageTimeModel, rng: SeededRng):
         self.model = model
@@ -124,19 +131,27 @@ class StageTimeSampler:
         self._sigma2 = math.log(1.0 + cv * cv)
         self._mu = math.log(model.body_mean_ms) - self._sigma2 / 2.0
         self._sigma = math.sqrt(self._sigma2)
+        self._rho = model.rho
+        self._innovation = math.sqrt(1.0 - model.rho * model.rho)
+        self._floor = model.floor_ms
+        self._spike_prob = model.spike_prob
+        self._random: Callable[[], float]
+        if model.spike_prob > 0:
+            self._normal, self._random = rng.numpy_draws()
+        else:
+            self._normal = rng.claim_normals()
         # Latent standard-normal AR(1) state, initialized stationary.
-        self._z = rng.normal()
+        self._z = self._normal()
 
     def next(self) -> float:
         """Draw the next frame's processing time (ms)."""
-        model = self.model
-        rho = model.rho
-        self._z = rho * self._z + math.sqrt(1.0 - rho * rho) * self._rng.normal()
-        body = math.exp(self._mu + self._sigma * self._z)
-        time = body
-        if model.spike_prob > 0 and self._rng.bernoulli(model.spike_prob):
+        self._z = z = self._rho * self._z + self._innovation * self._normal()
+        time = math.exp(self._mu + self._sigma * z)
+        if self._spike_prob > 0 and self._random() < self._spike_prob:
+            model = self.model
             time += self._rng.pareto(model.spike_scale_ms, model.spike_alpha)
-        return max(time, model.floor_ms)
+        floor = self._floor
+        return floor if floor > time else time
 
     def draw_many(self, n: int) -> list:
         """Convenience: a list of ``n`` consecutive draws."""
@@ -195,18 +210,34 @@ class FrameSizeModel:
 
 
 class FrameSizeSampler:
-    """Stateful GoP-position-aware frame size generator."""
+    """Stateful GoP-position-aware frame size generator.
+
+    Each size is ``exp(mu + sigma*z)`` on a block-drawn standard normal
+    ``z`` — the same value :meth:`SeededRng.lognormal_mean_cv` returns —
+    with ``mu``/``sigma`` precomputed for I- and P-frames.  With
+    ``cv == 0`` every frame is its mean and nothing is drawn.
+    """
 
     def __init__(self, model: FrameSizeModel, rng: SeededRng):
         self.model = model
-        self._rng = rng
         self._position = 0
+        self._gop_length = model.gop_length
+        p_mean = model.p_frame_mean_kb
+        self._i_mean = p_mean * model.i_frame_ratio
+        self._p_mean = p_mean
+        self._i_mu, self._sigma = lognormal_params(self._i_mean, model.cv)
+        self._p_mu, _ = lognormal_params(self._p_mean, model.cv)
+        self._normal: Optional[Callable[[], float]] = (
+            rng.claim_normals() if model.cv != 0 else None
+        )
 
     def next(self) -> int:
         """Size in bytes of the next encoded frame."""
-        model = self.model
-        is_i_frame = self._position % model.gop_length == 0
+        is_i_frame = self._position % self._gop_length == 0
         self._position += 1
-        mean = model.p_frame_mean_kb * (model.i_frame_ratio if is_i_frame else 1.0)
-        kb = self._rng.lognormal_mean_cv(mean, model.cv)
+        if self._normal is None:
+            kb = self._i_mean if is_i_frame else self._p_mean
+        else:
+            mu = self._i_mu if is_i_frame else self._p_mu
+            kb = math.exp(mu + self._sigma * self._normal())
         return max(1, int(kb * 1024))

@@ -25,6 +25,7 @@ from repro.experiments import (
     make_executor,
 )
 from repro.experiments.chaos import chaos_demands
+from repro.experiments.record import RECORD_DICT_SCHEMA, record_as_dict
 from repro.obs import Telemetry, build_record
 from repro.obs.ledger import RunLedger
 from repro.obs.probes import EngineProbe
@@ -144,6 +145,20 @@ class TestResultStore:
         reader = ResultStore(tmp_path)
         assert outcome.spec.run_id in reader
         assert reader.get(outcome.spec.run_id) == outcome.record
+
+    def test_persisted_file_is_canonical_json(self, tmp_path):
+        outcome = execute_cell(spec())
+        store = ResultStore(tmp_path)
+        exec_meta = {"wall_s": 0.125, "rss_mb": 48.5}
+        store.put(outcome.spec.run_id, outcome.record, exec_meta=exec_meta)
+        payload = {
+            "schema": RECORD_DICT_SCHEMA,
+            "run_id": outcome.spec.run_id,
+            "record": record_as_dict(outcome.record),
+            "exec": exec_meta,
+        }
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert store.cell_path(outcome.spec.run_id).read_text(encoding="utf-8") == expected
 
     def test_torn_cell_file_is_a_miss(self, tmp_path):
         outcome = execute_cell(spec())

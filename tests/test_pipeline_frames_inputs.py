@@ -70,6 +70,37 @@ class TestContentionTracker:
         tracker.enter("decode")  # ignored: not a memory stage
         assert tracker.busy_others("encode") == 1  # only the render entry
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_running_count_equals_per_stage_sum(self, seed):
+        rng = SeededRng(seed)
+        tracker = ContentionTracker(beta=0.2, max_multiplier=10.0)
+        counts = {"render": 0, "copy": 0, "encode": 0, "decode": 0}
+        for _ in range(2000):
+            stage = rng.choice(sorted(counts))
+            if rng.bernoulli(0.5):
+                tracker.enter(stage)
+                counts[stage] += 1
+            elif counts[stage] == 0 and stage in tracker.stages:
+                with pytest.raises(RuntimeError):
+                    tracker.exit(stage)
+            else:
+                tracker.exit(stage)
+                counts[stage] = max(counts[stage] - 1, 0)
+            busy = sum(n for s, n in counts.items() if s in tracker.stages)
+            assert tracker.busy_others("render") == busy
+            assert tracker.multiplier("render") == min(1.0 + 0.2 * busy, 10.0)
+
+    def test_exit_of_idle_stage_leaves_count_unchanged(self):
+        tracker = ContentionTracker()
+        tracker.enter("render")
+        with pytest.raises(RuntimeError):
+            tracker.exit("copy")
+        assert tracker.busy_others("encode") == 1
+        tracker.exit("render")
+        with pytest.raises(RuntimeError):
+            tracker.exit("render")
+        assert tracker.busy_others("encode") == 0
+
     def test_nested_entries(self):
         tracker = ContentionTracker(beta=0.25)
         tracker.enter("encode")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simcore import SeededRng
-from repro.simcore.rng import derive_seed
+from repro.simcore.rng import NORMAL_BLOCK, derive_seed
 
 
 class TestDeriveSeed:
@@ -103,6 +103,45 @@ class TestSeededRng:
         rng = SeededRng(29)
         options = ["x", "y", "z"]
         assert {rng.choice(options) for _ in range(100)} == set(options)
+
+
+class TestClaimedStreams:
+    def test_block_source_equals_scalar_normals(self):
+        source = SeededRng(31).claim_normals()
+        twin = SeededRng(31)
+        assert [source() for _ in range(3 * NORMAL_BLOCK + 7)] == [
+            twin.normal() for _ in range(3 * NORMAL_BLOCK + 7)
+        ]
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: rng.normal(),
+            lambda rng: rng.random(),
+            lambda rng: rng.lognormal_mean_cv(1.0, 0.3),
+            lambda rng: rng.claim_normals(),
+            lambda rng: rng.numpy_draws(),
+        ],
+        ids=["normal", "random", "lognormal_mean_cv", "second_claim", "numpy_draws"],
+    )
+    def test_claimed_stream_refuses_every_later_draw(self, draw):
+        rng = SeededRng(37)
+        source = rng.claim_normals()
+        with pytest.raises(RuntimeError, match="claimed"):
+            draw(rng)
+        assert source() == SeededRng(37).normal()  # the claim's draws are untouched
+
+    def test_children_of_a_claimed_stream_still_draw(self):
+        rng = SeededRng(41)
+        rng.claim_normals()
+        assert rng.child("a").random() == SeededRng(41).child("a").random()
+
+    def test_numpy_draws_match_wrapper_draws(self):
+        standard_normal, random = SeededRng(43).numpy_draws()
+        twin = SeededRng(43)
+        for _ in range(100):
+            assert standard_normal() == twin.normal()
+            assert random() == twin.random()
 
 
 class TestRngProperties:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simcore import IntervalTrace
-from repro.simcore.tracing import overlap_profile, windowed_counts
+from repro.simcore import IntervalTrace, SeededRng
+from repro.simcore.tracing import TraceRecord, overlap_profile, windowed_counts
 
 
 class TestIntervalTrace:
@@ -69,6 +69,82 @@ class TestIntervalTrace:
             assert trace.busy_time(stage) == pytest.approx(expected)
         assert trace.busy_time("absent") == 0.0
         assert trace.records("absent") == []
+
+
+def _reference_overlap_profile(records, stages, start, end):
+    """The overlap sweep over ``TraceRecord`` objects, for comparison."""
+    wanted = set(stages)
+    deltas = []
+    for r in records:
+        if r.stage not in wanted:
+            continue
+        lo = max(r.start, start)
+        hi = min(r.end, end)
+        if hi > lo:
+            deltas.append((lo, +1))
+            deltas.append((hi, -1))
+    profile = {k: 0.0 for k in range(len(stages) + 1)}
+    if not deltas:
+        profile[0] = 1.0
+        return profile
+    deltas.sort()
+    span = end - start
+    level = 0
+    prev = start
+    for time, delta in deltas:
+        if time > prev:
+            profile[min(level, len(stages))] += (time - prev) / span
+        level += delta
+        prev = time
+    if end > prev:
+        profile[min(level, len(stages))] += (end - prev) / span
+    return profile
+
+
+class TestTupleStorageMatchesReference:
+    """The tuple-backed trace answers exactly as a list of records would."""
+
+    STAGES = ["render", "copy", "encode", "transmit", "decode"]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_trace_queries_equal_reference(self, seed):
+        rng = SeededRng(seed)
+        trace = IntervalTrace()
+        reference = []
+        for _ in range(400):
+            stage = rng.choice(self.STAGES)
+            start = rng.uniform(0.0, 1000.0)
+            end = start if rng.bernoulli(0.1) else start + rng.exponential(8.0)
+            trace.record(stage, start, end)
+            if end > start:
+                reference.append(TraceRecord(stage, start, end))
+
+        assert trace.records() == reference
+        assert len(trace) == len(reference)
+        for stage in self.STAGES:
+            mine = [r for r in reference if r.stage == stage]
+            assert trace.records(stage) == mine
+            for lo, hi in [(0.0, float("inf")), (100.0, 350.0), (990.0, 1200.0)]:
+                expected = 0.0
+                for r in mine:
+                    a, b = max(r.start, lo), min(r.end, hi)
+                    if b > a:
+                        expected += b - a
+                assert trace.busy_time(stage, lo, hi) == expected
+            assert trace.utilization(stage, 100.0, 350.0) == (
+                trace.busy_time(stage, 100.0, 350.0) / 250.0
+            )
+        for stages in (["render", "copy", "encode"], ["transmit"], self.STAGES):
+            assert overlap_profile(trace, stages, 50.0, 900.0) == (
+                _reference_overlap_profile(reference, stages, 50.0, 900.0)
+            )
+
+    def test_backwards_interval_raises_and_records_nothing(self):
+        trace = IntervalTrace()
+        trace.record("render", 1.0, 2.0)
+        with pytest.raises(ValueError):
+            trace.record("render", 5.0, 4.999)
+        assert trace.records() == [TraceRecord("render", 1.0, 2.0)]
 
 
 class TestOverlapProfile:
