@@ -11,7 +11,8 @@ Subcommands::
     matrix      run the full 28-configuration matrix, export CSV
 
 Sweep-shaped subcommands (``figure``, ``table2``, ``summary``,
-``matrix``, ``bench``) plan their cells first and accept ``--workers N``
+``matrix``, ``bench``, ``chaos``) plan their cells first, run them
+through one shared runner, and accept ``--workers N``
 (process-pool execution, bit-identical to serial), ``--resume``
 (persist completed cells under ``<ledger>/cells/`` and warm-start the
 next invocation), ``--events`` (record sweep execution events to
@@ -34,8 +35,8 @@ the sweep runs); ``matrix`` additionally takes ``--benchmarks`` /
                 schedule fingerprints
     profile     self-profile the engine: wall time per process, stage,
                 and generator callsite, plus queue depth and events/sec
-    bench       run the smoke benchmark matrix into the run ledger and
-                write a machine-readable BENCH JSON
+    bench       run the smoke benchmark matrix into the run ledger (the
+                rows CI's compare-runs gate diffs against the baselines)
     runs        list the records in the run ledger, plus quarantined
                 corrupt cells and the last sweep's failures
     watch       follow a running sweep's event log with the live dashboard
@@ -67,7 +68,8 @@ import sys
 from typing import List, Optional
 
 from repro.experiments.config import paper_configuration_matrix, platform_res_combos
-from repro.experiments.executor import ExecutionError, make_executor
+from repro.experiments.executor import ExecutionError, ExecutionReport, make_executor
+from repro.experiments.plan import Plan
 from repro.experiments.runner import Runner
 from repro.experiments.store import ResultStore
 from repro.faults.catalog import build_fault_plan, fault_class_names
@@ -371,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the smoke benchmark matrix into the ledger; write BENCH JSON",
+        help="run the smoke benchmark matrix into the run ledger",
     )
     bench.add_argument("--ledger", default=DEFAULT_LEDGER_DIR,
                        help="run-ledger directory")
@@ -388,10 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--platform", choices=sorted(PLATFORMS), default="private")
     bench.add_argument(
         "--resolution", choices=[r.value for r in Resolution], default="720p"
-    )
-    bench.add_argument(
-        "-o", "--output", default="BENCH_pr.json",
-        help="machine-readable benchmark report path",
     )
     _add_exec_args(bench)
 
@@ -703,8 +701,8 @@ def _cmd_verify_determinism(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """The chaos sweep: catalog fault classes × regulator groups.
 
-    Cells execute through the same plan/store/ledger core as every
-    other sweep — ``--resume`` warm-starts from ``<ledger>/cells/``,
+    Cells execute through the same runner as every other sweep —
+    ``--resume`` warm-starts from ``<ledger>/cells/``,
     ``--workers``/``--cell-timeout`` harden the fan-out — and the
     aggregated resilience table lands on stdout plus a JSON report.
     Failed cells are enumerated on stderr and exit non-zero; a
@@ -718,7 +716,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         resilience_payload,
         resilience_rows,
     )
-    from repro.obs import RunLedger, git_revision
 
     benchmarks = _csv_items(args.benchmarks)
     regulators = _csv_items(args.groups)
@@ -744,32 +741,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         warmup_ms=args.warmup,
         include_baseline=not args.no_baseline,
     )
-    store = ResultStore(os.path.join(args.ledger, "cells")) if args.resume else None
-    executor = make_executor(args.workers, cell_timeout_s=args.cell_timeout)
-    ledger = RunLedger(args.ledger)
-    bus = _sweep_bus(args)
-    try:
-        report = executor.run(
-            plan, store=store, ledger=ledger, git_rev=git_revision(), bus=bus
-        )
-    finally:
-        if bus is not None:
-            bus.close()
-    if bus is not None and bus.path is not None:
-        print(f"chaos: sweep events at {bus.path} (sweep {bus.sweep_id})")
+    runner = _experiment_runner(args)
+    ledger = runner.attach_ledger(args.ledger)
+    report = _run_sweep("chaos", runner, plan)
 
     rows = resilience_rows(report.outcomes)
     print(render_resilience(rows))
     print(f"chaos: {report.describe()}; ledger at {ledger.path}")
-    for failure in report.failures:
-        print(
-            f"chaos: FAILED {failure.spec.label} ({failure.spec.run_id}) "
-            f"after {failure.attempts} attempt(s): {failure.error}",
-            file=sys.stderr,
-        )
 
     payload = resilience_payload(rows)
-    payload["git_rev"] = git_revision()
+    payload["git_rev"] = runner.git_rev
     payload["duration_ms"] = args.duration
     payload["warmup_ms"] = args.warmup
     payload["seeds"] = list(args.seeds)
@@ -816,34 +797,11 @@ def _cmd_profile(args: argparse.Namespace) -> str:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """The smoke benchmark matrix, via the plan/execute core.
+    """The smoke benchmark matrix (benchmarks × regulators × seeds) into
+    the run ledger, whose rows CI's ``compare-runs`` gate diffs against
+    ``benchmarks/baselines/``.  Speed is measured by ``perfbench/``."""
+    from repro.experiments import bench_demands
 
-    The plan runs with :class:`SerialExecutor`; with ``--workers N > 1``
-    it runs *twice more* through :class:`ParallelExecutor` on fresh
-    stores — once cold (pool spawned inside the measured window,
-    one cell per submission: the pre-service dispatch policy) and once
-    against a pre-warmed shared :class:`WorkerPool` with auto-sized
-    chunking (the policy ``odr-sim serve`` runs every job under) — and
-    the report gains an ``executor_comparison`` section with both wall
-    clocks, both speedups, the chunk size, the warmup cost, and a
-    three-way bit-identity check, so executor throughput regressions
-    gate like any other benchmark number.
-    """
-    import json
-    import os as _os
-
-    from repro.experiments import (
-        ParallelExecutor,
-        ResultStore,
-        SerialExecutor,
-        WorkerPool,
-        bench_demands,
-        resolve_chunk,
-    )
-    from repro.obs import RunLedger, git_revision, host_wallclock, metrics_digest
-
-    ledger = RunLedger(args.ledger)
-    git_rev = git_revision()
     plan = bench_demands(
         benchmarks=args.benchmarks,
         regulators=args.regulators,
@@ -853,196 +811,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         duration_ms=args.duration,
         warmup_ms=args.warmup,
     )
-    started = host_wallclock()
-    serial_report = SerialExecutor().run(
-        plan, store=ResultStore(), ledger=ledger, git_rev=git_rev
-    )
-    serial_wall = host_wallclock() - started
-
-    # With --events/--live the *measured* leg (parallel when workers > 1,
-    # serial otherwise) runs with the sweep event bus attached, and the
-    # report gains a cost-attribution block.  The observed parallel leg
-    # also pays the plane's enabled cost (manager spawn, queue hops), so
-    # the speedup it reports is the *observed* speedup — the cost block
-    # exists precisely to itemize that; run without --events for the
-    # bare number.
-    bus = _sweep_bus(args)
-    cost_block = None
-
-    chosen = serial_report
-    comparison = None
-    if args.workers > 1:
-        from repro.obs.sweep import SweepEventBus
-
-        # The "before" leg: pool spawn inside the measured window, one
-        # cell per submission.  When observation is on it pays the same
-        # event-plane cost as the warm leg — including persistence, to
-        # a throwaway file so the real events.jsonl only carries the
-        # measured sweep — so the cold-vs-warm delta isolates dispatch
-        # policy, not events.
-        cold_bus = None
-        cold_events = None
-        if bus is not None:
-            if bus.path is not None:
-                import tempfile
-
-                fd, cold_events = tempfile.mkstemp(suffix=".jsonl")
-                _os.close(fd)
-            cold_bus = SweepEventBus(path=cold_events)
-        try:
-            started = host_wallclock()
-            cold_report = ParallelExecutor(args.workers, chunk=1).run(
-                plan, store=ResultStore(), ledger=ledger, git_rev=git_rev,
-                bus=cold_bus,
-            )
-            cold_wall = host_wallclock() - started
-            if cold_bus is not None:
-                cold_bus.close()
-        finally:
-            if cold_events is not None:
-                _os.unlink(cold_events)
-
-        # The "after" leg: the service dispatch policy — a pre-warmed
-        # shared pool (warmup paid once, outside the measured window
-        # but recorded) and chunked submissions.
-        chunk = resolve_chunk(len(plan), args.workers)
-        pool = WorkerPool(args.workers, events=bus is not None)
-        try:
-            started = host_wallclock()
-            pool.warm()
-            pool_warm_s = host_wallclock() - started
-            started = host_wallclock()
-            parallel_report = ParallelExecutor(
-                args.workers, chunk=chunk, pool=pool
-            ).run(plan, store=ResultStore(), ledger=ledger, git_rev=git_rev, bus=bus)
-            parallel_wall = host_wallclock() - started
-        finally:
-            pool.close()
-        identical = all(
-            a.record == b.record == c.record
-            and a.ledger_record is not None
-            and b.ledger_record is not None
-            and c.ledger_record is not None
-            and metrics_digest(a.ledger_record)
-            == metrics_digest(b.ledger_record)
-            == metrics_digest(c.ledger_record)
-            for a, b, c in zip(
-                serial_report.outcomes,
-                cold_report.outcomes,
-                parallel_report.outcomes,
-            )
-        )
-        comparison = {
-            "workers": args.workers,
-            "host_cpus": _os.cpu_count(),
-            "cells": len(plan),
-            "chunk": chunk,
-            "serial_wall_clock_s": serial_wall,
-            "parallel_cold_wall_clock_s": cold_wall,
-            "parallel_wall_clock_s": parallel_wall,
-            "pool_warm_s": pool_warm_s,
-            "speedup_cold": serial_wall / cold_wall if cold_wall > 0 else None,
-            "speedup": serial_wall / parallel_wall if parallel_wall > 0 else None,
-            "bit_identical": identical,
-        }
-        chosen = parallel_report
-        print(
-            f"  executors: serial {serial_wall:.2f} s vs "
-            f"parallel(x{args.workers}) cold {cold_wall:.2f} s "
-            f"({comparison['speedup_cold']:.2f}x) vs "
-            f"warm+chunk={chunk} {parallel_wall:.2f} s "
-            f"({comparison['speedup']:.2f}x, warmup {pool_warm_s:.2f} s, "
-            f"{'bit-identical' if identical else 'DIVERGED'})"
-        )
-        if not identical:
-            print("bench: parallel output diverged from serial", file=sys.stderr)
-            return 1
-    elif bus is not None:
-        # No parallel leg: re-run the serial sweep observed (cells are
-        # cheap at bench scale) so --events still yields an event log.
-        SerialExecutor().run(plan, store=ResultStore(), git_rev=git_rev, bus=bus)
-    if bus is not None:
-        from repro.obs.cost import sweep_cost
-
-        bus.close()
-        cost_block = sweep_cost(bus.events)
-        if bus.path is not None:
-            print(f"  sweep events at {bus.path} (sweep {bus.sweep_id})")
-
-    cells = []
-    for outcome in chosen.outcomes:
-        record = outcome.ledger_record
-        assert record is not None  # fresh stores: every cell executed
-        engine = record.get("engine", {})
-        events_fired = engine.get("events_fired")
-        events_per_sec = engine.get("events_per_sec")
-        cells.append(
-            {
-                "run_id": record["run_id"],
-                "benchmark": outcome.spec.benchmark,
-                "regulator": outcome.spec.regulator,
-                "seed": outcome.spec.seed,
-                "wall_clock_s": outcome.wall_clock_s,
-                "events_fired": events_fired,
-                "events_per_sec": events_per_sec,
-                "client_fps": record["metrics"]["client_fps"],
-                "fps_gap_mean": record["metrics"]["fps_gap_mean"],
-                "mtp_mean_ms": record["metrics"]["mtp_mean_ms"],
-            }
-        )
-        print(
-            f"  {outcome.spec.benchmark}/{outcome.spec.regulator} "
-            f"seed={outcome.spec.seed}: "
-            f"{events_fired} events in {outcome.wall_clock_s:.2f} s"
-            + (
-                f" ({events_per_sec:,.0f} events/s)"
-                if events_per_sec is not None
-                else ""
-            )
-            + f"  -> {record['run_id']}"
-        )
-    # The disabled-overhead guard: what the sweep event plane costs a
-    # sweep that never asked for it, as a fraction of a typical cell.
-    from repro.obs.sweep import disabled_overhead_report
-
-    executed_walls = [o.wall_clock_s for o in chosen.outcomes if not o.cached]
-    mean_cell_wall = (
-        sum(executed_walls) / len(executed_walls) if executed_walls else 0.0
-    )
-    events_plane = disabled_overhead_report(mean_cell_wall)
-    print(
-        f"  events plane (disabled): {events_plane['per_emit_ns']:.0f} ns/emit, "
-        f"{events_plane['disabled_overhead_frac']:.2e} of a "
-        f"{mean_cell_wall:.3f} s cell (budget {events_plane['budget_frac']:.0%}, "
-        f"{'ok' if events_plane['ok'] else 'OVER BUDGET'})"
-    )
-
-    report = {
-        "schema": 1,
-        "git_rev": git_rev,
-        "platform": args.platform,
-        "resolution": args.resolution,
-        "duration_ms": args.duration,
-        "warmup_ms": args.warmup,
-        "total_wall_clock_s": sum(c["wall_clock_s"] for c in cells),
-        "cells": cells,
-        "events_plane": events_plane,
-    }
-    if comparison is not None:
-        if cost_block is not None:
-            comparison["cost"] = cost_block
-        report["executor_comparison"] = comparison
-    elif cost_block is not None:
-        report["sweep_cost"] = cost_block
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-    print(
-        f"bench: {len(cells)} cell(s), "
-        f"{report['total_wall_clock_s']:.2f} s total wall clock; "
-        f"ledger at {ledger.path}, report at {args.output}"
-    )
-    return 0
+    runner = _experiment_runner(args)
+    ledger = runner.attach_ledger(args.ledger)
+    report = _run_sweep("bench", runner, plan)
+    print(f"bench: {report.describe()}; ledger at {ledger.path}")
+    return 0 if report.ok else 1
 
 
 def _describe_record(record: dict) -> str:
@@ -1303,6 +1076,30 @@ def _experiment_runner(args: argparse.Namespace) -> Runner:
     return runner
 
 
+def _run_sweep(verb: str, runner: Runner, plan: Plan) -> ExecutionReport:
+    """Run a sweep-shaped subcommand's plan through ``runner``.
+
+    Failed cells do not stop the sweep: each is listed on stderr and
+    the caller exits 1 unless ``report.ok``.  The sweep event bus is
+    closed here, and its events file named on stdout.
+    """
+    bus = runner.bus
+    try:
+        report = runner.run_plan(plan, allow_failures=True)
+    finally:
+        if bus is not None:
+            bus.close()
+    if bus is not None and bus.path is not None:
+        print(f"{verb}: sweep events at {bus.path} (sweep {bus.sweep_id})")
+    for failure in report.failures:
+        print(
+            f"{verb}: FAILED {failure.spec.label} ({failure.spec.run_id}) "
+            f"after {failure.attempts} attempt(s): {failure.error}",
+            file=sys.stderr,
+        )
+    return report
+
+
 def _cmd_figure(args: argparse.Namespace, runner: Runner) -> str:
     from repro.experiments import figures
 
@@ -1424,25 +1221,13 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
             duration_ms=args.duration,
             warmup_ms=args.warmup,
         )
-        report = runner.run_plan(plan, allow_failures=True)
+        report = _run_sweep("matrix", runner, plan)
         count = records_to_csv(report.records(), args.output)
         print(
             f"wrote {count} rows to {args.output} "
             f"(executed={report.executed} cached={report.cached})"
         )
-        if runner.bus is not None and runner.bus.path is not None:
-            print(
-                f"sweep events at {runner.bus.path} "
-                f"(sweep {runner.bus.sweep_id})"
-            )
-        if report.failures:
-            for failure in report.failures:
-                print(
-                    f"matrix: FAILED {failure.spec.label}: {failure.error}",
-                    file=sys.stderr,
-                )
-            if runner.bus is not None:
-                runner.bus.close()
+        if not report.ok:
             return 1
     elif args.command == "compare":
         from repro.analysis import paired_compare

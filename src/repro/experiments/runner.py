@@ -7,9 +7,9 @@ no longer executes anything itself:
 * :meth:`Runner.run_cell` wraps the cell in a plan-of-one and hands it
   to the configured executor (:mod:`repro.experiments.executor`);
 * :meth:`Runner.run_plan` executes a whole
-  :class:`~repro.experiments.plan.Plan` at once — the entry point the
-  CLI uses to pre-execute a figure/table/matrix sweep, in parallel
-  with ``--workers N``;
+  :class:`~repro.experiments.plan.Plan` at once — the one path every
+  sweep-shaped CLI subcommand (figure, table2, summary, matrix, bench,
+  chaos) executes through, in parallel with ``--workers N``;
 * results live in a :class:`~repro.experiments.store.ResultStore`
   keyed by the ledger's content-addressed ``run_id`` (benchmark,
   platform, resolution, regulator, **duration, warmup**, seed), so
@@ -24,9 +24,9 @@ to the append-only run ledger (:mod:`repro.obs.ledger`).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Optional, Union
 
-from repro.experiments.config import ExperimentConfig, PlatformRes
+from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExecutionError, ExecutionReport, SerialExecutor
 from repro.experiments.plan import CellSpec, Plan
 from repro.experiments.record import ExperimentRecord
@@ -34,7 +34,6 @@ from repro.experiments.store import ResultStore
 from repro.obs.ledger import RunLedger
 from repro.obs.runmeta import git_revision
 from repro.obs.sweep import SweepEventBus
-from repro.workloads import BENCHMARKS
 
 __all__ = ["ExperimentRecord", "Runner"]
 
@@ -72,14 +71,16 @@ class Runner:
         #: sweep event bus (:mod:`repro.obs.sweep`) — observation only;
         #: results are bit-identical with or without it.
         self.bus: Optional[SweepEventBus] = None
-        self._git_rev: Optional[str] = None
+        #: The git revision stamped on ledger records, resolved once
+        #: when a ledger is attached.
+        self.git_rev: Optional[str] = None
         if ledger is not None:
             self.attach_ledger(ledger)
 
     def attach_ledger(self, ledger: Union[RunLedger, str]) -> RunLedger:
         """Start appending every executed cell's run record to ``ledger``."""
         self.ledger = RunLedger(ledger) if isinstance(ledger, str) else ledger
-        self._git_rev = git_revision()
+        self.git_rev = git_revision()
         return self.ledger
 
     def spec_for(
@@ -107,7 +108,7 @@ class Runner:
             store=self.store,
             ledger=self.ledger,
             telemetry_dir=self.telemetry_dir,
-            git_rev=self._git_rev,
+            git_rev=self.git_rev,
             bus=self.bus,
         )
         if report.failures and not allow_failures:
@@ -121,28 +122,3 @@ class Runner:
         spec = self.spec_for(benchmark, config, seed)
         report = self.run_plan(Plan([spec]))
         return report.outcomes[0].record
-
-    def run_group(
-        self,
-        combo: PlatformRes,
-        specs: Iterable[str],
-        benchmarks: Optional[Iterable[str]] = None,
-        seeds: Optional[Sequence[int]] = None,
-    ) -> List[ExperimentRecord]:
-        """Run a platform-resolution group across benchmarks and specs.
-
-        ``seeds`` sweeps every cell across multiple seeds (in order);
-        by default only the runner's own seed runs, as before.
-        """
-        names = list(benchmarks) if benchmarks is not None else list(BENCHMARKS)
-        seed_list: Sequence[int] = seeds if seeds is not None else (self.seed,)
-        cells = [
-            self.spec_for(bench, ExperimentConfig(combo, spec), seed)
-            for spec in specs
-            for bench in names
-            for seed in seed_list
-        ]
-        plan = Plan(cells)
-        report = self.run_plan(plan)
-        by_id = {o.spec.run_id: o.record for o in report.outcomes}
-        return [by_id[cell.run_id] for cell in cells]

@@ -85,8 +85,8 @@ def resolve_chunk(
     ``chunk`` wins, and the default splits the run into roughly two
     submissions per worker — enough rounds that one slow chunk cannot
     idle the rest of the pool for long, while small cells share a
-    pickle instead of paying one dispatch round-trip each (the
-    sub-1× small-sweep overhead ``BENCH_pr.json`` used to record).
+    pickle instead of paying one dispatch round-trip each (per-cell
+    dispatch once made small parallel sweeps slower than serial ones).
     Plans smaller than twice the worker count stay at one cell per
     submission, which also keeps crash blast radius (a dead worker
     fails its whole chunk) at one cell for the small chaos plans.

@@ -1,9 +1,9 @@
 """Sweep cost attribution: where a parallel sweep's wall clock went.
 
-``BENCH_pr.json`` says the parallel executor's speedup is below 1× on
-small sweeps; this module turns the sweep event log
-(:mod:`repro.obs.sweep`) into the numbers that make that regression
-*attributable* instead of mysterious.  :func:`sweep_cost` aggregates
+A parallel sweep of short cells can run slower than a serial one;
+this module turns the sweep event log (:mod:`repro.obs.sweep`) into
+the numbers that make such a slowdown *attributable* instead of
+mysterious.  :func:`sweep_cost` aggregates
 per-cell resource telemetry into a budget for the sweep's wall clock:
 
 ``pool_warmup_s``

@@ -22,11 +22,10 @@ def ledger_dir(tmp_path):
     return str(tmp_path / "runs")
 
 
-def bench_fast(capsys, ledger_dir, out_path, seeds=("1",)):
+def bench_fast(capsys, ledger_dir, *extra):
     return run_cli(
-        capsys, *FAST, "bench", "--ledger", ledger_dir,
-        "--seeds", *seeds, "--benchmarks", "IM", "--regulators", "NoReg", "ODR60",
-        "-o", out_path,
+        capsys, *FAST, "bench", "--ledger", ledger_dir, "--seeds", "1",
+        "--benchmarks", "IM", "--regulators", "NoReg", "ODR60", *extra,
     )
 
 
@@ -58,21 +57,43 @@ class TestProfile:
 
 
 class TestBenchAndLedgerVerbs:
-    def test_bench_writes_ledger_and_report(self, capsys, ledger_dir, tmp_path):
-        report_path = tmp_path / "BENCH.json"
-        out = bench_fast(capsys, ledger_dir, str(report_path))
-        assert "2 cell(s)" in out
-        report = json.loads(report_path.read_text())
-        assert len(report["cells"]) == 2
-        for cell in report["cells"]:
-            assert cell["wall_clock_s"] > 0
-            assert cell["events_per_sec"] > 0
-            assert cell["events_fired"] > 0
-        labels = {(c["benchmark"], c["regulator"]) for c in report["cells"]}
-        assert labels == {("IM", "NoReg"), ("IM", "ODR60")}
+    def test_bench_writes_ledger_and_report(self, capsys, ledger_dir):
+        out = bench_fast(capsys, ledger_dir)
+        assert "2 cell(s): executed=2 cached=0" in out
+        assert f"ledger at {ledger_dir}" in out
+        from repro.obs import RunLedger
 
-    def test_runs_lists_the_ledger(self, capsys, ledger_dir, tmp_path):
-        bench_fast(capsys, ledger_dir, str(tmp_path / "b.json"))
+        records = RunLedger(ledger_dir).records()
+        assert len(records) == 2
+        labels = {r["label"] for r in records}
+        assert labels == {"IM/Priv720p/NoReg", "IM/Priv720p/ODR60"}
+
+    def test_bench_failed_cell_exits_one_and_is_named(self, capsys, ledger_dir):
+        code = main([
+            *FAST, "bench", "--ledger", ledger_dir, "--seeds", "1",
+            "--benchmarks", "IM", "--regulators", "NoReg", "Bogus",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "failed=1" in captured.out
+        assert "bench: FAILED IM/Priv720p/Bogus" in captured.err
+        # The cell that did run still reached the ledger.
+        from repro.obs import RunLedger
+
+        assert [r["label"] for r in RunLedger(ledger_dir).records()] == [
+            "IM/Priv720p/NoReg"
+        ]
+
+    def test_bench_resume_recalls_every_cell(self, capsys, ledger_dir):
+        bench_fast(capsys, ledger_dir, "--resume")
+        out = bench_fast(capsys, ledger_dir, "--resume")
+        assert "executed=0 cached=2" in out
+        from repro.obs import RunLedger
+
+        assert len(RunLedger(ledger_dir).records()) == 2
+
+    def test_runs_lists_the_ledger(self, capsys, ledger_dir):
+        bench_fast(capsys, ledger_dir)
         out = run_cli(capsys, "runs", "--ledger", ledger_dir)
         assert "2 record(s)" in out
         # Labels carry the platform-resolution group since the plan/execute split.
@@ -82,29 +103,29 @@ class TestBenchAndLedgerVerbs:
         out = run_cli(capsys, "runs", "--ledger", ledger_dir)
         assert "empty" in out
 
-    def test_baseline_pin_show_and_missing(self, capsys, ledger_dir, tmp_path):
+    def test_baseline_pin_show_and_missing(self, capsys, ledger_dir):
         run_cli(capsys, "baseline", "--ledger", ledger_dir, expect=1)
-        bench_fast(capsys, ledger_dir, str(tmp_path / "b.json"))
+        bench_fast(capsys, ledger_dir)
         out = run_cli(capsys, "baseline", "latest", "--ledger", ledger_dir)
         assert "pinned" in out
         out = run_cli(capsys, "baseline", "--ledger", ledger_dir)
         assert "IM/Priv720p/ODR60" in out
 
-    def test_compare_runs_same_cell_ok(self, capsys, ledger_dir, tmp_path):
-        bench_fast(capsys, ledger_dir, str(tmp_path / "b.json"))
+    def test_compare_runs_same_cell_ok(self, capsys, ledger_dir):
+        bench_fast(capsys, ledger_dir)
         out = run_cli(capsys, "compare-runs", "latest", "latest",
                       "--ledger", ledger_dir)
         assert "OK" in out
 
-    def test_compare_runs_regression_exits_one(self, capsys, ledger_dir, tmp_path):
-        bench_fast(capsys, ledger_dir, str(tmp_path / "b.json"))
+    def test_compare_runs_regression_exits_one(self, capsys, ledger_dir):
+        bench_fast(capsys, ledger_dir)
         # ODR60 (latest) -> NoReg (latest~1): MtP latency balloons
         out = run_cli(capsys, "compare-runs", "latest", "latest~1",
                       "--ledger", ledger_dir, expect=1)
         assert "REGRESSED" in out
 
-    def test_compare_runs_json_format(self, capsys, ledger_dir, tmp_path):
-        bench_fast(capsys, ledger_dir, str(tmp_path / "b.json"))
+    def test_compare_runs_json_format(self, capsys, ledger_dir):
+        bench_fast(capsys, ledger_dir)
         out = run_cli(capsys, "compare-runs", "latest", "latest",
                       "--ledger", ledger_dir, "--format", "json")
         payload = json.loads(out)
@@ -118,7 +139,7 @@ class TestBenchAndLedgerVerbs:
                 expect=2)
 
     def test_compare_runs_accepts_record_files(self, capsys, ledger_dir, tmp_path):
-        bench_fast(capsys, ledger_dir, str(tmp_path / "b.json"))
+        bench_fast(capsys, ledger_dir)
         from repro.obs import RunLedger
 
         record = RunLedger(ledger_dir).latest()

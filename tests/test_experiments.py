@@ -76,12 +76,6 @@ class TestRunner:
         b = runner.run_cell("RE", config, seed=2)
         assert a is not b
 
-    def test_run_group(self, runner):
-        combo = PlatformRes(PRIVATE_CLOUD, Resolution.R720P)
-        records = runner.run_group(combo, ["NoReg"], benchmarks=["IM", "RE"])
-        assert len(records) == 2
-        assert {r.benchmark for r in records} == {"IM", "RE"}
-
     def test_local_and_gce_labels_do_not_collide(self, runner):
         """Regression test: the Local platform must not share a cache
         label with GCE."""

@@ -238,17 +238,6 @@ class TestRunnerFacade:
         first = runner.run_cell("IM", config)
         assert runner.run_cell("IM", config) is first
 
-    def test_run_group_seeds(self):
-        runner = Runner(seed=1, duration_ms=DURATION_MS, warmup_ms=WARMUP_MS)
-        combo = spec().experiment_config().platform_res
-        records = runner.run_group(
-            combo, ["ODR60"], benchmarks=["IM"], seeds=(1, 2)
-        )
-        assert len(records) == 2
-        assert records[0] != records[1]
-        # Seed 1's cell is the runner's own cell: recalled, not re-run.
-        assert runner.run_cell("IM", spec().experiment_config()) is records[0]
-
     def test_make_executor(self):
         assert isinstance(make_executor(1), SerialExecutor)
         pool = make_executor(3)
