@@ -14,6 +14,11 @@ re-running them, and the executor is configurable:
   them.  Opt-in, because persisted cells outlive code changes: only
   use it to resume an interrupted sweep of *unchanged* code.
 
+Benches render through the ``records`` fixture: it runs a plan on the
+session runner and returns the plan's read-only records view
+(:meth:`~repro.experiments.runner.Runner.records_for`), which is all a
+renderer reads.
+
 The runner also appends every executed cell's run record to the run
 ledger under ``.odr-runs/`` at the repo root, so bench sessions feed
 the regression sentinel (``odr-sim compare-runs``) for free.
@@ -60,6 +65,17 @@ def runner():
         executor=make_executor(workers),
         store=store,
     )
+
+
+@pytest.fixture(scope="session")
+def records(runner):
+    """``records(plan)``: run ``plan`` on the session runner, return its view."""
+
+    def _records(plan):
+        runner.run_plan(plan)
+        return runner.records_for(plan)
+
+    return _records
 
 
 @pytest.fixture(scope="session")

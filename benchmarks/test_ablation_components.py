@@ -7,6 +7,7 @@ what holds the windowed QoS target under spikes.
 """
 
 from repro.experiments.config import ExperimentConfig, PlatformRes
+from repro.experiments.plan import group_demands
 from repro.experiments.report import format_table
 from repro.workloads import BENCHMARKS, PRIVATE_CLOUD, Resolution
 
@@ -15,12 +16,14 @@ PRIV720 = PlatformRes(PRIVATE_CLOUD, Resolution.R720P)
 SPECS = ["NoReg", "ODRMax", "ODRMax-noPri", "ODR60", "ODR60-noAccel", "ODR60-noPri"]
 
 
-def run_ablation(runner):
+def run_ablation(runner, records):
+    view = records(group_demands(
+        PRIV720, SPECS, seeds=(runner.seed,),
+        duration_ms=runner.duration_ms, warmup_ms=runner.warmup_ms,
+    ))
     rows = {}
     for spec in SPECS:
-        records = [
-            runner.run_cell(bench, ExperimentConfig(PRIV720, spec)) for bench in BENCHMARKS
-        ]
+        records = [view.get(bench, ExperimentConfig(PRIV720, spec)) for bench in BENCHMARKS]
         rows[spec] = {
             "client_fps": sum(r.client_fps for r in records) / len(records),
             "gap": sum(r.fps_gap_mean for r in records) / len(records),
@@ -30,8 +33,8 @@ def run_ablation(runner):
     return rows
 
 
-def test_ablation_components(benchmark, runner, save_text):
-    rows = benchmark.pedantic(lambda: run_ablation(runner), rounds=1, iterations=1)
+def test_ablation_components(benchmark, runner, records, save_text):
+    rows = benchmark.pedantic(lambda: run_ablation(runner, records), rounds=1, iterations=1)
     text = format_table(
         ["config", "client FPS", "gap", "MtP ms", "QoS windows"],
         [[s, v["client_fps"], v["gap"], v["mtp_ms"], v["qos"]] for s, v in rows.items()],

@@ -4,11 +4,13 @@ Paper: Red Eclipse and InMind both show cloud rendering FPS far above
 client FPS under NoReg (gaps of roughly 60-100 frames at 720p).
 """
 
-from repro.experiments.figures import fig01_fps_gap
+from repro.experiments.figures import fig01_fps_gap, figure_demands
 
 
-def test_fig01_fps_gap(benchmark, runner, save_text):
-    result = benchmark.pedantic(lambda: fig01_fps_gap(runner), rounds=1, iterations=1)
+def test_fig01_fps_gap(benchmark, runner, records, save_text):
+    result = benchmark.pedantic(
+        lambda: fig01_fps_gap(records(figure_demands("1", runner))), rounds=1, iterations=1
+    )
     save_text("fig01_fps_gap", result["text"], data=result["data"])
     data = result["data"]
     for bench in ("RE", "IM"):

@@ -4,12 +4,12 @@ Paper anchors (InMind, 720p private): NoReg ≈ 189/93/93 (render/encode/
 decode), Int60 ≈ 55/53, IntMax ≈ 46, RVS60 ≈ 54, RVSMax ≈ 76.
 """
 
-from repro.experiments.figures import fig03_regulation_fps
+from repro.experiments.figures import fig03_regulation_fps, figure_demands
 
 
-def test_fig03_regulation_fps(benchmark, runner, save_text):
+def test_fig03_regulation_fps(benchmark, runner, records, save_text):
     result = benchmark.pedantic(
-        lambda: fig03_regulation_fps(runner), rounds=1, iterations=1
+        lambda: fig03_regulation_fps(records(figure_demands("3", runner))), rounds=1, iterations=1
     )
     save_text("fig03_regulation_fps", result["text"])
     data = result["data"]

@@ -5,11 +5,13 @@ Paper: every existing FPS regulation *raises* MtP latency over NoReg
 FPS gap are the cause.
 """
 
-from repro.experiments.figures import fig06_mtp_latency
+from repro.experiments.figures import fig06_mtp_latency, figure_demands
 
 
-def test_fig06_mtp_latency(benchmark, runner, save_text):
-    result = benchmark.pedantic(lambda: fig06_mtp_latency(runner), rounds=1, iterations=1)
+def test_fig06_mtp_latency(benchmark, runner, records, save_text):
+    result = benchmark.pedantic(
+        lambda: fig06_mtp_latency(records(figure_demands("6", runner))), rounds=1, iterations=1
+    )
     save_text("fig06_mtp_latency", result["text"])
     data = result["data"]
 

@@ -4,12 +4,12 @@ Paper anchors: NoReg ≈ 70 % row-miss / 68 ns read; Int60 cuts the miss
 rate by ~9 points, read time to ~47 ns, and gains ~10 % IPC.
 """
 
-from repro.experiments.figures import fig07_dram_efficiency
+from repro.experiments.figures import fig07_dram_efficiency, figure_demands
 
 
-def test_fig07_dram_efficiency(benchmark, runner, save_text):
+def test_fig07_dram_efficiency(benchmark, runner, records, save_text):
     result = benchmark.pedantic(
-        lambda: fig07_dram_efficiency(runner), rounds=1, iterations=1
+        lambda: fig07_dram_efficiency(records(figure_demands("7", runner))), rounds=1, iterations=1
     )
     save_text("fig07_dram_efficiency", result["text"])
     data = result["data"]

@@ -6,11 +6,13 @@ their targets while Int/RVS miss them; NoReg's GCE latency reaches
 seconds while ODR stays around 60-120 ms everywhere.
 """
 
-from repro.experiments.figures import fig09_qos_averages
+from repro.experiments.figures import fig09_qos_averages, figure_demands
 
 
-def test_fig09_qos_averages(benchmark, runner, save_text):
-    result = benchmark.pedantic(lambda: fig09_qos_averages(runner), rounds=1, iterations=1)
+def test_fig09_qos_averages(benchmark, runner, records, save_text):
+    result = benchmark.pedantic(
+        lambda: fig09_qos_averages(records(figure_demands("9", runner))), rounds=1, iterations=1
+    )
     save_text("fig09_qos_averages", result["text"])
     groups = result["data"]["groups"]
     overall = result["data"]["overall"]

@@ -5,13 +5,15 @@ tail (1 %ile) windows stay close to the fixed targets; Int and RVS sit
 below ODR across the board.
 """
 
-from repro.experiments.figures import fig10_client_fps_detail
+from repro.experiments.figures import fig10_client_fps_detail, figure_demands
 from repro.workloads import BENCHMARKS
 
 
-def test_fig10_client_fps_detail(benchmark, runner, save_text):
+def test_fig10_client_fps_detail(benchmark, runner, records, save_text):
     result = benchmark.pedantic(
-        lambda: fig10_client_fps_detail(runner), rounds=1, iterations=1
+        lambda: fig10_client_fps_detail(records(figure_demands("10", runner))),
+        rounds=1,
+        iterations=1,
     )
     save_text("fig10_client_fps_detail", result["text"])
     data = result["data"]

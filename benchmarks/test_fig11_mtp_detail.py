@@ -5,12 +5,14 @@ configurations; ODR stays below ~92 ms on 720p GCE and ~150 ms on
 1080p GCE for every benchmark — the public-cloud feasibility claim.
 """
 
-from repro.experiments.figures import fig11_mtp_detail
+from repro.experiments.figures import fig11_mtp_detail, figure_demands
 from repro.workloads import BENCHMARKS
 
 
-def test_fig11_mtp_detail(benchmark, runner, save_text):
-    result = benchmark.pedantic(lambda: fig11_mtp_detail(runner), rounds=1, iterations=1)
+def test_fig11_mtp_detail(benchmark, runner, records, save_text):
+    result = benchmark.pedantic(
+        lambda: fig11_mtp_detail(records(figure_demands("11", runner))), rounds=1, iterations=1
+    )
     save_text("fig11_mtp_detail", result["text"])
     data = result["data"]
 

@@ -5,13 +5,15 @@ Paper anchors: averaged over the six benchmarks, ODRMax improves IPC by
 and DRAM read time 13-25 %; NoReg's average IPC is ~0.66.
 """
 
-from repro.experiments.figures import fig12_memory_efficiency
+from repro.experiments.figures import fig12_memory_efficiency, figure_demands
 from repro.workloads import BENCHMARKS
 
 
-def test_fig12_memory_efficiency(benchmark, runner, save_text):
+def test_fig12_memory_efficiency(benchmark, runner, records, save_text):
     result = benchmark.pedantic(
-        lambda: fig12_memory_efficiency(runner), rounds=1, iterations=1
+        lambda: fig12_memory_efficiency(records(figure_demands("12", runner))),
+        rounds=1,
+        iterations=1,
     )
     save_text("fig12_memory_efficiency", result["text"])
     per_bench = result["data"]["per_benchmark"]

@@ -6,12 +6,14 @@ biggest saver under ODR; Int/RVS burn slightly less than ODR only
 because they deliver less QoS.
 """
 
-from repro.experiments.figures import fig13_power
+from repro.experiments.figures import fig13_power, figure_demands
 from repro.workloads import BENCHMARKS
 
 
-def test_fig13_power(benchmark, runner, save_text):
-    result = benchmark.pedantic(lambda: fig13_power(runner), rounds=1, iterations=1)
+def test_fig13_power(benchmark, runner, records, save_text):
+    result = benchmark.pedantic(
+        lambda: fig13_power(records(figure_demands("13", runner))), rounds=1, iterations=1
+    )
     save_text("fig13_power", result["text"])
     per_bench = result["data"]["per_benchmark"]
     avg = result["data"]["avg"]

@@ -6,11 +6,16 @@ Int and RVS at both QoS goals; far fewer participants report lag,
 stutter, or tearing under ODR than under NoReg.
 """
 
-from repro.experiments.userstudy import run_user_study
+from repro.experiments.userstudy import UserStudy
 
 
-def test_fig14_15_userstudy(benchmark, runner, save_text):
-    study = benchmark.pedantic(lambda: run_user_study(runner, seed=7), rounds=1, iterations=1)
+def run_study(runner, records):
+    study = UserStudy(seed=7)
+    return study.run(records(study.demands(runner)))
+
+
+def test_fig14_15_userstudy(benchmark, runner, records, save_text):
+    study = benchmark.pedantic(lambda: run_study(runner, records), rounds=1, iterations=1)
     save_text("fig14_user_ratings", study["fig14_text"])
     save_text("fig15_user_reports", study["fig15_text"])
     ratings = study["ratings"]

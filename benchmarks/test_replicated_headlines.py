@@ -2,56 +2,69 @@
 
 Every other bench runs seed 1; this one replicates the paper's three
 headline comparisons across five seeds with common random numbers and
-requires the 95 % confidence interval of each paired delta to exclude
-zero — the claims hold as *effects*, not lucky draws:
+requires the bootstrap 95 % confidence interval of each paired delta to
+exclude zero — the claims hold as *effects*, not lucky draws:
 
 1. ODRMax raises client FPS over NoReg (paper: +5.5 % overall);
 2. ODRMax collapses the FPS gap (paper: ~100 → ~2 frames on InMind);
 3. ODR cuts MtP latency on the congested GCE path (paper: >92 %).
+
+Each comparison is one seed-axis plan run through the session runner,
+summarised like ``odr-sim compare`` by
+:func:`~repro.metrics.stats.paired_delta_cis`.
 """
 
-from repro.analysis import paired_compare
+from repro.experiments import ExperimentConfig, PlatformRes, bench_demands
 from repro.experiments.report import format_table
-from repro.pipeline import CloudSystem, SystemConfig
-from repro.regulators import make_regulator
+from repro.metrics.stats import paired_delta_cis
 from repro.workloads import GCE, PRIVATE_CLOUD, Resolution
 
 SEEDS = range(1, 6)
+DURATION_MS = 10000.0
+WARMUP_MS = 2000.0
+
+#: (comparison, platform, baseline regulator, treated regulator)
+COMPARISONS = [
+    ("private", PRIVATE_CLOUD, "NoReg", "ODRMax"),
+    ("gce", GCE, "NoReg", "ODR60"),
+]
 
 
-def factory(spec, platform):
-    def run_seed(seed):
-        config = SystemConfig("IM", platform, Resolution.R720P, seed=seed,
-                              duration_ms=10000.0, warmup_ms=2000.0)
-        result = CloudSystem(config, make_regulator(spec)).run()
-        return {
-            "client_fps": result.client_fps,
-            "fps_gap": result.fps_gap().mean_gap,
-            "mtp_ms": result.mean_mtp_ms(),
-        }
-
-    return run_seed
+def headline_metrics(record):
+    return {
+        "client_fps": record.client_fps,
+        "fps_gap": record.fps_gap_mean,
+        "mtp_ms": record.mtp_mean_ms,
+    }
 
 
-def run_replication():
-    private = paired_compare(
-        factory("NoReg", PRIVATE_CLOUD), factory("ODRMax", PRIVATE_CLOUD), SEEDS
-    )
-    gce = paired_compare(factory("NoReg", GCE), factory("ODR60", GCE), SEEDS)
-    return {"private": private, "gce": gce}
+def run_replication(records):
+    deltas = {}
+    for comparison, platform, base, treated in COMPARISONS:
+        view = records(bench_demands(
+            ["IM"], [base, treated], seeds=SEEDS, platform=platform.name,
+            resolution="720p", duration_ms=DURATION_MS, warmup_ms=WARMUP_MS,
+        ))
+        combo = PlatformRes(platform, Resolution.R720P)
+
+        def per_seed(spec):
+            config = ExperimentConfig(combo, spec)
+            return [headline_metrics(view.get("IM", config, seed)) for seed in SEEDS]
+
+        deltas[comparison] = paired_delta_cis(per_seed(base), per_seed(treated))
+    return deltas
 
 
-def test_replicated_headlines(benchmark, save_text):
-    deltas = benchmark.pedantic(run_replication, rounds=1, iterations=1)
+def test_replicated_headlines(benchmark, records, save_text):
+    deltas = benchmark.pedantic(lambda: run_replication(records), rounds=1, iterations=1)
     rows = []
-    for label, rep in deltas.items():
-        for name in rep.names():
-            summary = rep[name]
-            rows.append([label, name, summary.mean, summary.ci95_halfwidth, summary.n])
+    for comparison, cis in deltas.items():
+        for name, ci in cis.items():
+            rows.append([comparison, name, ci.estimate, ci.low, ci.high, len(SEEDS)])
     text = format_table(
-        ["comparison", "metric (ODR - NoReg)", "mean delta", "95% CI ±", "n"],
+        ["comparison", "metric (ODR - NoReg)", "mean delta", "95% CI low", "95% CI high", "n"],
         rows,
-        title="Replicated headline claims (paired common-random-number seeds)",
+        title="Replicated headline claims (paired common-random-number seeds, bootstrap CI)",
     )
     save_text(
         "replicated_headlines",
@@ -61,26 +74,27 @@ def test_replicated_headlines(benchmark, save_text):
                 "comparison": comparison,
                 "metric": metric,
                 "mean_delta": mean,
-                "ci95_halfwidth": ci,
+                "ci95_low": low,
+                "ci95_high": high,
                 "n": n,
             }
-            for comparison, metric, mean, ci, n in rows
+            for comparison, metric, mean, low, high, n in rows
         ],
     )
 
     private, gce = deltas["private"], deltas["gce"]
     # 1. client FPS gain, significant across seeds
-    assert private["client_fps"].significantly_positive()
+    assert private["client_fps"].low > 0
     # 2. gap collapse, significant and huge
-    assert private["fps_gap"].significantly_negative()
-    assert private["fps_gap"].mean < -80
+    assert private["fps_gap"].high < 0
+    assert private["fps_gap"].estimate < -80
     # 3. GCE latency collapse, significant and order-of-magnitude
-    assert gce["mtp_ms"].significantly_negative()
-    assert gce["mtp_ms"].mean < -500
+    assert gce["mtp_ms"].high < 0
+    assert gce["mtp_ms"].estimate < -500
 
-    benchmark.extra_info["fps_gain_ci"] = (
-        f"{private['client_fps'].mean:+.1f} ± {private['client_fps'].ci95_halfwidth:.1f}"
-    )
+    ci = private["client_fps"]
+    benchmark.extra_info["fps_gain_ci"] = f"{ci.estimate:+.1f} [{ci.low:+.1f}, {ci.high:+.1f}]"
+    ci = gce["mtp_ms"]
     benchmark.extra_info["gce_mtp_cut_ci"] = (
-        f"{gce['mtp_ms'].mean:+.0f} ± {gce['mtp_ms'].ci95_halfwidth:.0f} ms"
+        f"{ci.estimate:+.0f} [{ci.low:+.0f}, {ci.high:+.0f}] ms"
     )

@@ -6,11 +6,13 @@ and 27-31 % below Int/RVS; 720p-private efficiency: IPC +14.4 %, DRAM
 read time −19 %, row misses −11 %, power −16 %; bandwidth 15-60 Mbps.
 """
 
-from repro.experiments.figures import summary_overall
+from repro.experiments.figures import summary_demands, summary_overall
 
 
-def test_summary_overall(benchmark, runner, save_text):
-    result = benchmark.pedantic(lambda: summary_overall(runner), rounds=1, iterations=1)
+def test_summary_overall(benchmark, runner, records, save_text):
+    result = benchmark.pedantic(
+        lambda: summary_overall(records(summary_demands(runner))), rounds=1, iterations=1
+    )
     save_text("summary_overall", result["text"])
     data = result["data"]
 

@@ -6,11 +6,13 @@ every regulated configuration sits in single digits; ODRMax-noPri is
 always below one frame; PriorityFrame adds only ~1-2 frames.
 """
 
-from repro.experiments.tables import table2
+from repro.experiments.tables import table2, table2_demands
 
 
-def test_table2_fps_gaps(benchmark, runner, save_text):
-    result = benchmark.pedantic(lambda: table2(runner), rounds=1, iterations=1)
+def test_table2_fps_gaps(benchmark, runner, records, save_text):
+    result = benchmark.pedantic(
+        lambda: table2(records(table2_demands(runner))), rounds=1, iterations=1
+    )
     save_text(
         "table2_fps_gaps",
         result["text"],

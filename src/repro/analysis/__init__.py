@@ -8,20 +8,15 @@ paper's tables:
 * :mod:`repro.analysis.traces` — record a run's per-stage service-time
   traces and **replay** them through the pipeline (deterministic
   what-if studies on identical workloads, or driving the simulator with
-  frame-time traces profiled from a real game);
-* :mod:`repro.analysis.replication` — multi-seed replication with
-  mean/std/confidence intervals, and paired regulator comparisons using
-  common random numbers.
+  frame-time traces profiled from a real game).
+
+Multi-seed comparisons are not done here: they run as seed-axis plans
+(``odr-sim compare``) summarised by
+:func:`repro.metrics.stats.paired_delta_cis`.
 """
 
 from repro.analysis.frame_log import export_frame_log, load_frame_log
 from repro.analysis.latency import LatencyBreakdown, latency_breakdown
-from repro.analysis.replication import (
-    MetricSummary,
-    Replication,
-    paired_compare,
-    replicate,
-)
 from repro.analysis.traces import (
     RecordedStageModel,
     StageTraces,
@@ -30,14 +25,10 @@ from repro.analysis.traces import (
 
 __all__ = [
     "LatencyBreakdown",
-    "MetricSummary",
     "RecordedStageModel",
-    "Replication",
     "StageTraces",
     "export_frame_log",
     "latency_breakdown",
     "load_frame_log",
-    "paired_compare",
     "record_stage_traces",
-    "replicate",
 ]

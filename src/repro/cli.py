@@ -11,8 +11,12 @@ Subcommands::
     matrix      run the full 28-configuration matrix, export CSV
 
 Sweep-shaped subcommands (``figure``, ``table2``, ``summary``,
-``matrix``, ``bench``, ``chaos``) plan their cells first, run them
-through one shared runner, and accept ``--workers N``
+``userstudy``, ``compare``, ``matrix``, ``bench``, ``chaos``) plan
+their cells first and run them through one shared runner; renderers
+then read the records of their executed plan.  ``compare`` plans both
+regulators over seeds 1..N and reports bootstrap CIs of the paired
+per-seed deltas.  ``figure``, ``table2``, ``summary``, ``matrix``,
+``bench`` and ``chaos`` accept ``--workers N``
 (process-pool execution, bit-identical to serial), ``--resume``
 (persist completed cells under ``<ledger>/cells/`` and warm-start the
 next invocation), ``--events`` (record sweep execution events to
@@ -65,12 +69,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.experiments.config import paper_configuration_matrix, platform_res_combos
+from repro.experiments.config import (
+    ExperimentConfig,
+    PlatformRes,
+    paper_configuration_matrix,
+    platform_res_combos,
+)
 from repro.experiments.executor import ExecutionError, ExecutionReport, make_executor
-from repro.experiments.plan import Plan
-from repro.experiments.runner import Runner
+from repro.experiments.plan import Plan, bench_demands
+from repro.experiments.runner import PlanRecords, Runner
 from repro.experiments.store import ResultStore
 from repro.faults.catalog import build_fault_plan, fault_class_names
 from repro.obs.ledger import DEFAULT_LEDGER_DIR
@@ -800,8 +809,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """The smoke benchmark matrix (benchmarks × regulators × seeds) into
     the run ledger, whose rows CI's ``compare-runs`` gate diffs against
     ``benchmarks/baselines/``.  Speed is measured by ``perfbench/``."""
-    from repro.experiments import bench_demands
-
     plan = bench_demands(
         benchmarks=args.benchmarks,
         regulators=args.regulators,
@@ -1100,23 +1107,70 @@ def _run_sweep(verb: str, runner: Runner, plan: Plan) -> ExecutionReport:
     return report
 
 
-def _cmd_figure(args: argparse.Namespace, runner: Runner) -> str:
+def _cmd_figure(args: argparse.Namespace, records: PlanRecords) -> str:
     from repro.experiments import figures
 
     generators = {
-        "1": lambda: figures.fig01_fps_gap(runner),
-        "3": lambda: figures.fig03_regulation_fps(runner),
+        "1": lambda: figures.fig01_fps_gap(records),
+        "3": lambda: figures.fig03_regulation_fps(records),
         "4": lambda: figures.fig04_time_variation(seed=args.seed),
         "5": lambda: figures.fig05_pipeline_schedules(seed=args.seed),
-        "6": lambda: figures.fig06_mtp_latency(runner),
-        "7": lambda: figures.fig07_dram_efficiency(runner),
-        "9": lambda: figures.fig09_qos_averages(runner),
-        "10": lambda: figures.fig10_client_fps_detail(runner),
-        "11": lambda: figures.fig11_mtp_detail(runner),
-        "12": lambda: figures.fig12_memory_efficiency(runner),
-        "13": lambda: figures.fig13_power(runner),
+        "6": lambda: figures.fig06_mtp_latency(records),
+        "7": lambda: figures.fig07_dram_efficiency(records),
+        "9": lambda: figures.fig09_qos_averages(records),
+        "10": lambda: figures.fig10_client_fps_detail(records),
+        "11": lambda: figures.fig11_mtp_detail(records),
+        "12": lambda: figures.fig12_memory_efficiency(records),
+        "13": lambda: figures.fig13_power(records),
     }
     return generators[args.number]()["text"]
+
+
+def _cmd_compare(args: argparse.Namespace, runner: Runner) -> int:
+    """Pair two regulators seed by seed: a seed-axis plan, then CIs of ``b - a``.
+
+    A metric is marked ``[+]``/``[-]`` when the bootstrap 95 % CI of
+    its mean delta excludes 0 — only from 4 seeds on.  With n seeds the
+    all-minimum resample has probability n**-n, above the 2.5 % tail
+    for n <= 3, so there the CI is [min delta, max delta] and a verdict
+    would merely say that every delta has the same sign.
+    """
+    from repro.metrics.stats import paired_delta_cis
+
+    if args.seeds < 1:
+        print(f"compare: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
+        return 2
+    seeds = range(1, args.seeds + 1)
+    plan = bench_demands(
+        [args.benchmark], [args.regulator_a, args.regulator_b], seeds=seeds,
+        platform=args.platform, resolution=args.resolution,
+        duration_ms=args.duration, warmup_ms=args.warmup,
+    )
+    if not _run_sweep("compare", runner, plan).ok:
+        return 1
+    records = runner.records_for(plan)
+    combo = PlatformRes(PLATFORMS[args.platform], Resolution(args.resolution))
+
+    def per_seed(spec: str) -> List[Dict[str, float]]:
+        config = ExperimentConfig(combo, spec)
+        return [records.get(args.benchmark, config, seed).headline() for seed in seeds]
+
+    deltas = paired_delta_cis(per_seed(args.regulator_a), per_seed(args.regulator_b))
+    verdicts = args.seeds >= 4
+    note = "" if verdicts else "; no [+]/[-] below 4 seeds"
+    print(
+        f"{args.regulator_b} minus {args.regulator_a} on {args.benchmark} "
+        f"({args.platform} {args.resolution}, {args.seeds} paired seeds, "
+        f"bootstrap 95% CI{note}):"
+    )
+    for name, ci in deltas.items():
+        marker = ""
+        if verdicts and ci.low > 0:
+            marker = "  [+]"
+        elif verdicts and ci.high < 0:
+            marker = "  [-]"
+        print(f"  {name:16s} {ci.estimate:+10.3f}  [{ci.low:+.3f}, {ci.high:+.3f}]{marker}")
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1173,10 +1227,11 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
     elif args.command == "figure":
         from repro.experiments import figures
 
-        # Plan → execute → render: declare the figure's cells and run
-        # them (possibly in parallel) before the renderer reads them.
-        runner.run_plan(figures.figure_demands(args.number, runner))
-        print(_cmd_figure(args, runner))
+        # Plan → execute → render: declare the figure's cells, run them
+        # (possibly in parallel), then render from the plan's records.
+        plan = figures.figure_demands(args.number, runner)
+        runner.run_plan(plan)
+        print(_cmd_figure(args, runner.records_for(plan)))
         if args.number == "5":
             from repro.experiments.timeline import run_timeline
 
@@ -1192,17 +1247,22 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
     elif args.command == "table2":
         from repro.experiments.tables import table2, table2_demands
 
-        runner.run_plan(table2_demands(runner))
-        print(table2(runner)["text"])
+        plan = table2_demands(runner)
+        runner.run_plan(plan)
+        print(table2(runner.records_for(plan))["text"])
     elif args.command == "summary":
         from repro.experiments.figures import summary_demands, summary_overall
 
-        runner.run_plan(summary_demands(runner))
-        print(summary_overall(runner)["text"])
+        plan = summary_demands(runner)
+        runner.run_plan(plan)
+        print(summary_overall(runner.records_for(plan))["text"])
     elif args.command == "userstudy":
-        from repro.experiments.userstudy import run_user_study
+        from repro.experiments.userstudy import UserStudy
 
-        study = run_user_study(runner, seed=args.seed)
+        user_study = UserStudy(seed=args.seed)
+        plan = user_study.demands(runner)
+        runner.run_plan(plan)
+        study = user_study.run(runner.records_for(plan))
         print(study["fig14_text"])
         print()
         print(study["fig15_text"])
@@ -1230,38 +1290,7 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
         if not report.ok:
             return 1
     elif args.command == "compare":
-        from repro.analysis import paired_compare
-        from repro.workloads import PLATFORMS as platforms
-
-        platform = platforms[args.platform]
-        resolution = Resolution(args.resolution)
-
-        def factory(spec):
-            def run_seed(seed):
-                config = SystemConfig(
-                    args.benchmark, platform, resolution, seed=seed,
-                    duration_ms=args.duration, warmup_ms=args.warmup,
-                )
-                return CloudSystem(config, make_regulator(spec)).run().summary()
-
-            return run_seed
-
-        deltas = paired_compare(
-            factory(args.regulator_a), factory(args.regulator_b),
-            seeds=range(1, args.seeds + 1),
-        )
-        print(
-            f"{args.regulator_b} minus {args.regulator_a} on {args.benchmark} "
-            f"({args.platform} {args.resolution}, {args.seeds} paired seeds):"
-        )
-        for name in deltas.names():
-            summary = deltas[name]
-            marker = ""
-            if summary.significantly_positive():
-                marker = "  [+]"
-            elif summary.significantly_negative():
-                marker = "  [-]"
-            print(f"  {name:16s} {summary.mean:+10.3f} ± {summary.ci95_halfwidth:.3f}{marker}")
+        return _cmd_compare(args, runner)
     elif args.command == "consolidate":
         from repro.multitenant import SharedServer
         from repro.workloads import BENCHMARKS as benches

@@ -81,8 +81,8 @@ _EXPLANATIONS: Dict[str, str] = {
         "secrets; os.urandom; uuid.uuid1/uuid4) breaks replayability. Like\n"
         "P1 this holds in every scanned file, with the call chain attached\n"
         "when the site is reachable from the sim-pure boundary. All\n"
-        "randomness must flow through the seeded RngRegistry streams in\n"
-        "repro.simcore.rng, which derive every draw from the experiment\n"
+        "randomness must flow through SeededRng streams\n"
+        "(repro.simcore.rng), which derive every draw from the experiment\n"
         "seed; an explicitly seeded random.Random(seed) or\n"
         "default_rng(seed) is not a finding."
     ),

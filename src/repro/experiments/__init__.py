@@ -14,8 +14,9 @@ through an explicit **plan → execute → render** pipeline:
   run_id-keyed :class:`ResultStore` (:mod:`repro.experiments.store`);
 * **render** — every table and figure of Sections 4 and 6
   (:mod:`repro.experiments.figures`, :mod:`repro.experiments.tables`,
-  :mod:`repro.experiments.userstudy`) reads records back through the
-  compatible :class:`Runner` facade.
+  :mod:`repro.experiments.userstudy`) reads the records of its executed
+  plan through :meth:`Runner.records_for`, a read-only
+  :class:`PlanRecords` view that never executes.
 
 Each generator returns structured data (plain dicts/dataclasses) plus
 an ASCII rendering, so results can be consumed programmatically or
@@ -58,7 +59,7 @@ from repro.experiments.plan import (
 )
 from repro.experiments.record import ExperimentRecord
 from repro.experiments.report import format_table
-from repro.experiments.runner import Runner
+from repro.experiments.runner import PlanRecords, Runner
 from repro.experiments.store import ResultStore
 
 __all__ = [
@@ -71,6 +72,7 @@ __all__ = [
     "ExperimentRecord",
     "ParallelExecutor",
     "Plan",
+    "PlanRecords",
     "PlatformRes",
     "ResilienceRow",
     "ResultStore",

@@ -2,8 +2,8 @@
 
 :func:`execute_cell` is the single place a cell turns into numbers:
 it is what pool workers run (via the chunk runner
-:func:`execute_cells`), what in-process execution runs, and what
-``Runner.run_cell`` ultimately calls.  Everything it needs is derived
+:func:`execute_cells`) and what in-process execution runs, for every
+plan ``Runner.run_plan`` is given.  Everything it needs is derived
 from the plain-data :class:`~repro.experiments.plan.CellSpec`, so a
 cell computes the same bits in any process.
 

@@ -4,6 +4,11 @@ Each ``figNN_*`` function returns a dict with structured ``data`` plus a
 plain-text ``text`` rendering.  Analysis figures (1, 3-7) use InMind at
 720p on the private cloud, exactly like Sec. 4; evaluation figures
 (9-13) sweep the benchmark × configuration matrix of Sec. 6.
+
+Matrix figures read their cells from a
+:class:`~repro.experiments.runner.PlanRecords` view over the plan
+:func:`figure_demands` (or :func:`summary_demands`) declares; they
+never execute.  Figures 4 and 5 drive raw systems instead.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from repro.experiments.config import (
 from repro.experiments.plan import CellSpec, Plan
 from repro.experiments.record import ExperimentRecord
 from repro.experiments.report import format_table
-from repro.experiments.runner import Runner
+from repro.experiments.runner import PlanRecords, Runner
 from repro.metrics.stats import mean, percentile
 from repro.pipeline import CloudSystem, SystemConfig
 from repro.regulators import make_regulator
@@ -64,10 +69,10 @@ def _specs(runner: Runner, combo: PlatformRes, specs, benchmarks) -> List[CellSp
 def figure_demands(number: str, runner: Runner) -> Plan:
     """The cells figure ``number`` will read, as a deduplicated plan.
 
-    Pre-executing this plan (``runner.run_plan``) makes the renderer a
-    pure cache read — that is how ``odr-sim figure N --workers M``
-    parallelizes a figure.  Figures 4 and 5 drive raw systems rather
-    than matrix cells and return an empty plan.
+    Run this plan (``runner.run_plan``), then render from
+    ``runner.records_for(plan)`` — that is how ``odr-sim figure N
+    --workers M`` parallelizes a figure.  Figures 4 and 5 drive raw
+    systems rather than matrix cells and return an empty plan.
     """
     plan = Plan()
     if number == "1":
@@ -100,8 +105,8 @@ def summary_demands(runner: Runner) -> Plan:
     return plan
 
 
-def _analysis_cell(runner: Runner, spec: str, benchmark: str = "IM") -> ExperimentRecord:
-    return runner.run_cell(benchmark, ExperimentConfig(_PRIV720, spec))
+def _analysis_cell(records: PlanRecords, spec: str, benchmark: str = "IM") -> ExperimentRecord:
+    return records.get(benchmark, ExperimentConfig(_PRIV720, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -109,11 +114,11 @@ def _analysis_cell(runner: Runner, spec: str, benchmark: str = "IM") -> Experime
 # ---------------------------------------------------------------------------
 
 
-def fig01_fps_gap(runner: Runner) -> Dict[str, object]:
+def fig01_fps_gap(records: PlanRecords) -> Dict[str, object]:
     """Cloud (render) vs client (decode) FPS for Red Eclipse and InMind."""
     data = {}
     for bench in ("RE", "IM"):
-        record = runner.run_cell(bench, ExperimentConfig(_PRIV720, "NoReg"))
+        record = records.get(bench, ExperimentConfig(_PRIV720, "NoReg"))
         data[bench] = {
             "cloud_fps": record.render_fps,
             "client_fps": record.client_fps,
@@ -132,11 +137,11 @@ def fig01_fps_gap(runner: Runner) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def fig03_regulation_fps(runner: Runner) -> Dict[str, object]:
+def fig03_regulation_fps(records: PlanRecords) -> Dict[str, object]:
     """InMind render/encode/decode FPS under NoReg and four regulators."""
     data = {}
     for spec in ANALYSIS_SPECS:
-        record = _analysis_cell(runner, spec)
+        record = _analysis_cell(records, spec)
         data[spec] = {
             "render_fps": record.render_fps,
             "encode_fps": record.encode_fps,
@@ -232,10 +237,10 @@ def fig05_pipeline_schedules(seed: int = 1, n_frames: int = 8) -> Dict[str, obje
 # ---------------------------------------------------------------------------
 
 
-def fig06_mtp_latency(runner: Runner) -> Dict[str, object]:
+def fig06_mtp_latency(records: PlanRecords) -> Dict[str, object]:
     data = {}
     for spec in ANALYSIS_SPECS:
-        record = _analysis_cell(runner, spec)
+        record = _analysis_cell(records, spec)
         data[spec] = record.mtp_mean_ms
     text = format_table(
         ["config", "MtP latency (ms)"],
@@ -250,10 +255,10 @@ def fig06_mtp_latency(runner: Runner) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def fig07_dram_efficiency(runner: Runner) -> Dict[str, object]:
+def fig07_dram_efficiency(records: PlanRecords) -> Dict[str, object]:
     data = {}
     for spec in ANALYSIS_SPECS:
-        record = _analysis_cell(runner, spec)
+        record = _analysis_cell(records, spec)
         data[spec] = {
             "row_miss_rate": record.row_miss_rate,
             "read_access_ns": record.read_access_ns,
@@ -272,18 +277,18 @@ def fig07_dram_efficiency(runner: Runner) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def fig09_qos_averages(runner: Runner) -> Dict[str, object]:
+def fig09_qos_averages(records: PlanRecords) -> Dict[str, object]:
     """Per platform-resolution group: benchmark-averaged FPS and MtP."""
     groups = {}
     for combo in platform_res_combos():
         specs = regulator_specs_for(combo)
         per_spec = {}
         for spec in specs:
-            records = [
-                runner.run_cell(bench, ExperimentConfig(combo, spec)) for bench in BENCHMARKS
+            cells = [
+                records.get(bench, ExperimentConfig(combo, spec)) for bench in BENCHMARKS
             ]
-            fps = mean([r.client_fps for r in records])
-            lat_values = [r.mtp_mean_ms for r in records if r.mtp_mean_ms is not None]
+            fps = mean([r.client_fps for r in cells])
+            lat_values = [r.mtp_mean_ms for r in cells if r.mtp_mean_ms is not None]
             per_spec[spec] = {
                 "client_fps": fps,
                 "mtp_ms": mean(lat_values) if lat_values else None,
@@ -337,7 +342,7 @@ def _normalize_spec(spec: str) -> str:
 _DETAIL_GROUPS = [0, 1, 3]  # indices into platform_res_combos()
 
 
-def _detail(runner: Runner, metric: str, title: str) -> Dict[str, object]:
+def _detail(records: PlanRecords, metric: str, title: str) -> Dict[str, object]:
     combos = platform_res_combos()
     data: Dict[str, Dict[str, Dict[str, object]]] = {}
     rows = []
@@ -347,7 +352,7 @@ def _detail(runner: Runner, metric: str, title: str) -> Dict[str, object]:
         for bench in BENCHMARKS:
             per_spec = {}
             for spec in regulator_specs_for(combo):
-                record = runner.run_cell(bench, ExperimentConfig(combo, spec))
+                record = records.get(bench, ExperimentConfig(combo, spec))
                 box = record.client_fps_box if metric == "fps" else record.mtp_box
                 value = record.client_fps if metric == "fps" else record.mtp_mean_ms
                 per_spec[spec] = {"mean": value, "box": box}
@@ -361,14 +366,14 @@ def _detail(runner: Runner, metric: str, title: str) -> Dict[str, object]:
     return {"data": data, "text": text}
 
 
-def fig10_client_fps_detail(runner: Runner) -> Dict[str, object]:
+def fig10_client_fps_detail(records: PlanRecords) -> Dict[str, object]:
     """Per-benchmark client FPS with tails (box plots of Fig. 10)."""
-    return _detail(runner, "fps", "Figure 10: Detailed client FPS results")
+    return _detail(records, "fps", "Figure 10: Detailed client FPS results")
 
 
-def fig11_mtp_detail(runner: Runner) -> Dict[str, object]:
+def fig11_mtp_detail(records: PlanRecords) -> Dict[str, object]:
     """Per-benchmark MtP latency with tails (box plots of Fig. 11)."""
-    return _detail(runner, "mtp", "Figure 11: Detailed MtP latency results")
+    return _detail(records, "mtp", "Figure 11: Detailed MtP latency results")
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +384,13 @@ def fig11_mtp_detail(runner: Runner) -> Dict[str, object]:
 _EFFICIENCY_SPECS = ["NoReg", "IntMax", "RVSMax", "ODRMax", "Int60", "RVS60", "ODR60"]
 
 
-def fig12_memory_efficiency(runner: Runner) -> Dict[str, object]:
+def fig12_memory_efficiency(records: PlanRecords) -> Dict[str, object]:
     data: Dict[str, Dict[str, Dict[str, float]]] = {}
     rows = []
     for bench in BENCHMARKS:
         per_spec = {}
         for spec in _EFFICIENCY_SPECS:
-            record = runner.run_cell(bench, ExperimentConfig(_PRIV720, spec))
+            record = records.get(bench, ExperimentConfig(_PRIV720, spec))
             per_spec[spec] = {
                 "ipc": record.ipc,
                 "row_miss_rate": record.row_miss_rate,
@@ -411,13 +416,13 @@ def fig12_memory_efficiency(runner: Runner) -> Dict[str, object]:
     return {"data": {"per_benchmark": data, "avg": avg}, "text": text}
 
 
-def fig13_power(runner: Runner) -> Dict[str, object]:
+def fig13_power(records: PlanRecords) -> Dict[str, object]:
     data: Dict[str, Dict[str, float]] = {}
     rows = []
     for bench in BENCHMARKS:
         per_spec = {}
         for spec in _EFFICIENCY_SPECS:
-            record = runner.run_cell(bench, ExperimentConfig(_PRIV720, spec))
+            record = records.get(bench, ExperimentConfig(_PRIV720, spec))
             per_spec[spec] = record.power_w
             rows.append([bench, spec, record.power_w])
         data[bench] = per_spec
@@ -437,7 +442,7 @@ def fig13_power(runner: Runner) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 
-def summary_overall(runner: Runner) -> Dict[str, object]:
+def summary_overall(records: PlanRecords) -> Dict[str, object]:
     """The headline Sec. 6.6 aggregates: gaps, FPS, MtP, efficiency."""
     # QoS aggregates across all four groups.
     fps_by_family: Dict[str, List[float]] = {}
@@ -447,7 +452,7 @@ def summary_overall(runner: Runner) -> Dict[str, object]:
         for spec in regulator_specs_for(combo):
             family = _normalize_spec(spec)
             for bench in BENCHMARKS:
-                record = runner.run_cell(bench, ExperimentConfig(combo, spec))
+                record = records.get(bench, ExperimentConfig(combo, spec))
                 fps_by_family.setdefault(family, []).append(record.client_fps)
                 gap_by_family.setdefault(family, []).append(record.fps_gap_mean)
                 if record.mtp_mean_ms is not None:
@@ -472,15 +477,15 @@ def summary_overall(runner: Runner) -> Dict[str, object]:
     # Efficiency aggregates over the 720p private group (as in Sec. 6.6).
     eff: Dict[str, Dict[str, float]] = {}
     for spec in ("NoReg", "ODRMax", "ODR60"):
-        records = [
-            runner.run_cell(bench, ExperimentConfig(_PRIV720, spec)) for bench in BENCHMARKS
+        cells = [
+            records.get(bench, ExperimentConfig(_PRIV720, spec)) for bench in BENCHMARKS
         ]
         eff[spec] = {
-            "ipc": mean([r.ipc for r in records]),
-            "row_miss_rate": mean([r.row_miss_rate for r in records]),
-            "read_access_ns": mean([r.read_access_ns for r in records]),
-            "power_w": mean([r.power_w for r in records]),
-            "bandwidth_mbps": mean([r.bandwidth_mbps for r in records]),
+            "ipc": mean([r.ipc for r in cells]),
+            "row_miss_rate": mean([r.row_miss_rate for r in cells]),
+            "read_access_ns": mean([r.read_access_ns for r in cells]),
+            "power_w": mean([r.power_w for r in cells]),
+            "bandwidth_mbps": mean([r.bandwidth_mbps for r in cells]),
         }
     odr_eff = {
         key: (eff["ODRMax"][key] + eff["ODR60"][key]) / 2.0

@@ -1,10 +1,11 @@
 """The planning layer: declare *what* to run before running anything.
 
 The paper's evaluation is a 6-benchmark × 28-configuration × multi-seed
-matrix (Sec. 6.1).  Instead of lazily discovering cells one
-``run_cell`` call at a time, consumers (figures, tables, benches, the
-CLI) declare their demands up front as :class:`CellSpec` values and
-collect them into a :class:`Plan`:
+matrix (Sec. 6.1).  Consumers (figures, tables, the user study,
+benches, the CLI) declare their demands up front as :class:`CellSpec`
+values and collect them into a :class:`Plan`; once it has run, they
+read its records back through
+:meth:`~repro.experiments.runner.Runner.records_for`:
 
 * a **CellSpec** is the complete, plain-data identity of one cell —
   benchmark, platform, resolution, regulator spec, seed, duration and
@@ -21,9 +22,10 @@ collect them into a :class:`Plan`:
 
 Demand builders for the standard sweeps live here
 (:func:`matrix_demands`, :func:`bench_demands`, :func:`group_demands`);
-figure- and table-shaped demands live next to their renderers
+figure-, table- and study-shaped demands live next to their renderers
 (:func:`repro.experiments.figures.figure_demands`,
-:func:`repro.experiments.tables.table2_demands`).
+:func:`repro.experiments.tables.table2_demands`,
+:meth:`repro.experiments.userstudy.UserStudy.demands`).
 """
 
 from __future__ import annotations

@@ -74,6 +74,25 @@ class ExperimentRecord:
     #: ``None`` for runs without an injected fault plan.
     recovery: Optional[RecoveryStats] = None
 
+    def headline(self) -> Dict[str, float]:
+        """The per-cell headline numbers ``odr-sim compare`` pairs.
+
+        The same keys as the live run's
+        :meth:`~repro.pipeline.system.RunResult.summary`, with
+        ``mtp_mean_ms`` only when the run has MtP samples.
+        """
+        result = {
+            "render_fps": self.render_fps,
+            "encode_fps": self.encode_fps,
+            "client_fps": self.client_fps,
+            "fps_gap_mean": self.fps_gap_mean,
+            "fps_gap_max": self.fps_gap_max,
+            "bandwidth_mbps": self.bandwidth_mbps,
+        }
+        if self.mtp_mean_ms is not None:
+            result["mtp_mean_ms"] = self.mtp_mean_ms
+        return result
+
     @property
     def power_w(self) -> float:
         return self.hardware.power.total_w

@@ -127,7 +127,7 @@ class ExecutionReport:
 
     def describe(self) -> str:
         text = (
-            f"{len(self.outcomes)} cell(s): executed={self.executed} "
+            f"{len(self.outcomes) + len(self.failures)} cell(s): executed={self.executed} "
             f"cached={self.cached} cell_seconds={self.cell_seconds:.2f}"
         )
         if self.deduped:

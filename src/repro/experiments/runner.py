@@ -1,15 +1,21 @@
-"""Run experiment cells: a thin facade over the plan/execute/store core.
+"""The CLI's sweep bundle, and the read-only view renderers consume.
 
-:class:`Runner` is the compatibility surface the figures, tables, user
-study, and tests were written against.  Since the plan/execute split it
-no longer executes anything itself:
+:class:`Runner` bundles what executing a plan needs — the configured
+executor (:mod:`repro.experiments.executor`), the result store, the
+run ledger and the sweep event bus — plus the horizon (seed, duration,
+warmup) demand builders stamp on their cells.  Every result goes one
+way: **plan → run → read → render**.
 
-* :meth:`Runner.run_cell` wraps the cell in a plan-of-one and hands it
-  to the configured executor (:mod:`repro.experiments.executor`);
 * :meth:`Runner.run_plan` executes a whole
-  :class:`~repro.experiments.plan.Plan` at once — the one path every
-  sweep-shaped CLI subcommand (figure, table2, summary, matrix, bench,
-  chaos) executes through, in parallel with ``--workers N``;
+  :class:`~repro.experiments.plan.Plan` — the one path every
+  sweep-shaped CLI subcommand (figure, table2, summary, userstudy,
+  compare, matrix, bench, chaos) executes through, in parallel with
+  ``--workers N``;
+* :meth:`Runner.records_for` returns a :class:`PlanRecords` view of
+  the store restricted to that plan, which figures, tables and the
+  user study read.  Reading never executes: a cell outside the plan
+  raises :class:`KeyError`, so a renderer that reads a cell its
+  demands forgot fails loudly instead of running it unplanned;
 * results live in a :class:`~repro.experiments.store.ResultStore`
   keyed by the ledger's content-addressed ``run_id`` (benchmark,
   platform, resolution, regulator, **duration, warmup**, seed), so
@@ -24,7 +30,7 @@ to the append-only run ledger (:mod:`repro.obs.ledger`).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.executor import ExecutionError, ExecutionReport, SerialExecutor
@@ -35,11 +41,52 @@ from repro.obs.ledger import RunLedger
 from repro.obs.runmeta import git_revision
 from repro.obs.sweep import SweepEventBus
 
-__all__ = ["ExperimentRecord", "Runner"]
+__all__ = ["ExperimentRecord", "PlanRecords", "Runner"]
+
+
+class PlanRecords:
+    """Read-only view of a result store, restricted to one plan's cells.
+
+    Cells are named the way renderers name them — benchmark,
+    configuration and seed — whatever horizon the plan was built at, so
+    a plan may hold each such name once, and no fault-injected cell
+    (that name cannot tell it from its clean twin).
+    """
+
+    def __init__(self, plan: Plan, store: ResultStore, seed: int) -> None:
+        self._store = store
+        self._seed = seed
+        self._run_ids: Dict[Tuple[str, str, int], str] = {}
+        for run_id, spec in zip(plan.run_ids, plan.specs):
+            if spec.faults:
+                raise ValueError(f"plan cell {spec.label} carries faults")
+            key = (spec.benchmark, spec.experiment_config().label, spec.seed)
+            if key in self._run_ids:
+                raise ValueError(f"plan holds {spec.label} (seed {spec.seed}) twice")
+            self._run_ids[key] = run_id
+
+    def get(
+        self, benchmark: str, config: ExperimentConfig, seed: Optional[int] = None
+    ) -> ExperimentRecord:
+        """The record of one planned cell (``seed`` defaults to the runner's).
+
+        Raises :class:`KeyError` for a cell outside the plan, and for a
+        planned cell the store does not hold (the plan was not run, or
+        the cell failed).
+        """
+        seed = self._seed if seed is None else seed
+        name = f"{benchmark}/{config.label} (seed {seed})"
+        run_id = self._run_ids.get((benchmark, config.label, seed))
+        if run_id is None:
+            raise KeyError(f"{name} is not in the plan")
+        record = self._store.get(run_id)
+        if record is None:
+            raise KeyError(f"{name} has no stored record")
+        return record
 
 
 class Runner:
-    """Plan-of-one facade over the executor + result-store core."""
+    """Executor, store, ledger and bus for running plans, at one horizon."""
 
     def __init__(
         self,
@@ -115,10 +162,6 @@ class Runner:
             raise ExecutionError(report)
         return report
 
-    def run_cell(
-        self, benchmark: str, config: ExperimentConfig, seed: Optional[int] = None
-    ) -> ExperimentRecord:
-        """Run (or recall) one benchmark × configuration cell."""
-        spec = self.spec_for(benchmark, config, seed)
-        report = self.run_plan(Plan([spec]))
-        return report.outcomes[0].record
+    def records_for(self, plan: Plan) -> PlanRecords:
+        """A read-only view of the store over ``plan``'s cells."""
+        return PlanRecords(plan, self.store, self.seed)

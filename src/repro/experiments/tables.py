@@ -14,7 +14,7 @@ from typing import Dict, List
 from repro.experiments.config import ExperimentConfig, PlatformRes, platform_res_combos
 from repro.experiments.plan import Plan
 from repro.experiments.report import format_table
-from repro.experiments.runner import Runner
+from repro.experiments.runner import PlanRecords, Runner
 from repro.workloads import BENCHMARKS
 
 __all__ = ["Table2Row", "table2", "table2_demands"]
@@ -61,7 +61,7 @@ def table2_demands(runner: Runner) -> Plan:
     return plan
 
 
-def table2(runner: Runner) -> Dict[str, object]:
+def table2(records: PlanRecords) -> Dict[str, object]:
     """Regenerate Table 2; returns rows plus an ASCII rendering."""
     rows: List[Table2Row] = []
     for combo in _table2_groups():
@@ -70,7 +70,7 @@ def table2(runner: Runner) -> Dict[str, object]:
             spec = spec_template.format(t=target)
             per_bench = {}
             for bench in BENCHMARKS:
-                record = runner.run_cell(bench, ExperimentConfig(combo, spec))
+                record = records.get(bench, ExperimentConfig(combo, spec))
                 per_bench[bench] = record
             avg_gap = sum(r.fps_gap_mean for r in per_bench.values()) / len(per_bench)
             worst = max(per_bench, key=lambda b: per_bench[b].fps_gap_mean)

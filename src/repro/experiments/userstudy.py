@@ -16,6 +16,11 @@ every configuration (plus a local NonCloud execution) and produces
 The model's coefficients are chosen so the *shape* of Figs. 14-15 holds
 (ODRMax ≈ NonCloud ≫ NoReg; ODR ahead of Int/RVS at both QoS goals);
 absolute ratings are surrogate values, not human data.
+
+Like the figures, the study plans its cells first
+(:meth:`UserStudy.demands`) and reads them back from the executed
+plan's :class:`~repro.experiments.runner.PlanRecords` view
+(:meth:`UserStudy.run`).
 """
 
 from __future__ import annotations
@@ -25,15 +30,16 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.experiments.config import ExperimentConfig, PlatformRes
+from repro.experiments.plan import Plan
 from repro.experiments.report import format_table
 from repro.experiments.record import ExperimentRecord
-from repro.experiments.runner import Runner
+from repro.experiments.runner import PlanRecords, Runner
 from repro.metrics.stats import mean
 from repro.simcore import SeededRng
 from repro.workloads import BENCHMARKS, GCE, Resolution
 from repro.workloads.platforms import LOCAL_MACHINE
 
-__all__ = ["UserStudy", "SessionFeatures", "run_user_study"]
+__all__ = ["UserStudy", "SessionFeatures"]
 
 #: Study configurations in Fig. 14's order.  NonCloud is synthesized on
 #: the LOCAL_MACHINE platform under NoReg (local free-running rendering
@@ -131,8 +137,7 @@ class UserStudy:
     STUTTER_PENALTY = 3.0
     TEAR_PENALTY = 2.2
 
-    def __init__(self, runner: Runner, seed: int = 7):
-        self.runner = runner
+    def __init__(self, seed: int = 7):
         self.rng = SeededRng(seed, name="userstudy")
         self.combo = PlatformRes(GCE, Resolution.R1080P)
         self.local_combo = PlatformRes(LOCAL_MACHINE, Resolution.R1080P)
@@ -150,14 +155,20 @@ class UserStudy:
             bias=rng.normal(0.0, 0.55),
         )
 
-    # -- session execution ---------------------------------------------------
+    # -- session cells ----------------------------------------------------------
 
-    def _record_for(self, participant: Participant, spec: str) -> ExperimentRecord:
+    def _config(self, spec: str) -> ExperimentConfig:
         if spec == "NonCloud":
-            config = ExperimentConfig(self.local_combo, "NoReg")
-        else:
-            config = ExperimentConfig(self.combo, spec)
-        return self.runner.run_cell(participant.benchmark, config)
+            return ExperimentConfig(self.local_combo, "NoReg")
+        return ExperimentConfig(self.combo, spec)
+
+    def demands(self, runner: Runner) -> Plan:
+        """Every cell :meth:`run` reads: participants' benchmarks × ``STUDY_SPECS``."""
+        return Plan(
+            runner.spec_for(participant.benchmark, self._config(spec))
+            for participant in self.participants
+            for spec in STUDY_SPECS
+        )
 
     def rate(self, participant: Participant, features: SessionFeatures) -> float:
         """The participant's 1-10 rating for a session."""
@@ -192,8 +203,11 @@ class UserStudy:
 
     # -- study-level results ----------------------------------------------------
 
-    def run(self) -> Dict[str, object]:
-        """Run the full study; returns Fig. 14 + Fig. 15 data and text."""
+    def run(self, records: PlanRecords) -> Dict[str, object]:
+        """Run the full study over the records of :meth:`demands`.
+
+        Returns Fig. 14 + Fig. 15 data and text.
+        """
         ratings: Dict[str, List[float]] = {spec: [] for spec in STUDY_SPECS}
         counts: Dict[str, Dict[str, Dict[str, int]]] = {
             spec: {q: {"yes": 0, "maybe": 0, "no": 0} for q in ("lag", "stutter", "tearing")}
@@ -201,7 +215,7 @@ class UserStudy:
         }
         for participant in self.participants:
             for spec in STUDY_SPECS:
-                record = self._record_for(participant, spec)
+                record = records.get(participant.benchmark, self._config(spec))
                 features = extract_features(record, display_synced=(spec == "NonCloud"))
                 ratings[spec].append(self.rate(participant, features))
                 for question, answer in self.reports(participant, features).items():
@@ -230,8 +244,3 @@ class UserStudy:
             "fig14_text": fig14_text,
             "fig15_text": fig15_text,
         }
-
-
-def run_user_study(runner: Runner, seed: int = 7) -> Dict[str, object]:
-    """Convenience wrapper used by the CLI and benches."""
-    return UserStudy(runner, seed=seed).run()

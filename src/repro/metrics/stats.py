@@ -5,22 +5,24 @@ Two layers live here:
 * the paper's reporting style — box plots (Fig. 10, Fig. 11) show the
   1 %ile, 25 %ile, mean, 75 %ile, and 99 %ile; :class:`BoxStats`
   captures exactly those five numbers plus the count;
-* the regression sentinel's inference kit
-  (:mod:`repro.obs.sentinel`) — a Mann-Whitney U rank test and a
-  bootstrap confidence interval for the difference of means, both
-  implemented with nothing beyond ``math`` so cross-run comparison
-  needs no SciPy.  Bootstrap resampling uses an embedded splitmix64
-  generator (:class:`SplitMix64`) rather than :mod:`random` or the
-  simulation's seeded streams: the resampling randomness is part of the
+* cross-run inference — a Mann-Whitney U rank test and bootstrap
+  confidence intervals (for one mean, for a difference of means, and
+  per metric for paired common-random-number deltas,
+  :func:`paired_delta_cis`), all implemented with nothing beyond
+  ``math`` so the regression sentinel (:mod:`repro.obs.sentinel`),
+  ``odr-sim compare`` and the replicated-headline bench need no SciPy.
+  Bootstrap resampling uses an embedded splitmix64 generator
+  (:class:`SplitMix64`) rather than :mod:`random` or the simulation's
+  seeded streams: the resampling randomness is part of the
   *analysis*, must be reproducible from an explicit seed, and must
-  never touch the simulation's RNG registry (analyzer rule P2).
+  never touch the simulation's streams (analyzer rule P2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 __all__ = [
     "BootstrapCI",
@@ -31,6 +33,7 @@ __all__ = [
     "bootstrap_mean_ci",
     "mann_whitney_u",
     "mean",
+    "paired_delta_cis",
     "percentile",
     "stddev",
     "summarize",
@@ -300,3 +303,31 @@ def bootstrap_diff_ci(
         confidence=confidence,
         resamples=resamples,
     )
+
+
+def paired_delta_cis(
+    a: Sequence[Mapping[str, float]],
+    b: Sequence[Mapping[str, float]],
+) -> Dict[str, BootstrapCI]:
+    """Per metric, a 95 % bootstrap CI for the mean paired delta ``b - a``.
+
+    ``a[i]`` and ``b[i]`` are one common-random-number pair — the same
+    seed run under two configurations — so each delta is free of the
+    workload variance the pair shares.  A metric enters a pair's deltas
+    only when both sides report it.  A delta is significant when its CI
+    excludes 0.  With 3 pairs or fewer the CI is [min delta, max delta]
+    (the all-minimum resample is more likely than the 2.5 % tail), so
+    it only says whether every delta has the same sign.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"unpaired samples: {len(a)} vs {len(b)}")
+    if not a:
+        raise ValueError("need at least one pair")
+    deltas: Dict[str, List[float]] = {}
+    for row_a, row_b in zip(a, b):
+        for name in sorted(set(row_a) & set(row_b)):
+            deltas.setdefault(name, []).append(float(row_b[name]) - float(row_a[name]))
+    return {
+        name: bootstrap_mean_ci(values)
+        for name, values in sorted(deltas.items())
+    }

@@ -330,7 +330,11 @@ class RunResult:
         return self.trace.utilization(stage, self.t_start, self.t_end)
 
     def summary(self) -> Dict[str, float]:
-        """Headline numbers as a flat dict (handy for tables/CSV)."""
+        """Headline numbers as a flat dict (handy for tables/CSV).
+
+        A stored cell gives the same keys through
+        :meth:`~repro.experiments.record.ExperimentRecord.headline`.
+        """
         gap = self.fps_gap()
         result = {
             "render_fps": self.render_fps,

@@ -23,8 +23,8 @@ Public API
     Composite events.
 :class:`Store`, :class:`PriorityStore`, :class:`Resource`, :class:`Gate`
     Shared-state synchronization primitives.
-:class:`SeededRng`, :class:`RngRegistry`
-    Deterministic per-component random streams and their named registry.
+:class:`SeededRng`
+    Deterministic per-component random streams.
 :class:`IntervalTrace`
     Busy-interval recorder used by the hardware models.
 """
@@ -41,7 +41,7 @@ from repro.simcore.engine import (
     Timeout,
 )
 from repro.simcore.resources import Gate, PriorityStore, Resource, Store
-from repro.simcore.rng import RngRegistry, SeededRng
+from repro.simcore.rng import SeededRng
 from repro.simcore.tracing import IntervalTrace, TraceRecord
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "Process",
     "ProcessGenerator",
     "Resource",
-    "RngRegistry",
     "SeededRng",
     "SimulationError",
     "Store",

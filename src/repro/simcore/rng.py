@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple, TypeVar, cast
+from typing import Any, Callable, Iterator, List, Sequence, Tuple, TypeVar, cast
 
 import numpy as np
 
-__all__ = ["NORMAL_BLOCK", "RngRegistry", "SeededRng", "derive_seed", "lognormal_params"]
+__all__ = ["NORMAL_BLOCK", "SeededRng", "derive_seed", "lognormal_params"]
 
 T = TypeVar("T")
 
@@ -194,52 +194,3 @@ class SeededRng:
 
     def __repr__(self) -> str:
         return f"<SeededRng {self.name!r} seed={self.seed}>"
-
-
-class RngRegistry:
-    """The root of all randomness for one run: named, memoized streams.
-
-    One registry is seeded from the experiment seed; every stochastic
-    component asks it for a stream by path (``registry.stream("stage",
-    "render")``).  Asking twice for the same path returns the *same*
-    stream object, so components sharing a path share a draw sequence,
-    and the set of registered paths documents exactly where randomness
-    enters a run.
-
-    Analyzer rule P2 enforces the inverse property: no module outside
-    :mod:`repro.simcore.rng` may touch ``random`` / ``numpy.random``
-    directly, so every draw in the simulation is reachable from a
-    registry (or a :class:`SeededRng` derived the same hash-based way)
-    and therefore a pure function of the experiment seed.
-    """
-
-    def __init__(self, root_seed: int) -> None:
-        self.root_seed = int(root_seed)
-        self._root = SeededRng(self.root_seed, name="root")
-        self._streams: Dict[str, SeededRng] = {}
-
-    @property
-    def root(self) -> SeededRng:
-        """The root stream (prefer named sub-streams via :meth:`stream`)."""
-        return self._root
-
-    def stream(self, *names: object) -> SeededRng:
-        """The memoized stream for ``names`` (created on first request)."""
-        if not names:
-            raise ValueError("stream path must not be empty")
-        key = "/".join(map(str, names))
-        stream = self._streams.get(key)
-        if stream is None:
-            stream = self._root.child(*names)
-            self._streams[key] = stream
-        return stream
-
-    def registered(self) -> List[str]:
-        """Sorted paths of every stream handed out so far."""
-        return sorted(self._streams)
-
-    def __repr__(self) -> str:
-        return (
-            f"<RngRegistry seed={self.root_seed} "
-            f"streams={len(self._streams)}>"
-        )

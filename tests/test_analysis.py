@@ -1,4 +1,4 @@
-"""Tests for frame-log export, trace record/replay, and replication."""
+"""Tests for frame-log export and trace record/replay."""
 
 import io
 
@@ -10,9 +10,7 @@ from repro.analysis import (
     StageTraces,
     export_frame_log,
     load_frame_log,
-    paired_compare,
     record_stage_traces,
-    replicate,
 )
 from repro.analysis.traces import ReplaySampler
 from repro.workloads import PRIVATE_CLOUD, Resolution, get_benchmark
@@ -140,52 +138,3 @@ class TestStageTraces:
                       contention_beta=0.0)
         assert what_if.client_fps >= 59.0
         assert what_if.fps_gap().mean_gap < original.fps_gap().mean_gap / 10
-
-
-class TestReplication:
-    def test_replicate_summaries(self):
-        rep = replicate(lambda seed: {"x": float(seed), "y": 2.0}, seeds=[1, 2, 3])
-        assert rep["x"].mean == 2.0
-        assert rep["x"].n == 3
-        assert rep["y"].std == 0.0
-        assert "x" in rep and "z" not in rep
-        assert rep.names() == ["x", "y"]
-
-    def test_ci_narrows_with_n(self):
-        wide = replicate(lambda s: {"x": float(s % 5)}, seeds=range(5))
-        narrow = replicate(lambda s: {"x": float(s % 5)}, seeds=range(50))
-        assert narrow["x"].ci95_halfwidth < wide["x"].ci95_halfwidth
-
-    def test_metric_set_mismatch_rejected(self):
-        def factory(seed):
-            return {"x": 1.0} if seed == 1 else {"y": 1.0}
-
-        with pytest.raises(ValueError):
-            replicate(factory, seeds=[1, 2])
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            replicate(lambda s: {"x": 1.0}, seeds=[])
-
-    def test_significance_helpers(self):
-        pos = replicate(lambda s: {"x": 10.0 + (s % 3) * 0.1}, seeds=range(10))
-        assert pos["x"].significantly_positive()
-        assert not pos["x"].significantly_negative()
-
-    def test_paired_compare_removes_workload_variance(self):
-        """ODRMax vs NoReg client FPS, paired by seed: every delta is
-        positive and the CI excludes zero."""
-        def noreg(seed):
-            return {"client_fps": run("NoReg", seed=seed, duration=4000).client_fps}
-
-        def odr(seed):
-            return {"client_fps": run("ODRMax", seed=seed, duration=4000).client_fps}
-
-        deltas = paired_compare(noreg, odr, seeds=[1, 2, 3, 4])
-        summary = deltas["client_fps"]
-        assert all(v > 0 for v in summary.values)
-        assert summary.significantly_positive()
-
-    def test_paired_no_shared_metrics_rejected(self):
-        with pytest.raises(ValueError):
-            paired_compare(lambda s: {"a": 1.0}, lambda s: {"b": 1.0}, seeds=[1])

@@ -10,9 +10,12 @@ from repro.experiments import (
     paper_configuration_matrix,
     platform_res_combos,
 )
+from repro.experiments.chaos import chaos_demands
 from repro.experiments.config import regulator_specs_for
+from repro.experiments.plan import Plan
 from repro.experiments.userstudy import UserStudy, extract_features
 from repro.workloads import GCE, PRIVATE_CLOUD, Resolution
+from tests.records import planned_record
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +57,7 @@ class TestConfigMatrix:
 class TestRunner:
     def test_record_fields(self, runner):
         combo = PlatformRes(PRIVATE_CLOUD, Resolution.R720P)
-        record = runner.run_cell("IM", ExperimentConfig(combo, "ODR60"))
+        record = planned_record(runner, "IM", ExperimentConfig(combo, "ODR60"))
         assert record.benchmark == "IM"
         assert record.regulator == "ODR60"
         assert record.client_fps > 50
@@ -65,15 +68,15 @@ class TestRunner:
     def test_memoization_returns_same_object(self, runner):
         combo = PlatformRes(PRIVATE_CLOUD, Resolution.R720P)
         config = ExperimentConfig(combo, "NoReg")
-        a = runner.run_cell("RE", config)
-        b = runner.run_cell("RE", config)
+        a = planned_record(runner, "RE", config)
+        b = planned_record(runner, "RE", config)
         assert a is b
 
     def test_different_seed_not_cached_together(self, runner):
         combo = PlatformRes(PRIVATE_CLOUD, Resolution.R720P)
         config = ExperimentConfig(combo, "NoReg")
-        a = runner.run_cell("RE", config, seed=1)
-        b = runner.run_cell("RE", config, seed=2)
+        a = planned_record(runner, "RE", config, seed=1)
+        b = planned_record(runner, "RE", config, seed=2)
         assert a is not b
 
     def test_local_and_gce_labels_do_not_collide(self, runner):
@@ -84,9 +87,40 @@ class TestRunner:
         local = PlatformRes(LOCAL_MACHINE, Resolution.R1080P)
         gce = PlatformRes(GCE, Resolution.R1080P)
         assert local.label != gce.label
-        a = runner.run_cell("IM", ExperimentConfig(local, "NoReg"))
-        b = runner.run_cell("IM", ExperimentConfig(gce, "NoReg"))
+        a = planned_record(runner, "IM", ExperimentConfig(local, "NoReg"))
+        b = planned_record(runner, "IM", ExperimentConfig(gce, "NoReg"))
         assert a.mtp_mean_ms != b.mtp_mean_ms
+
+    def test_records_for_rejects_cell_outside_plan(self, runner):
+        combo = PlatformRes(PRIVATE_CLOUD, Resolution.R720P)
+        planned = ExperimentConfig(combo, "ODR60")
+        plan = Plan([runner.spec_for("IM", planned)])
+        runner.run_plan(plan)
+        records = runner.records_for(plan)
+        assert records.get("IM", planned).regulator == "ODR60"
+        # The store already holds RE/NoReg (seed 1) from the tests above,
+        # and seed 2 of the planned cell: the view still refuses both.
+        runner.run_plan(Plan([runner.spec_for("RE", ExperimentConfig(combo, "NoReg"))]))
+        with pytest.raises(KeyError, match="not in the plan"):
+            records.get("RE", ExperimentConfig(combo, "NoReg"))
+        with pytest.raises(KeyError, match="not in the plan"):
+            records.get("IM", planned, seed=2)
+        # A planned cell that never ran has no record to read.
+        unrun = Plan([runner.spec_for("STK", planned)])
+        with pytest.raises(KeyError, match="no stored record"):
+            runner.records_for(unrun).get("STK", planned)
+        # The view names cells without their horizon, so one name per plan.
+        twice = Plan([runner.spec_for("IM", planned)])
+        twice.add(Runner(duration_ms=9000.0).spec_for("IM", planned))
+        with pytest.raises(ValueError, match="twice"):
+            runner.records_for(twice)
+        # Nor can that name tell a fault-injected cell from its clean twin.
+        stalled = chaos_demands(
+            ["IM"], ["ODR60"], ["encode_stall"], seeds=[1],
+            duration_ms=runner.duration_ms, warmup_ms=runner.warmup_ms,
+        )
+        with pytest.raises(ValueError, match="carries faults"):
+            runner.records_for(stalled)
 
 
 class TestFormatTable:
@@ -113,7 +147,7 @@ class TestFormatTable:
 class TestUserStudyModel:
     def make_record(self, runner, spec="ODR30"):
         combo = PlatformRes(GCE, Resolution.R1080P)
-        return runner.run_cell("IM", ExperimentConfig(combo, spec))
+        return planned_record(runner, "IM", ExperimentConfig(combo, spec))
 
     def test_features_extracted(self, runner):
         record = self.make_record(runner)
@@ -136,14 +170,14 @@ class TestUserStudyModel:
         odr = extract_features(self.make_record(runner, "ODRMax"))
         assert noreg.tear_score > odr.tear_score
 
-    def test_participants_deterministic(self, runner):
-        a = UserStudy(runner, seed=3).participants
-        b = UserStudy(runner, seed=3).participants
+    def test_participants_deterministic(self):
+        a = UserStudy(seed=3).participants
+        b = UserStudy(seed=3).participants
         assert [p.benchmark for p in a] == [p.benchmark for p in b]
         assert [p.lag_threshold_ms for p in a] == [p.lag_threshold_ms for p in b]
 
-    def test_rating_bounds(self, runner):
-        study = UserStudy(runner, seed=3)
+    def test_rating_bounds(self):
+        study = UserStudy(seed=3)
         from repro.experiments.userstudy import SessionFeatures
 
         terrible = SessionFeatures(client_fps=5, mtp_ms=5000, stutter_frac=1.0, tear_score=1.0)
@@ -152,8 +186,8 @@ class TestUserStudyModel:
             assert 1.0 <= study.rate(participant, terrible) <= 4.0
             assert 6.0 <= study.rate(participant, great) <= 10.0
 
-    def test_reports_thresholding(self, runner):
-        study = UserStudy(runner, seed=3)
+    def test_reports_thresholding(self):
+        study = UserStudy(seed=3)
         from repro.experiments.userstudy import SessionFeatures
 
         participant = study.participants[0]

@@ -232,11 +232,13 @@ class TestWarmStart:
 
 
 class TestRunnerFacade:
-    def test_run_cell_memoizes_same_object(self):
+    def test_rerun_plan_recalls_same_object(self):
         runner = Runner(seed=1, duration_ms=DURATION_MS, warmup_ms=WARMUP_MS)
-        config = spec().experiment_config()
-        first = runner.run_cell("IM", config)
-        assert runner.run_cell("IM", config) is first
+        plan = Plan([spec()])
+        first = runner.run_plan(plan).outcomes[0].record
+        again = runner.run_plan(plan)
+        assert again.cached == 1
+        assert runner.records_for(plan).get("IM", spec().experiment_config()) is first
 
     def test_make_executor(self):
         assert isinstance(make_executor(1), SerialExecutor)

@@ -9,13 +9,14 @@ from repro.cli import main
 from repro.experiments import ExperimentConfig, PlatformRes, Runner
 from repro.experiments.export import EXPORT_FIELDS, record_to_row, records_to_csv
 from repro.workloads import PRIVATE_CLOUD, Resolution
+from tests.records import planned_record
 
 
 @pytest.fixture(scope="module")
 def record():
     runner = Runner(seed=1, duration_ms=4000.0, warmup_ms=800.0)
     combo = PlatformRes(PRIVATE_CLOUD, Resolution.R720P)
-    return runner.run_cell("IM", ExperimentConfig(combo, "ODR60"))
+    return planned_record(runner, "IM", ExperimentConfig(combo, "ODR60"))
 
 
 class TestExport:
@@ -33,7 +34,7 @@ class TestExport:
     def test_noreg_has_empty_target(self):
         runner = Runner(seed=1, duration_ms=3000.0, warmup_ms=500.0)
         combo = PlatformRes(PRIVATE_CLOUD, Resolution.R720P)
-        row = record_to_row(runner.run_cell("RE", ExperimentConfig(combo, "NoReg")))
+        row = record_to_row(planned_record(runner, "RE", ExperimentConfig(combo, "NoReg")))
         assert row["fps_target"] == ""
 
     def test_csv_roundtrip(self, record):
@@ -62,20 +63,40 @@ class TestCliCompare:
     def test_compare_output(self, capsys):
         out = run_cli(
             capsys, "--duration", "2500", "--warmup", "500",
-            "compare", "IM", "NoReg", "ODRMax", "--seeds", "2",
+            "compare", "IM", "NoReg", "ODRMax", "--seeds", "3",
         )
         assert "ODRMax minus NoReg" in out
         assert "client_fps" in out
         assert "fps_gap_mean" in out
+        # Three seeds cannot carry a verdict (the bootstrap CI is just
+        # [min, max] of the deltas): the header says so, no line is marked.
+        header, *lines = out.strip().splitlines()
+        assert "no [+]/[-] below 4 seeds" in header
+        assert not any("[+]" in l or "[-]" in l for l in lines)
 
     def test_compare_flags_significance(self, capsys):
         out = run_cli(
             capsys, "--duration", "3000", "--warmup", "500",
-            "compare", "IM", "NoReg", "ODR60", "--seeds", "3",
+            "compare", "IM", "NoReg", "ODR60", "--seeds", "4",
         )
-        # the gap collapse is unambiguous even at 3 seeds
+        # the gap collapse is unambiguous at the first seed count with verdicts
         gap_line = next(l for l in out.splitlines() if "fps_gap_mean" in l)
         assert "[-]" in gap_line
+
+    def test_compare_rejects_zero_seeds(self, capsys):
+        code = main(["compare", "IM", "NoReg", "ODR60", "--seeds", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.strip() == "compare: --seeds must be at least 1, got 0"
+
+    def test_compare_failed_cell_exits_one(self, capsys):
+        code = main([
+            "--duration", "1000", "--warmup", "200",
+            "compare", "IM", "NoReg", "Bogus", "--seeds", "1",
+        ])
+        assert code == 1
+        assert "compare: FAILED IM/Priv720p/Bogus" in capsys.readouterr().err
 
 
 class TestCliConsolidate:

@@ -53,6 +53,7 @@ class TestSerialFailures:
         assert "ValueError" in failure.error
         assert failure.attempts == 1
         assert "failed=1" in report.describe()
+        assert report.describe().startswith("3 cell(s)")
 
     def test_runner_raises_execution_error_by_default(self):
         runner = Runner(seed=1, duration_ms=DURATION_MS, warmup_ms=WARMUP_MS)

@@ -203,12 +203,13 @@ class TestRunnerPersistence:
     def test_runner_persists_telemetry_alongside_records(self, tmp_path):
         from repro.experiments.config import ExperimentConfig, PlatformRes
         from repro.experiments.runner import Runner
+        from tests.records import planned_record
 
         runner = Runner(
             seed=1, duration_ms=1500.0, warmup_ms=300.0, telemetry_dir=str(tmp_path)
         )
         combo = PlatformRes(PLATFORMS["private"], Resolution("720p"))
-        record = runner.run_cell("IM", ExperimentConfig(combo, "ODR60"))
+        record = planned_record(runner, "IM", ExperimentConfig(combo, "ODR60"))
         assert record.client_fps > 0
         traces = list(tmp_path.glob("*.trace.json"))
         jsonls = list(tmp_path.glob("*.jsonl"))

@@ -416,6 +416,7 @@ class TestResolveRecord:
 class TestRunnerIntegration:
     def test_runner_appends_one_record_per_executed_cell(self, tmp_path):
         from repro.experiments.runner import Runner
+        from tests.records import planned_record
 
         runner = Runner(
             seed=1, duration_ms=3000.0, warmup_ms=500.0,
@@ -423,7 +424,7 @@ class TestRunnerIntegration:
         )
         combo = PlatformRes(PLATFORMS["private"], Resolution("720p"))
         config = ExperimentConfig(combo, "ODR60")
-        runner.run_cell("IM", config)
+        planned_record(runner, "IM", config)
         assert len(runner.ledger) == 1
         record = runner.ledger.latest()
         assert record["label"] == "IM/" + config.label
@@ -432,7 +433,7 @@ class TestRunnerIntegration:
         assert record["wall_clock_s"] > 0
         assert record["engine"]["events_per_sec"] > 0
         # memoized recall must not execute (or append) again
-        runner.run_cell("IM", config)
+        planned_record(runner, "IM", config)
         assert len(runner.ledger) == 1
 
     def test_runner_without_ledger_stays_ledger_free(self):

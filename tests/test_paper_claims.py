@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments import ExperimentConfig, PlatformRes, Runner
 from repro.workloads import GCE, PRIVATE_CLOUD, Resolution
+from tests.records import planned_record
 
 PRIV720 = PlatformRes(PRIVATE_CLOUD, Resolution.R720P)
 GCE720 = PlatformRes(GCE, Resolution.R720P)
@@ -23,7 +24,7 @@ def runner():
 
 
 def cell(runner, bench, combo, spec):
-    return runner.run_cell(bench, ExperimentConfig(combo, spec))
+    return planned_record(runner, bench, ExperimentConfig(combo, spec))
 
 
 class TestSection4Analysis:
