@@ -48,10 +48,6 @@ class LatencyBreakdown:
     def fraction(self, component: str) -> float:
         return self.components[component] / self.total_ms
 
-    def dominant(self) -> str:
-        """The component contributing the most latency."""
-        return max(self.components, key=self.components.get)
-
     def __str__(self) -> str:
         parts = " + ".join(
             f"{name} {value:.1f}" for name, value in self.components.items()

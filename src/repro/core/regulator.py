@@ -116,16 +116,3 @@ class FpsRegulatorClock:
     def cancel_debt(self) -> None:
         """Reset accumulated state (PriorityFrame interrupted the pacing)."""
         self.acc_delay_ms = 0.0
-
-    def defer(self, unslept_ms: float) -> None:
-        """Re-book pacing time that was skipped for a priority frame.
-
-        When PriorityFrame cuts the pacing sleep short, the remaining
-        sleep stays owed: the regular cadence continues as if the
-        priority frame had been squeezed in *between* scheduled frames,
-        which is why ODR's client FPS lands slightly above the target
-        ("slightly higher ... because of the occasional priority
-        frames", Sec. 6.3).
-        """
-        if unslept_ms > 0:
-            self.acc_delay_ms += unslept_ms

@@ -19,7 +19,7 @@ from repro.devtools.analyzer.rules import (
     explain,
     normalize_select,
 )
-from repro.devtools.analyzer.sarif import findings_from_sarif, to_sarif
+from repro.devtools.analyzer.sarif import to_sarif
 
 __all__ = [
     "AnalyzerReport",
@@ -30,7 +30,6 @@ __all__ = [
     "analyze",
     "collect_sources",
     "explain",
-    "findings_from_sarif",
     "normalize_select",
     "to_sarif",
 ]

@@ -19,10 +19,8 @@ fact and fails when they disagree:
     kind should be constructed by at least one chaos fault class.
 ``C4``
     Sweep-event emit sites vs ``_REQUIRED_BY_KIND`` in
-    :mod:`repro.obs.sweep`: every emitted kind must be in the schema
-    (with its required fields present at the site, ``**helper()``
-    expansions included), and every schema kind must be emitted
-    somewhere in ``src``.
+    :mod:`repro.obs.sweep`: every emitted kind must be in the schema,
+    and every schema kind must be emitted somewhere in ``src``.
 ``C5``
     Registries vs their documentation tables: every event kind in the
     docs/OBSERVABILITY.md schema table, every analyzer rule id in the
@@ -213,32 +211,6 @@ def _resolve_kind(
         if owner_mod is not None and leaf in owner_mod.str_constants:
             return owner_mod.str_constants[leaf]
     return None
-
-
-def _emit_fields(
-    graph: ProgramGraph, mod: ModuleFacts, site: "object"
-) -> Tuple[Set[str], bool]:
-    """Statically visible kwargs at an emit site (+ completeness flag)."""
-    kwargs: Set[str] = set(site.kwargs)  # type: ignore[attr-defined]
-    complete = not site.unresolved_star  # type: ignore[attr-defined]
-    for helper in site.star_calls:  # type: ignore[attr-defined]
-        leaf = helper.rsplit(".", 1)[-1]
-        helper_fn = None
-        local = f"{mod.module}:{leaf}"
-        if local in graph.functions:
-            helper_fn = graph.functions[local][1]
-        else:
-            target = mod.from_imports.get(leaf)
-            if target is not None:
-                owner, _, name = target.rpartition(".")
-                helper_fn = (
-                    graph.functions.get(f"{owner}:{name}", (None, None))[1]
-                )
-        if helper_fn is not None and helper_fn.returns_dict_literal:
-            kwargs.update(helper_fn.dict_keys)
-        else:
-            complete = False
-    return kwargs, complete
 
 
 def _sweep_findings(graph: ProgramGraph) -> List[Finding]:

@@ -112,13 +112,6 @@ class EmitSite:
     #: The first argument as written (``sweepbus.CELL_STARTED``, a bare
     #: name, or a string literal prefixed ``str:``).
     kind_expr: str
-    #: Keyword names passed explicitly at the site.
-    kwargs: List[str]
-    #: Dotted names of ``**expanded`` call expressions (e.g.
-    #: ``_cell_fields``) — resolved against dict-literal helpers later.
-    star_calls: List[str]
-    #: True when a ``**expr`` could not be resolved to a helper call.
-    unresolved_star: bool
     line: int
     col: int
 
@@ -166,9 +159,6 @@ class FunctionFacts:
     #: String keys this function assembles into dict literals /
     #: subscript stores (contract passes read ``config_payload``'s).
     dict_keys: List[str] = field(default_factory=list)
-    #: True when the function's body is a single ``return {literal}``
-    #: (or assigns then returns it) — lets C4 expand ``**helper()``.
-    returns_dict_literal: bool = False
 
 
 @dataclass
@@ -239,7 +229,6 @@ def facts_from_payload(payload: Mapping[str, Any]) -> ModuleFacts:
             refs=list(fn.get("refs", [])),
             local_types=dict(fn.get("local_types", {})),
             dict_keys=list(fn.get("dict_keys", [])),
-            returns_dict_literal=fn.get("returns_dict_literal", False),
         )
     for name, cls in payload.get("classes", {}).items():
         facts.classes[name] = ClassFacts(
@@ -448,14 +437,6 @@ class _Extractor(ast.NodeVisitor):
                     ann = str(arg.annotation.value)
                 if ann:
                     fn.local_types.setdefault(arg.arg, ann.strip('"'))
-        # Dict-returning helper detection (for ** expansion in C4): the
-        # helper either returns a dict literal directly or assembles one
-        # in a local and returns it (its keys land in ``dict_keys``).
-        fn.returns_dict_literal = any(
-            isinstance(stmt, ast.Return)
-            and isinstance(stmt.value, (ast.Dict, ast.Name))
-            for stmt in node.body
-        )
         self._func_stack.append(fn)
         for stmt in node.body:
             self.visit(stmt)
@@ -732,26 +713,9 @@ class _Extractor(ast.NodeVisitor):
                 kind_expr = kdot
         if kind_expr is None:
             return
-        kwargs: List[str] = []
-        star_calls: List[str] = []
-        unresolved = False
-        for kw in node.keywords:
-            if kw.arg is not None:
-                kwargs.append(kw.arg)
-            elif isinstance(kw.value, ast.Call):
-                sdot = _dotted(kw.value.func)
-                if sdot:
-                    star_calls.append(sdot)
-                else:
-                    unresolved = True
-            else:
-                unresolved = True
         self.facts.emits.append(
             EmitSite(
                 kind_expr=kind_expr,
-                kwargs=kwargs,
-                star_calls=star_calls,
-                unresolved_star=unresolved,
                 line=node.lineno,
                 col=node.col_offset + 1,
             )

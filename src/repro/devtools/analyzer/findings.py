@@ -41,18 +41,6 @@ class Finding:
             payload["detail"] = self.detail
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "Finding":
-        return cls(
-            rule=str(payload["rule"]),
-            path=str(payload["path"]),
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            message=str(payload["message"]),
-            chain=tuple(payload.get("chain", ())),
-            detail=str(payload.get("detail", "")),
-        )
-
     def render(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
         if self.chain:

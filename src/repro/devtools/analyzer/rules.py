@@ -164,9 +164,8 @@ _EXPLANATIONS: Dict[str, str] = {
         "(_REQUIRED_BY_KIND). Emitting a kind the schema does not know, or\n"
         "keeping a schema kind nothing emits, means validate_events_file\n"
         "and the dashboards disagree with the executors about what a sweep\n"
-        "log contains. Emit sites are resolved statically, including\n"
-        "**-expanded kwargs from dict-literal helpers, and checked against\n"
-        "each kind's required fields."
+        "log contains. Each emit site's kind is resolved statically\n"
+        "through the emitting module's imports to its string constant."
     ),
     "C5": (
         "Tables that mirror a code registry (the rule index in\n"

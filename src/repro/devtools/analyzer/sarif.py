@@ -5,19 +5,19 @@ shape follows the subset GitHub's code-scanning upload and the
 ``::error`` annotation bridge consume: rule metadata in
 ``tool.driver.rules``, physical locations with 1-based line/column,
 and the call-chain evidence preserved in each result's ``codeFlows``
-plus a ``properties.detail`` bag so :func:`findings_from_sarif` can
-round-trip a report exactly.
+plus a ``properties.detail`` bag, so every field of a finding is in
+its result.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.devtools.analyzer.findings import Finding
 from repro.devtools.analyzer.rules import RULES
 
-__all__ = ["findings_from_sarif", "to_sarif"]
+__all__ = ["to_sarif"]
 
 _SCHEMA = (
     "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
@@ -97,31 +97,3 @@ def to_sarif(findings: Sequence[Finding]) -> str:
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def findings_from_sarif(text: str) -> List[Finding]:
-    """Rebuild findings from a SARIF document produced by :func:`to_sarif`."""
-    payload: Mapping[str, Any] = json.loads(text)
-    findings: List[Finding] = []
-    for run in payload.get("runs", []):
-        for result in run.get("results", []):
-            location = result["locations"][0]["physicalLocation"]
-            chain: List[str] = []
-            for flow in result.get("codeFlows", []):
-                for thread in flow.get("threadFlows", []):
-                    chain = [
-                        loc["location"]["message"]["text"]
-                        for loc in thread.get("locations", [])
-                    ]
-            findings.append(
-                Finding(
-                    rule=str(result["ruleId"]),
-                    path=str(location["artifactLocation"]["uri"]),
-                    line=int(location["region"]["startLine"]),
-                    col=int(location["region"].get("startColumn", 1)),
-                    message=str(result["message"]["text"]),
-                    chain=tuple(chain),
-                    detail=str(result.get("properties", {}).get("detail", "")),
-                )
-            )
-    return findings

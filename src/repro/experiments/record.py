@@ -75,12 +75,8 @@ class ExperimentRecord:
     recovery: Optional[RecoveryStats] = None
 
     def headline(self) -> Dict[str, float]:
-        """The per-cell headline numbers ``odr-sim compare`` pairs.
-
-        The same keys as the live run's
-        :meth:`~repro.pipeline.system.RunResult.summary`, with
-        ``mtp_mean_ms`` only when the run has MtP samples.
-        """
+        """The per-cell headline numbers ``odr-sim compare`` pairs, with
+        ``mtp_mean_ms`` only when the run has MtP samples."""
         result = {
             "render_fps": self.render_fps,
             "encode_fps": self.encode_fps,

@@ -113,18 +113,6 @@ class ExecutionReport:
     def records(self) -> List[ExperimentRecord]:
         return [o.record for o in self.outcomes]
 
-    def outcome_for(self, run_id: str) -> CellOutcome:
-        for outcome in self.outcomes:
-            if outcome.spec.run_id == run_id:
-                return outcome
-        raise KeyError(run_id)
-
-    def failure_for(self, run_id: str) -> CellFailure:
-        for failure in self.failures:
-            if failure.spec.run_id == run_id:
-                return failure
-        raise KeyError(run_id)
-
     def describe(self) -> str:
         text = (
             f"{len(self.outcomes) + len(self.failures)} cell(s): executed={self.executed} "

@@ -48,9 +48,8 @@ class ResultStore:
 
     def __init__(self, persist_dir: Optional[Union[str, Path]] = None) -> None:
         self._memory: Dict[str, ExperimentRecord] = {}
-        self._exec_meta: Dict[str, Dict[str, Any]] = {}
         self.persist_dir: Optional[Path] = Path(persist_dir) if persist_dir else None
-        #: Lookup accounting, reset with :meth:`reset_stats`.
+        #: Lookup accounting.
         self.hits = 0
         self.misses = 0
         #: Observability hook: called as ``on_quarantine(run_id, path)``
@@ -87,13 +86,11 @@ class ResultStore:
 
         ``exec_meta`` — execution-cost metadata (wall clock, CPU,
         RSS, ...) for a cell that actually simulated — rides along in
-        the persisted JSON so cached-vs-executed cost stays queryable
-        after the fact (:meth:`exec_meta`).  It is *not* part of the
+        the persisted JSON (its ``exec`` field) so what a cached cell
+        cost when it ran stays on record.  It is *not* part of the
         record and never affects cache identity.
         """
         self._memory[run_id] = record
-        if exec_meta is not None:
-            self._exec_meta[run_id] = dict(exec_meta)
         path = self.cell_path(run_id)
         if path is None:
             return
@@ -112,33 +109,6 @@ class ResultStore:
             handle.write(text)
         os.replace(tmp, path)
 
-    def exec_meta(self, run_id: str) -> Optional[Dict[str, Any]]:
-        """Execution-cost metadata persisted with ``run_id``, if any.
-
-        Answers "what did this cached cell cost when it actually ran?"
-        — the memory tier is consulted first, then the persisted JSON.
-        Returns ``None`` for unknown cells and for cells stored before
-        cost metadata existed.
-        """
-        meta = self._exec_meta.get(run_id)
-        if meta is not None:
-            return dict(meta)
-        path = self.cell_path(run_id)
-        if path is None or not path.exists():
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        meta = payload.get("exec")
-        if isinstance(meta, dict):
-            self._exec_meta[run_id] = meta
-            return dict(meta)
-        return None
-
     def quarantined(self) -> List[str]:
         """run_ids of corrupt cells moved to ``<persist_dir>/corrupt/``.
 
@@ -153,18 +123,6 @@ class ResultStore:
         if not corrupt_dir.is_dir():
             return []
         return sorted(path.stem for path in corrupt_dir.glob("*.json"))
-
-    def invalidate(self, run_id: str) -> None:
-        """Forget one cell (memory and disk)."""
-        self._memory.pop(run_id, None)
-        self._exec_meta.pop(run_id, None)
-        path = self.cell_path(run_id)
-        if path is not None and path.exists():
-            path.unlink()
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
 
     def __contains__(self, run_id: object) -> bool:
         if not isinstance(run_id, str):

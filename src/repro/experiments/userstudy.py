@@ -142,7 +142,6 @@ class UserStudy:
         self.combo = PlatformRes(GCE, Resolution.R1080P)
         self.local_combo = PlatformRes(LOCAL_MACHINE, Resolution.R1080P)
         self.participants = [self._make_participant(i) for i in range(self.N_PARTICIPANTS)]
-        self._rating_seq = 0
 
     def _make_participant(self, pid: int) -> Participant:
         rng = self.rng.child("participant", pid)
@@ -170,8 +169,16 @@ class UserStudy:
             for spec in STUDY_SPECS
         )
 
-    def rate(self, participant: Participant, features: SessionFeatures) -> float:
-        """The participant's 1-10 rating for a session."""
+    def rate(
+        self, participant: Participant, spec_index: int, features: SessionFeatures
+    ) -> float:
+        """The participant's 1-10 rating for their session under
+        ``STUDY_SPECS[spec_index]``.
+
+        The rating noise is keyed by participant and session, so a
+        session rates the same however often, and in whatever order,
+        the study runs.
+        """
         rating = self.BASE_RATING + participant.bias
         # Latency annoyance saturates: going from 1 s to 2 s is bad, but
         # not as bad as going from 60 ms to 1 s (log-scale penalty).
@@ -181,8 +188,8 @@ class UserStudy:
         rating -= self.FPS_PENALTY_PER_10FPS * fps_short / 10.0
         rating -= self.STUTTER_PENALTY * features.stutter_frac
         rating -= self.TEAR_PENALTY * features.tear_score
-        self._rating_seq += 1
-        noise = self.rng.child("noise", participant.pid, self._rating_seq).normal(0.0, 0.3)
+        session = participant.pid * len(STUDY_SPECS) + spec_index + 1
+        noise = self.rng.child("noise", participant.pid, session).normal(0.0, 0.3)
         return max(1.0, min(10.0, rating + noise))
 
     def reports(self, participant: Participant, features: SessionFeatures) -> Dict[str, str]:
@@ -214,10 +221,10 @@ class UserStudy:
             for spec in STUDY_SPECS
         }
         for participant in self.participants:
-            for spec in STUDY_SPECS:
+            for spec_index, spec in enumerate(STUDY_SPECS):
                 record = records.get(participant.benchmark, self._config(spec))
                 features = extract_features(record, display_synced=(spec == "NonCloud"))
-                ratings[spec].append(self.rate(participant, features))
+                ratings[spec].append(self.rate(participant, spec_index, features))
                 for question, answer in self.reports(participant, features).items():
                     counts[spec][question][answer] += 1
 

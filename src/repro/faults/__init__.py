@@ -34,7 +34,6 @@ from repro.faults.injectors import (
     StallInjector,
     WindowScaleSampler,
     apply_fault_plan,
-    inject_stall,
 )
 from repro.faults.service import (
     SERVICE_FAULT_TYPES,
@@ -97,6 +96,5 @@ __all__ = [
     "build_fault_plan",
     "fault_class_names",
     "fault_from_dict",
-    "inject_stall",
     "service_fault_from_dict",
 ]

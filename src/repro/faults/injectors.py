@@ -63,7 +63,6 @@ __all__ = [
     "StallInjector",
     "WindowScaleSampler",
     "apply_fault_plan",
-    "inject_stall",
 ]
 
 
@@ -233,17 +232,6 @@ class FaultController:
         self._carried_inputs = set()
         return claimed
 
-    # -- analysis-side accessors -----------------------------------------
-
-    def fault_envelope(self) -> Optional[Tuple[float, float]]:
-        """``(first_start, last_end)`` over all windows, or ``None``."""
-        if not self.windows:
-            return None
-        return (
-            min(w.start_ms for w in self.windows),
-            max(w.end_ms for w in self.windows),
-        )
-
     # -- internal wiring ---------------------------------------------------
 
     def _record_window(self, kind: str, label: str, start_ms: float, end_ms: float) -> None:
@@ -343,27 +331,3 @@ def apply_fault_plan(system: "CloudSystem", plan: FaultPlan) -> FaultController:
     if telemetry is not None and controller.windows:
         telemetry.count("faults_applied_total", float(len(plan)))
     return controller
-
-
-def inject_stall(
-    system: "CloudSystem",
-    stage: str,
-    at_ms: float,
-    duration_ms: float,
-) -> StallInjector:
-    """Schedule one stall of ``stage`` and return the injector.
-
-    Programmatic shorthand for a one-spec
-    ``FaultPlan([StageStall(stage, at_ms, duration_ms)])`` applied by
-    hand; must be called before ``system.run()``.  Multiple calls on
-    the same stage chain injectors, as before.
-    """
-    if stage not in _STAGE_ATTRS:
-        raise KeyError(f"unknown stage {stage!r}; have {sorted(system.samplers)}")
-    injector = StallInjector(
-        cast(Dict[str, StageSampler], system.samplers)[stage],
-        system.env,
-        [(at_ms, duration_ms)],
-    )
-    _rebind_sampler(system, stage, injector)
-    return injector

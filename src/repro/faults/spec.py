@@ -300,21 +300,3 @@ class FaultPlan:
 
     def __len__(self) -> int:
         return len(self.faults)
-
-    def __bool__(self) -> bool:
-        return bool(self.faults)
-
-    def to_payload(self) -> List[Dict[str, Any]]:
-        """Canonical JSON-ready form (order-preserving)."""
-        return [fault.to_dict() for fault in self.faults]
-
-    @classmethod
-    def from_payload(cls, payload: Sequence[Mapping[str, Any]]) -> "FaultPlan":
-        return cls(tuple(fault_from_dict(item) for item in payload))
-
-    def describe(self) -> str:
-        if not self.faults:
-            return "no faults"
-        return ", ".join(
-            f"{fault.label()}@{fault.window()[0]:g}ms" for fault in self.faults
-        )

@@ -25,14 +25,6 @@ class HardwareReport:
     power: PowerReport
     pmu: PmuCounters
 
-    def as_dict(self) -> dict:
-        return {
-            "row_miss_rate": self.dram.row_miss_rate,
-            "read_access_ns": self.dram.read_access_ns,
-            "ipc": self.ipc,
-            "power_w": self.power.total_w,
-        }
-
 
 def evaluate_hardware(
     result: "RunResult",

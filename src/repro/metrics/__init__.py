@@ -14,7 +14,7 @@ system:
   25 %ile, mean, 75 %ile, 99 %ile).
 """
 
-from repro.metrics.counters import FpsCounter, FpsGapReport, StageFps
+from repro.metrics.counters import FpsCounter, FpsGapReport
 from repro.metrics.latency import LatencySample, MtpLatencyTracker
 from repro.metrics.qos import QosReport, qos_satisfaction
 from repro.metrics.recovery import RecoveryStats, compute_recovery, recovery_stats
@@ -40,7 +40,6 @@ __all__ = [
     "MtpLatencyTracker",
     "QosReport",
     "RecoveryStats",
-    "StageFps",
     "compute_recovery",
     "recovery_stats",
     "bootstrap_diff_ci",

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.metrics.stats import BoxStats, summarize
 from repro.simcore.tracing import windowed_counts
 
-__all__ = ["FpsCounter", "FpsGapReport", "StageFps"]
+__all__ = ["FpsCounter", "FpsGapReport"]
 
 #: Canonical pipeline step names (paper Fig. 2 steps 3-7).
 RENDER = "render"
@@ -23,16 +22,6 @@ COPY = "copy"
 ENCODE = "encode"
 TRANSMIT = "transmit"
 DECODE = "decode"
-
-
-@dataclass(frozen=True)
-class StageFps:
-    """FPS summary of one pipeline stage over a run."""
-
-    stage: str
-    mean_fps: float
-    series: List[float]
-    box: BoxStats
 
 
 @dataclass(frozen=True)
@@ -72,9 +61,6 @@ class FpsCounter:
         """Raw completion timestamps for ``stage``."""
         return list(self._events.get(stage, []))
 
-    def stages(self) -> List[str]:
-        return sorted(self._events)
-
     # -- analysis --------------------------------------------------------
 
     def fps_series(
@@ -95,18 +81,6 @@ class FpsCounter:
             raise ValueError("empty measurement window")
         in_range = [t for t in self._events.get(stage, []) if start <= t < end]
         return len(in_range) * 1000.0 / (end - start)
-
-    def stage_fps(self, stage: str, start: float, end: float) -> StageFps:
-        """Full FPS summary (mean, per-window series, box stats)."""
-        series = self.fps_series(stage, start, end)
-        if not series:
-            raise ValueError(f"no complete windows for stage {stage!r}")
-        return StageFps(
-            stage=stage,
-            mean_fps=self.mean_fps(stage, start, end),
-            series=series,
-            box=summarize(series),
-        )
 
     def fps_gap(
         self,

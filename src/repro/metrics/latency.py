@@ -24,8 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
-from repro.metrics.stats import BoxStats, summarize
-
 __all__ = ["LatencySample", "MtpLatencyTracker"]
 
 
@@ -86,16 +84,3 @@ class MtpLatencyTracker:
     def open_count(self) -> int:
         """Inputs that never received a displayed response (yet)."""
         return len(self._open)
-
-    def latencies(self) -> List[float]:
-        return [s.latency_ms for s in self._samples]
-
-    def mean_latency(self) -> float:
-        values = self.latencies()
-        if not values:
-            raise ValueError("no closed latency samples")
-        return sum(values) / len(values)
-
-    def box(self) -> BoxStats:
-        """Paper-style box summary of all closed samples."""
-        return summarize(self.latencies())

@@ -34,11 +34,6 @@ class QosReport:
             raise ValueError("no complete windows")
         return self.n_satisfied / self.n_windows
 
-    @property
-    def met(self) -> bool:
-        """True if every window met the target."""
-        return self.n_windows > 0 and self.n_satisfied == self.n_windows
-
 
 def qos_satisfaction(
     display_times: Sequence[float],

@@ -27,7 +27,7 @@ on synthetic event times); :func:`recovery_stats` adapts a finished
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -67,10 +67,6 @@ class RecoveryStats:
     #: p99 MtP latency of inputs issued between fault start and
     #: recovery (``None`` when no such input closed).
     recovery_mtp_p99_ms: Optional[float]
-
-    @property
-    def recovered(self) -> bool:
-        return self.time_to_recover_ms is not None
 
 
 def _window_count(times: Sequence[float], start: float, end: float) -> int:

@@ -35,7 +35,6 @@ __all__ = [
     "mean",
     "paired_delta_cis",
     "percentile",
-    "stddev",
     "summarize",
 ]
 
@@ -46,15 +45,6 @@ def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")
     return sum(values) / len(values)
-
-
-def stddev(values: Sequence[float]) -> float:
-    """Population standard deviation; 0.0 for singleton input."""
-    values = list(values)
-    if not values:
-        raise ValueError("stddev of empty sequence")
-    mu = mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / len(values))
 
 
 def percentile(values: Sequence[float], pct: float) -> float:
@@ -85,16 +75,6 @@ class BoxStats:
     p25: float
     p75: float
     p99: float
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p1": self.p1,
-            "p25": self.p25,
-            "p75": self.p75,
-            "p99": self.p99,
-        }
 
     def __str__(self) -> str:
         return (
@@ -163,9 +143,6 @@ class MannWhitneyResult:
     p_value: float
     n_a: int
     n_b: int
-
-    def significant(self, alpha: float = 0.01) -> bool:
-        return self.p_value < alpha
 
 
 def _rank_sum(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:

@@ -72,10 +72,8 @@ from repro.obs.sweep import (
     ResourceMeter,
     SweepEvent,
     SweepEventBus,
-    disabled_overhead_report,
     events_path_for,
     read_events,
-    sweep_ids,
     validate_events,
     validate_events_file,
 )
@@ -109,7 +107,6 @@ __all__ = [
     "chrome_trace",
     "compare_records",
     "config_fingerprint",
-    "disabled_overhead_report",
     "events_path_for",
     "git_revision",
     "host_epoch",
@@ -121,7 +118,6 @@ __all__ = [
     "resolve_record",
     "run_id_for",
     "stage_for_process",
-    "sweep_ids",
     "validate_events",
     "validate_events_file",
     "write_chrome_trace",

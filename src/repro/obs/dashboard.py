@@ -31,7 +31,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import IO, Any, Callable, Dict, List, Optional, Tuple
+from typing import IO, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import sweep as sweepbus
 from repro.obs.probes import host_epoch

@@ -3,7 +3,7 @@
 :class:`SimProfiler` is an :class:`~repro.obs.probes.EngineProbe`
 extended with the engine's optional resume hooks
 (``on_resume_begin`` / ``on_resume_end`` — see
-:meth:`repro.simcore.engine.Environment.set_probe`): every time the
+:class:`repro.simcore.engine.Environment`'s ``probe=``): every time the
 engine resumes a simulated process, the profiler reads its injectable
 clock before and after, attributing host wall time to
 

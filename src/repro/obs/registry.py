@@ -7,9 +7,7 @@ metric name plus a frozen set of ``label=value`` pairs, e.g.
 
 Pipeline stages, regulators, and the multi-tenant server publish into
 the registry through their :class:`~repro.obs.telemetry.Telemetry`
-handle; analysis code reads back via :meth:`MetricsRegistry.snapshot`,
-and :meth:`MetricsSnapshot.delta` gives the counter increments between
-two snapshots (per-interval rates without resetting anything).
+handle; analysis code reads back via :meth:`MetricsRegistry.snapshot`.
 """
 
 from __future__ import annotations
@@ -79,9 +77,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def add(self, delta: float) -> None:
-        self.value += delta
 
 
 class Histogram:
@@ -223,7 +218,7 @@ class MetricsRegistry:
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """Frozen registry state; supports counter deltas between snapshots."""
+    """Frozen registry state."""
 
     counters: Dict[SeriesKey, float]
     gauges: Dict[SeriesKey, float]
@@ -232,19 +227,9 @@ class MetricsSnapshot:
     def counter_value(self, name: str, **labels: object) -> float:
         return self.counters.get(SeriesKey.make(name, labels), 0.0)
 
-    def gauge_value(self, name: str, **labels: object) -> float:
-        return self.gauges.get(SeriesKey.make(name, labels), 0.0)
-
     def histogram_stats(self, name: str, **labels: object) -> HistogramStats:
         key = SeriesKey.make(name, labels)
         return self.histograms.get(key, HistogramStats.from_values(()))
-
-    def delta(self, earlier: "MetricsSnapshot") -> Dict[SeriesKey, float]:
-        """Counter increments since ``earlier`` (new series count in full)."""
-        return {
-            key: value - earlier.counters.get(key, 0.0)
-            for key, value in self.counters.items()
-        }
 
     def to_dict(self) -> dict:
         """Flatten for JSONL export (series keys become label strings)."""

@@ -36,10 +36,6 @@ class StageInterval:
     end: Optional[float] = None
 
     @property
-    def closed(self) -> bool:
-        return self.end is not None
-
-    @property
     def duration_ms(self) -> float:
         if self.end is None:
             raise ValueError(f"stage {self.stage!r} interval still open")
@@ -86,33 +82,6 @@ class FrameSpan:
 
     def stages(self) -> List[str]:
         return [iv.stage for iv in self.intervals]
-
-    def interval(self, stage: str) -> Optional[StageInterval]:
-        """The (first) interval recorded for ``stage``, if any."""
-        for iv in self.intervals:
-            if iv.stage == stage:
-                return iv
-        return None
-
-    def stage_ms(self, stage: str) -> Optional[float]:
-        iv = self.interval(stage)
-        if iv is None or iv.end is None:
-            return None
-        return iv.duration_ms
-
-    def queue_wait_ms(self) -> float:
-        """Total time spent between stages (inter-stage buffer waits)."""
-        waits = 0.0
-        for prev, cur in zip(self.intervals, self.intervals[1:]):
-            if prev.end is not None and cur.start > prev.end:
-                waits += cur.start - prev.end
-        return waits
-
-    def total_ms(self) -> Optional[float]:
-        """Open-to-close wall time in simulated ms, if the span closed."""
-        if self.closed_at is None:
-            return None
-        return self.closed_at - self.opened_at
 
     def to_dict(self) -> dict:
         """Flatten for JSONL export."""

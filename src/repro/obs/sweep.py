@@ -32,9 +32,9 @@ by ``run_id`` and grouped by ``sweep_id`` — the artifact
 The plane is **strictly out-of-band**: executors consult it only
 behind ``if bus is not None`` branches, events never feed back into
 scheduling, and nothing here touches the simulation.  Schedule hashes
-are bit-identical with the bus on and off
-(``tests/test_obs_sweep.py``), and the disabled path is budgeted at
-<2% of a cell's wall clock (:func:`disabled_overhead_report`).
+are bit-identical with the bus on and off, and the disabled path is
+budgeted at <2% of a cell's wall clock (both in
+``tests/test_obs_sweep.py``).
 """
 
 from __future__ import annotations
@@ -70,12 +70,9 @@ __all__ = [
     "SweepEvent",
     "SweepEventBus",
     "attach_worker_sink",
-    "detach_worker_sink",
-    "disabled_overhead_report",
     "emit_cell_event",
     "events_path_for",
     "read_events",
-    "sweep_ids",
     "validate_events",
     "validate_events_file",
 ]
@@ -246,21 +243,6 @@ class CellResources:
             "events_per_sec": self.events_per_sec,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "CellResources":
-        events = payload.get("events_fired")
-        eps = payload.get("events_per_sec")
-        return cls(
-            pid=int(payload.get("pid", 0)),
-            started_epoch_s=float(payload.get("started_epoch_s", 0.0)),
-            wall_s=float(payload.get("wall_s", 0.0)),
-            cpu_user_s=float(payload.get("cpu_user_s", 0.0)),
-            cpu_sys_s=float(payload.get("cpu_sys_s", 0.0)),
-            max_rss_kb=int(payload.get("max_rss_kb", 0)),
-            events_fired=int(events) if events is not None else None,
-            events_per_sec=float(eps) if eps is not None else None,
-        )
-
 
 class ResourceMeter:
     """Measures one cell body: wall clock, CPU deltas, peak RSS.
@@ -414,12 +396,6 @@ def attach_worker_sink(sink: Callable[[str, Dict[str, Any]], None]) -> None:
     _WORKER_SINK = sink
 
 
-def detach_worker_sink() -> None:
-    """Disable cell-event emission in this process."""
-    global _WORKER_SINK
-    _WORKER_SINK = None
-
-
 def emit_cell_event(
     kind: str,
     sink: Optional[Callable[[str, Dict[str, Any]], None]] = None,
@@ -451,14 +427,6 @@ def _iter_event_dicts(path: Union[str, Path]) -> Iterable[Dict[str, Any]]:
             record = json.loads(line)
             if isinstance(record, dict):
                 yield record
-
-
-def sweep_ids(path: Union[str, Path]) -> List[str]:
-    """Every sweep recorded in an event log, in first-appearance order."""
-    seen: Dict[str, None] = {}
-    for record in _iter_event_dicts(path):
-        seen.setdefault(str(record.get("sweep_id", "")), None)
-    return list(seen)
 
 
 def read_events(
@@ -557,52 +525,3 @@ def validate_events_file(path: Union[str, Path]) -> List[str]:
     except ValueError as exc:
         return [f"{path}: not JSONL ({exc})"]
     return validate_events(records)
-
-
-# -- the disabled-overhead budget ------------------------------------------
-
-#: Cell events the executors emit per executed cell (scheduled,
-#: started, finished, plus one for luck — retries and failures add
-#: more, but those cells already paid a simulation).
-EMITS_PER_CELL = 4
-
-#: The event plane's budget on the *disabled* path, as a fraction of a
-#: cell's wall clock — mirrors PR 1's <5% engine-probe budget, tighter
-#: because the sweep plane fires per cell, not per event.
-DISABLED_OVERHEAD_BUDGET = 0.02
-
-
-def disabled_overhead_report(
-    reference_cell_wall_s: float,
-    emits_per_cell: int = EMITS_PER_CELL,
-    samples: int = 20000,
-) -> Dict[str, Any]:
-    """Measure the no-sink emit path against the <2% budget.
-
-    With the bus disabled each would-be emission is one function call
-    and one ``is None`` branch.  This times ``samples`` such calls and
-    scales by ``emits_per_cell`` against a reference cell wall clock
-    (e.g. the mean executed-cell time of the current bench), yielding
-    the fraction the plane costs a sweep that never asked for it.
-    """
-    previous = _WORKER_SINK
-    detach_worker_sink()
-    try:
-        started = host_wallclock()
-        for _ in range(samples):
-            emit_cell_event(CELL_STARTED)
-        elapsed = host_wallclock() - started
-    finally:
-        if previous is not None:
-            attach_worker_sink(previous)
-    per_emit_s = elapsed / samples if samples else 0.0
-    reference = max(reference_cell_wall_s, 1e-9)
-    fraction = (per_emit_s * emits_per_cell) / reference
-    return {
-        "per_emit_ns": per_emit_s * 1e9,
-        "emits_per_cell": emits_per_cell,
-        "reference_cell_wall_s": reference_cell_wall_s,
-        "disabled_overhead_frac": fraction,
-        "budget_frac": DISABLED_OVERHEAD_BUDGET,
-        "ok": fraction < DISABLED_OVERHEAD_BUDGET,
-    }

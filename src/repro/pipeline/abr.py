@@ -90,10 +90,6 @@ class AbrController:
             self.scale = min(max(self.scale, config.min_scale), config.max_scale)
             self.history.append((env.now, self.scale))
 
-    @property
-    def final_scale(self) -> float:
-        return self.history[-1][1]
-
     def mean_scale(self, start: float, end: float) -> float:
         """Time-weighted mean quality scale over a window."""
         if end <= start:

@@ -246,13 +246,6 @@ class ByteBudgetQueue:
         self._dispatch()
         return event
 
-    def clear(self) -> List[Frame]:
-        """Drop all queued frames (not the blocked putters)."""
-        dropped, self._frames = self._frames, []
-        self._bytes = 0
-        self._dispatch()
-        return dropped
-
     def _fits(self, frame: Frame) -> bool:
         if not self._frames and frame.size_bytes >= self.budget_bytes:
             return True

@@ -84,17 +84,6 @@ class ContentionTracker:
             self._busy[stage] = count - 1
         self._busy_total -= 1
 
-    def busy_others(self, stage: str) -> int:
-        """Busy memory-intensive activity competing with a new ``stage``.
-
-        Counts every currently-busy entry — including other *instances*
-        of the same stage (possible when several sessions share the
-        server, see :mod:`repro.multitenant`).  The caller itself has
-        not entered yet, so in a single-session system this equals the
-        number of other busy stages.
-        """
-        return self._busy_total
-
     def multiplier(self, stage: str) -> float:
         """Service-time multiplier for ``stage`` starting right now."""
         if stage not in self.stages:

@@ -29,15 +29,14 @@ This module implements that exploration:
 
 Every model consumes decode-completion times in order and returns
 :class:`Presentation` decisions; :class:`PresentationStats` aggregates
-the QoE-relevant outcomes (added latency, tears, drops, repeats, and
-frame-pacing jitter).
+the QoE-relevant outcomes (added latency, tears, drops and repeats).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = [
     "DisplayModel",
@@ -73,7 +72,6 @@ class PresentationStats:
     #: Panel-initiated re-scans of an old frame (VRR below min rate).
     repeats: int = 0
     added_latency_total_ms: float = 0.0
-    _display_times: List[float] = field(default_factory=list)
 
     @property
     def mean_added_latency_ms(self) -> float:
@@ -87,20 +85,6 @@ class PresentationStats:
             raise ValueError("no frames presented")
         return self.torn / self.presented
 
-    def pacing_jitter_ms(self) -> float:
-        """Standard deviation of photon-to-photon intervals.
-
-        The frame-pacing metric behind perceived smoothness: a VRR panel
-        fed at a varying-but-bounded rate paces better than a fixed
-        vsync display fed the same stream.
-        """
-        times = self._display_times
-        if len(times) < 3:
-            raise ValueError("not enough presented frames")
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        mean = sum(gaps) / len(gaps)
-        return math.sqrt(sum((g - mean) ** 2 for g in gaps) / len(gaps))
-
     def _record(self, decode_time: float, presentation: Presentation) -> None:
         if presentation.dropped:
             self.dropped += 1
@@ -109,7 +93,6 @@ class PresentationStats:
         self.added_latency_total_ms += presentation.display_time - decode_time
         if presentation.torn:
             self.torn += 1
-        self._display_times.append(presentation.display_time)
 
 
 class DisplayModel:

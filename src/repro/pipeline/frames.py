@@ -71,23 +71,6 @@ class Frame:
         if predecessor.input_ids:
             self.input_ids |= predecessor.input_ids
 
-    @property
-    def was_displayed(self) -> bool:
-        return self.t_displayed is not None
-
-    @property
-    def render_ms(self) -> Optional[float]:
-        if self.t_render_start is None or self.t_render_end is None:
-            return None
-        return self.t_render_end - self.t_render_start
-
-    @property
-    def pipeline_ms(self) -> Optional[float]:
-        """Render start to client display, if the frame made it."""
-        if self.t_render_start is None or self.t_displayed is None:
-            return None
-        return self.t_displayed - self.t_render_start
-
     def __repr__(self) -> str:
         tags = []
         if self.priority:

@@ -4,13 +4,10 @@ The paper fixed its network ("We did not alter or control network
 connections"); a production deployment cannot.  This extension adds
 bandwidth *schedules* — functions of simulation time returning a
 multiplicative factor on the platform's effective bandwidth — so
-robustness under congestion events, diurnal swings, and outages can be
-studied.
+robustness under congestion events and outages can be studied.
 
 Builders:
 
-:func:`constant`      — factor 1.0 (the paper's setting);
-:func:`sinusoidal`    — smooth periodic capacity swings (cross traffic);
 :func:`dips`          — periodic sharp congestion events (a fractional
                         capacity floor for a fixed duration);
 :func:`compose`       — multiply schedules together.
@@ -21,37 +18,12 @@ begins mid-frame affects the next frame (first-order model).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
-__all__ = ["BandwidthSchedule", "compose", "constant", "dips", "sinusoidal"]
+__all__ = ["BandwidthSchedule", "compose", "dips"]
 
 #: A bandwidth schedule maps simulation time (ms) to a capacity factor.
 BandwidthSchedule = Callable[[float], float]
-
-
-def constant(factor: float = 1.0) -> BandwidthSchedule:
-    """A fixed capacity factor (1.0 reproduces the paper's setting)."""
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    return lambda t: factor
-
-
-def sinusoidal(period_ms: float, amplitude: float) -> BandwidthSchedule:
-    """Capacity oscillating in ``[1-amplitude, 1+amplitude]``.
-
-    Models slow cross-traffic swings; ``amplitude`` must leave capacity
-    positive.
-    """
-    if period_ms <= 0:
-        raise ValueError("period must be positive")
-    if not 0 <= amplitude < 1:
-        raise ValueError("amplitude must be in [0, 1)")
-
-    def schedule(t: float) -> float:
-        return 1.0 + amplitude * math.sin(2.0 * math.pi * t / period_ms)
-
-    return schedule
 
 
 def dips(
@@ -83,7 +55,7 @@ def dips(
 
 
 def compose(schedules: Sequence[BandwidthSchedule]) -> BandwidthSchedule:
-    """Multiply several schedules (e.g. diurnal swing × outage events)."""
+    """Multiply several schedules (e.g. periodic dips × a fault window)."""
     if not schedules:
         raise ValueError("need at least one schedule")
 

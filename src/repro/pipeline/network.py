@@ -115,9 +115,3 @@ class NetworkPath:
                 frame.input_ids |= carried
         client = self.system.client
         env.call_at(env.now + self.platform.downlink_ms, lambda f=frame: client.receive(f))
-
-    def mean_bandwidth_usage_mbps(self, start_ms: float, end_ms: float) -> float:
-        """Average offered bits/sec over the run (for Sec. 6.6's 15-60 Mbps check)."""
-        if end_ms <= start_ms:
-            raise ValueError("empty window")
-        return self.sent_bytes * 8.0 / ((end_ms - start_ms) / 1000.0) / 1e6

@@ -216,10 +216,6 @@ class RunResult:
         return self.system.config
 
     @property
-    def regulator_name(self) -> str:
-        return self.system.regulator.name
-
-    @property
     def t_start(self) -> float:
         return self.config.warmup_ms
 
@@ -238,21 +234,6 @@ class RunResult:
     @property
     def trace(self) -> IntervalTrace:
         return self.system.trace
-
-    def telemetry(self) -> Optional["Telemetry"]:
-        """The run's telemetry (spans, metrics, probe), if it was enabled.
-
-        Returns the :class:`repro.obs.Telemetry` object passed to the
-        system at construction time — per-frame spans via
-        ``result.telemetry().spans``, a metrics snapshot via
-        ``result.telemetry().snapshot()`` — or ``None`` for a run
-        executed without observability.  Ledger cells
-        (``execute_cell(collect_ledger=True)`` without a telemetry
-        directory) run the bare engine, so this is ``None`` for them:
-        their records read gate delays from ``system.app.gate_delays``
-        and engine statistics from ``system.env.stats()``.
-        """
-        return self.system.telemetry
 
     # -- FPS metrics -------------------------------------------------------
 
@@ -328,23 +309,3 @@ class RunResult:
 
     def stage_utilization(self, stage: str) -> float:
         return self.trace.utilization(stage, self.t_start, self.t_end)
-
-    def summary(self) -> Dict[str, float]:
-        """Headline numbers as a flat dict (handy for tables/CSV).
-
-        A stored cell gives the same keys through
-        :meth:`~repro.experiments.record.ExperimentRecord.headline`.
-        """
-        gap = self.fps_gap()
-        result = {
-            "render_fps": self.render_fps,
-            "encode_fps": self.encode_fps,
-            "client_fps": self.client_fps,
-            "fps_gap_mean": gap.mean_gap,
-            "fps_gap_max": gap.max_gap,
-            "bandwidth_mbps": self.bandwidth_mbps(),
-        }
-        samples = self.mtp_samples()
-        if samples:
-            result["mtp_mean_ms"] = sum(samples) / len(samples)
-        return result

@@ -17,7 +17,7 @@ any of them (including ODR) from a spec string like ``"NoReg"``,
 """
 
 from repro.regulators.base import Regulator
-from repro.regulators.factory import make_regulator, regulator_label
+from repro.regulators.factory import make_regulator
 from repro.regulators.interval import IntervalMaxRegulator, IntervalRegulator
 from repro.regulators.noreg import NoRegulation
 from repro.regulators.rvs import RemoteVsync
@@ -29,5 +29,4 @@ __all__ = [
     "Regulator",
     "RemoteVsync",
     "make_regulator",
-    "regulator_label",
 ]

@@ -155,9 +155,3 @@ class Regulator:
 
     def on_fault_end(self, kind: str, at_ms: float) -> None:
         """An injected fault window closed (:mod:`repro.faults`)."""
-
-    # -- reporting ----------------------------------------------------------------
-
-    def describe(self) -> str:
-        target = "max" if self.fps_target is None else f"{self.fps_target:g}"
-        return f"{self.name} (target={target})"

@@ -11,14 +11,14 @@ writes them.
 from __future__ import annotations
 
 import re
-from typing import Optional, Union
+from typing import Optional
 
 from repro.regulators.base import Regulator
 from repro.regulators.interval import IntervalMaxRegulator, IntervalRegulator
 from repro.regulators.noreg import NoRegulation
 from repro.regulators.rvs import RemoteVsync
 
-__all__ = ["make_regulator", "regulator_label"]
+__all__ = ["make_regulator"]
 
 #: Display refresh used by RVS when maximizing FPS (a current high-end
 #: display, per Sec. 4.1's RVSMax analysis).
@@ -81,10 +81,3 @@ def make_regulator(spec: str) -> Regulator:
         priority_frames="nopri" not in flags,
         accelerate="noaccel" not in flags,
     )
-
-
-def regulator_label(spec_or_regulator: Union[str, Regulator]) -> str:
-    """Normalize a spec string or regulator instance to its display name."""
-    if isinstance(spec_or_regulator, Regulator):
-        return spec_or_regulator.name
-    return make_regulator(spec_or_regulator).name

@@ -42,7 +42,6 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Protocol, Tuple
 
-from repro.experiments.plan import Plan
 from repro.faults.service import TcpTransport
 from repro.obs.probes import host_epoch, host_wallclock
 from repro.obs.runmeta import config_fingerprint
@@ -58,7 +57,6 @@ from repro.service.protocol import (
     MAX_FRAME_BYTES,
     decode_frame,
     encode_frame,
-    plan_payload,
 )
 from repro.simcore.rng import SeededRng, derive_seed
 
@@ -314,10 +312,6 @@ class ServiceClient:
         job = response["job"]
         assert isinstance(job, dict)
         return job
-
-    def submit_plan(self, plan: Plan, label: str = "") -> Dict[str, Any]:
-        """Submit a locally built :class:`Plan` via the ``cells`` form."""
-        return self.submit(plan_payload(plan), label=label)
 
     def status(self, job_id: Optional[str] = None) -> Dict[str, Any]:
         request: Dict[str, Any] = {"op": "status"}

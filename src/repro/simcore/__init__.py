@@ -21,7 +21,7 @@ Public API
     Exception thrown into a process by :meth:`Process.interrupt`.
 :class:`AllOf`, :class:`AnyOf`
     Composite events.
-:class:`Store`, :class:`PriorityStore`, :class:`Resource`, :class:`Gate`
+:class:`Store`, :class:`Resource`, :class:`Gate`
     Shared-state synchronization primitives.
 :class:`SeededRng`
     Deterministic per-component random streams.
@@ -40,7 +40,7 @@ from repro.simcore.engine import (
     SimulationError,
     Timeout,
 )
-from repro.simcore.resources import Gate, PriorityStore, Resource, Store
+from repro.simcore.resources import Gate, Resource, Store
 from repro.simcore.rng import SeededRng
 from repro.simcore.tracing import IntervalTrace, TraceRecord
 
@@ -52,7 +52,6 @@ __all__ = [
     "Gate",
     "Interrupt",
     "IntervalTrace",
-    "PriorityStore",
     "Process",
     "ProcessGenerator",
     "Resource",

@@ -143,14 +143,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event (callback use)."""
-        if self.triggered:
-            return
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def __repr__(self) -> str:
         state = "triggered" if self.triggered else "pending"
         return f"<{type(self).__name__} {state} at t={self.env.now:.3f}>"
@@ -425,16 +417,6 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently executing, if any."""
         return self._active_process
-
-    @property
-    def probe(self) -> Optional[Any]:
-        """The attached engine observer, if any."""
-        return self._probe
-
-    def set_probe(self, probe: Optional[Any]) -> None:
-        """Attach (or detach, with ``None``) the engine observer."""
-        self._probe = probe
-        self._resume_hooks = _resolve_resume_hooks(probe)
 
     # -- scheduling ----------------------------------------------------
 

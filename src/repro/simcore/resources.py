@@ -8,12 +8,11 @@ conditions processes can block on (ODR's buffer-swap waits).
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, List, Optional
+from typing import Any, List
 
 from repro.simcore.engine import Environment, Event, SimulationError
 
-__all__ = ["Gate", "PriorityStore", "Resource", "Store"]
+__all__ = ["Gate", "Resource", "Store"]
 
 
 class StorePut(Event):
@@ -48,10 +47,6 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
-
     def put(self, item: Any) -> StorePut:
         """Store ``item``; the returned event fires once it is stored."""
         event = StorePut(self, item)
@@ -76,31 +71,11 @@ class Store:
         """
         if self._put_waiters or len(self.items) >= self.capacity:
             return False
-        self._store_item(item)
+        self.items.append(item)
         self._dispatch()
         return True
 
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: pop and return the oldest item, or None."""
-        if not self.items:
-            return None
-        item = self._pop_item()
-        self._dispatch()
-        return item
-
-    def clear(self) -> List[Any]:
-        """Drop all stored items (used for obsolete-frame flushing)."""
-        dropped, self.items = self.items, []
-        self._dispatch()
-        return dropped
-
     # -- internals -----------------------------------------------------
-
-    def _store_item(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _pop_item(self) -> Any:
-        return self.items.pop(0)
 
     def _dispatch(self) -> None:
         """Match waiting puts with free slots and waiting gets with items."""
@@ -109,28 +84,13 @@ class Store:
             progressed = False
             while self._put_waiters and len(self.items) < self.capacity:
                 put = self._put_waiters.pop(0)
-                self._store_item(put.item)
+                self.items.append(put.item)
                 put.succeed()
                 progressed = True
             while self._get_waiters and self.items:
                 get = self._get_waiters.pop(0)
-                get.succeed(self._pop_item())
+                get.succeed(self.items.pop(0))
                 progressed = True
-
-
-class PriorityStore(Store):
-    """A store whose ``get`` returns the smallest item first.
-
-    Items must be orderable; the common pattern is ``(priority, seq,
-    payload)`` tuples.  Used for the priority-frame fast path where
-    input-triggered frames overtake refresh frames.
-    """
-
-    def _store_item(self, item: Any) -> None:
-        heapq.heappush(self.items, item)
-
-    def _pop_item(self) -> Any:
-        return heapq.heappop(self.items)
 
 
 class ResourceRequest(Event):
@@ -157,11 +117,6 @@ class Resource:
         self.capacity = capacity
         self.users: List[ResourceRequest] = []
         self.queue: List[ResourceRequest] = []
-
-    @property
-    def count(self) -> int:
-        """Number of current holders."""
-        return len(self.users)
 
     def request(self) -> ResourceRequest:
         event = ResourceRequest(self.env)
@@ -200,10 +155,6 @@ class Gate:
         self._open = is_open
         self._waiters: List[Event] = []
 
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
     def wait(self) -> Event:
         event = Event(self.env)
         if self._open:
@@ -222,9 +173,3 @@ class Gate:
     def close(self) -> None:
         """Close the gate; subsequent waits will block."""
         self._open = False
-
-    def pulse(self) -> None:
-        """Release current waiters without leaving the gate open."""
-        waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            event.succeed()

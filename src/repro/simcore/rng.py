@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Any, Callable, Iterator, List, Sequence, Tuple, TypeVar, cast
+from typing import Any, Callable, Iterator, Sequence, Tuple, TypeVar, cast
 
 import numpy as np
 
@@ -144,10 +144,6 @@ class SeededRng:
     def random(self) -> float:
         return float(self._gen.random())
 
-    def randint(self, low: int, high: int) -> int:
-        """Integer in ``[low, high]`` inclusive."""
-        return int(self._gen.integers(low, high + 1))
-
     def choice(self, seq: Sequence[T]) -> T:
         return seq[int(self._gen.integers(0, len(seq)))]
 
@@ -188,9 +184,6 @@ class SeededRng:
         mean = 1.0 / rate_per_ms
         while True:
             yield float(self._gen.exponential(mean))
-
-    def shuffle(self, seq: List[T]) -> None:
-        self._gen.shuffle(seq)  # type: ignore[arg-type]
 
     def __repr__(self) -> str:
         return f"<SeededRng {self.name!r} seed={self.seed}>"

@@ -34,18 +34,6 @@ class Resolution(enum.Enum):
     R1080P = "1080p"
 
     @property
-    def width(self) -> int:
-        return {"720p": 1280, "1080p": 1920}[self.value]
-
-    @property
-    def height(self) -> int:
-        return {"720p": 720, "1080p": 1080}[self.value]
-
-    @property
-    def pixels(self) -> int:
-        return self.width * self.height
-
-    @property
     def render_scale(self) -> float:
         """Render-time multiplier relative to 720p."""
         return {"720p": 1.0, "1080p": 1.75}[self.value]

@@ -1,4 +1,4 @@
-"""Tests for frame-log export and trace record/replay."""
+"""Tests for trace record/replay."""
 
 import io
 
@@ -8,8 +8,6 @@ from repro import CloudSystem, SystemConfig, make_regulator
 from repro.analysis import (
     RecordedStageModel,
     StageTraces,
-    export_frame_log,
-    load_frame_log,
     record_stage_traces,
 )
 from repro.analysis.traces import ReplaySampler
@@ -20,47 +18,6 @@ def run(spec="ODR60", seed=1, duration=5000.0, benchmark="IM", **kwargs):
     config = SystemConfig(benchmark, PRIVATE_CLOUD, Resolution.R720P, seed=seed,
                           duration_ms=duration, warmup_ms=1000.0, **kwargs)
     return CloudSystem(config, make_regulator(spec)).run()
-
-
-class TestFrameLog:
-    def test_roundtrip(self):
-        result = run()
-        buffer = io.StringIO()
-        count = export_frame_log(result, buffer)
-        assert count == len(result.system.app.frames)
-        buffer.seek(0)
-        frames = load_frame_log(buffer)
-        assert len(frames) == count
-        original = result.system.app.frames
-        for a, b in zip(original[:50], frames[:50]):
-            assert a.frame_id == b.frame_id
-            assert a.input_ids == b.input_ids
-            assert a.priority == b.priority
-            assert a.dropped == b.dropped
-            assert (a.t_displayed is None) == (b.t_displayed is None)
-            if a.t_displayed is not None:
-                assert a.t_displayed == pytest.approx(b.t_displayed, abs=1e-5)
-
-    def test_file_path_roundtrip(self, tmp_path):
-        result = run(duration=2000)
-        path = tmp_path / "frames.csv"
-        export_frame_log(result, str(path))
-        frames = load_frame_log(str(path))
-        assert frames and frames[0].frame_id == 1
-
-    def test_missing_columns_rejected(self):
-        buffer = io.StringIO("frame_id,priority\n1,0\n")
-        with pytest.raises(ValueError):
-            load_frame_log(buffer)
-
-    def test_drop_reasons_preserved(self):
-        result = run(spec="NoReg")
-        buffer = io.StringIO()
-        export_frame_log(result, buffer)
-        buffer.seek(0)
-        frames = load_frame_log(buffer)
-        dropped = [f for f in frames if f.dropped is not None]
-        assert len(dropped) == len(result.dropped_frames())
 
 
 class TestReplaySampler:

@@ -37,8 +37,7 @@ class TestLatencyBreakdown:
 
     def test_noreg_gce_dominated_by_transmit_congestion(self):
         breakdown = latency_breakdown(run("NoReg", platform=GCE))
-        assert breakdown.dominant() == "transmit_wait"
-        assert breakdown.fraction("transmit_wait") > 0.7
+        assert breakdown.fraction("transmit_wait") > 0.7  # so it dominates
 
     def test_odr_gce_not_congestion_dominated(self):
         breakdown = latency_breakdown(run("ODR60", platform=GCE))

@@ -87,13 +87,6 @@ class TestAlgorithm1:
         c.cancel_debt()
         assert c.acc_delay_ms == 0.0
 
-    def test_defer_rebooks_unslept_time(self):
-        c = clock(50)
-        c.defer(7.5)
-        assert c.acc_delay_ms == 7.5
-        c.defer(-1.0)  # ignored
-        assert c.acc_delay_ms == 7.5
-
     def test_negative_elapsed_rejected(self):
         with pytest.raises(ValueError):
             clock(60).frame_processed(-1.0)

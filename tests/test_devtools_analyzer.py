@@ -24,7 +24,6 @@ from repro.devtools.analyzer import (
     analyze,
     collect_sources,
     explain,
-    findings_from_sarif,
     to_sarif,
 )
 from repro.devtools.analyzer.baseline import (
@@ -424,7 +423,7 @@ def test_apply_baseline_splits_matched_and_stale():
 # -- SARIF ----------------------------------------------------------------
 
 
-def test_sarif_round_trip_preserves_findings():
+def test_sarif_results_carry_every_finding_field():
     findings = [
         Finding(
             rule="P1",
@@ -444,7 +443,17 @@ def test_sarif_round_trip_preserves_findings():
     assert run["tool"]["driver"]["name"] == "odr-analyze"
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
     assert set(RULES) <= rule_ids
-    assert findings_from_sarif(text) == findings
+    results = run["results"]
+    assert [r["ruleId"] for r in results] == ["P1", "C1"]
+    first = results[0]
+    location = first["locations"][0]["physicalLocation"]
+    assert location["artifactLocation"]["uri"] == "src/repro/simcore/engine.py"
+    assert location["region"] == {"startLine": 10, "startColumn": 5}
+    assert first["message"]["text"] == "wall-clock read"
+    assert first["properties"]["detail"] == "clock:time.time()"
+    hops = first["codeFlows"][0]["threadFlows"][0]["locations"]
+    assert [h["location"]["message"]["text"] for h in hops] == list(findings[0].chain)
+    assert "codeFlows" not in results[1]  # no chain, no flow
 
 
 def test_sarif_of_clean_run_has_no_results(cache_path):

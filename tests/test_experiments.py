@@ -13,7 +13,7 @@ from repro.experiments import (
 from repro.experiments.chaos import chaos_demands
 from repro.experiments.config import regulator_specs_for
 from repro.experiments.plan import Plan
-from repro.experiments.userstudy import UserStudy, extract_features
+from repro.experiments.userstudy import STUDY_SPECS, UserStudy, extract_features
 from repro.workloads import GCE, PRIVATE_CLOUD, Resolution
 from tests.records import planned_record
 
@@ -183,8 +183,9 @@ class TestUserStudyModel:
         terrible = SessionFeatures(client_fps=5, mtp_ms=5000, stutter_frac=1.0, tear_score=1.0)
         great = SessionFeatures(client_fps=60, mtp_ms=20, stutter_frac=0.0, tear_score=0.0)
         for participant in study.participants[:5]:
-            assert 1.0 <= study.rate(participant, terrible) <= 4.0
-            assert 6.0 <= study.rate(participant, great) <= 10.0
+            for spec_index in range(len(STUDY_SPECS)):
+                assert 1.0 <= study.rate(participant, spec_index, terrible) <= 4.0
+                assert 6.0 <= study.rate(participant, spec_index, great) <= 10.0
 
     def test_reports_thresholding(self):
         study = UserStudy(seed=3)

@@ -13,7 +13,6 @@ import pytest
 from repro import CloudSystem, SystemConfig, make_regulator
 from repro.cli import main
 from repro.experiments import (
-    Plan,
     SerialExecutor,
     chaos_demands,
     render_resilience,
@@ -150,7 +149,7 @@ class TestPaperSec41Claim:
 
     def test_odr_accelerates_back_to_target(self):
         result, stats = self.run("ODR60")
-        assert stats is not None and stats.recovered
+        assert stats is not None and stats.time_to_recover_ms is not None
         assert stats.time_to_recover_ms <= 250.0
         # The catch-up burst: decode runs *above* target right after.
         burst = result.counter.mean_fps("decode", 6300.0, 6700.0)

@@ -134,8 +134,6 @@ class TestResultStore:
         store.put(outcome.spec.run_id, outcome.record)
         assert store.get(outcome.spec.run_id) == outcome.record
         assert (store.hits, store.misses) == (1, 1)
-        store.reset_stats()
-        assert (store.hits, store.misses) == (0, 0)
 
     def test_persistent_round_trip(self, tmp_path):
         outcome = execute_cell(spec())
@@ -177,14 +175,6 @@ class TestResultStore:
         payload["schema"] = -1
         path.write_text(json.dumps(payload))
         assert ResultStore(tmp_path).get(outcome.spec.run_id) is None
-
-    def test_invalidate_clears_disk(self, tmp_path):
-        outcome = execute_cell(spec())
-        store = ResultStore(tmp_path)
-        store.put(outcome.spec.run_id, outcome.record)
-        store.invalidate(outcome.spec.run_id)
-        assert outcome.spec.run_id not in store
-        assert not store.cell_path(outcome.spec.run_id).exists()
 
 
 class TestWarmStart:

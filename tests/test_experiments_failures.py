@@ -49,7 +49,8 @@ class TestSerialFailures:
         assert not report.ok
         assert len(report.outcomes) == 2
         assert len(report.failures) == 1
-        failure = report.failure_for(BAD.run_id)
+        [failure] = report.failures
+        assert failure.spec.run_id == BAD.run_id
         assert "ValueError" in failure.error
         assert failure.attempts == 1
         assert "failed=1" in report.describe()
@@ -104,7 +105,8 @@ class TestWorkerCrash:
         )
         assert not report.ok
         assert [o.spec.run_id for o in report.outcomes] == [survivor.run_id]
-        failure = report.failure_for(victim.run_id)
+        [failure] = report.failures
+        assert failure.spec.run_id == victim.run_id
         assert "worker crashed" in failure.error
         assert failure.attempts == 2
         assert len(marker.read_text().split()) == 2
@@ -118,9 +120,10 @@ class TestWorkerCrash:
         )
         assert resumed.ok
         assert (resumed.executed, resumed.cached) == (1, 1)
-        assert resumed.outcome_for(survivor.run_id).cached
+        by_id = {o.spec.run_id: o for o in resumed.outcomes}
+        assert by_id[survivor.run_id].cached
         clean = execute_cell(victim)
-        assert resumed.outcome_for(victim.run_id).record == clean.record
+        assert by_id[victim.run_id].record == clean.record
 
 
 class TestCellTimeout:
@@ -131,7 +134,9 @@ class TestCellTimeout:
         report = executor.run(Plan([healthy, hung]))
         assert not report.ok
         assert [o.spec.run_id for o in report.outcomes] == [healthy.run_id]
-        assert "timed out" in report.failure_for(hung.run_id).error
+        [failure] = report.failures
+        assert failure.spec.run_id == hung.run_id
+        assert "timed out" in failure.error
 
     def test_timeout_validation(self):
         with pytest.raises(ValueError):

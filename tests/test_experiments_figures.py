@@ -85,6 +85,11 @@ class TestRenderersReadOnlyTheirPlan:
         assert list(out["ratings"]) == STUDY_SPECS
         assert all(len(v) == UserStudy.N_PARTICIPANTS for v in out["rating_samples"].values())
 
+    def test_userstudy_run_is_idempotent(self, runner):
+        study = UserStudy(seed=1)
+        records = plan_only(runner, study.demands(runner))
+        assert study.run(records) == study.run(records)
+
 
 class TestAnalysisFigures:
     def test_fig01_structure(self, runner):

@@ -37,7 +37,8 @@ class TestSpecRoundTrip:
 
     def test_plan_payload_round_trip(self):
         plan = FaultPlan(tuple(ALL_SPECS))
-        assert FaultPlan.from_payload(plan.to_payload()) == plan
+        payload = [fault.to_dict() for fault in plan]
+        assert FaultPlan([fault_from_dict(item) for item in payload]) == plan
         assert len(plan) == len(ALL_SPECS)
         assert bool(plan)
         assert not FaultPlan()
@@ -51,11 +52,6 @@ class TestSpecRoundTrip:
         payload["surprise"] = 1
         with pytest.raises(ValueError):
             fault_from_dict(payload)
-
-    def test_describe_mentions_every_fault(self):
-        text = FaultPlan(tuple(ALL_SPECS)).describe()
-        for spec in ALL_SPECS:
-            assert spec.label() in text
 
 
 class TestSpecValidation:

@@ -21,12 +21,6 @@ class TestFpsCounter:
         assert counter.count("decode") == 1
         assert counter.count("missing") == 0
 
-    def test_stages_sorted(self):
-        counter = FpsCounter()
-        counter.record("render", 1)
-        counter.record("decode", 1)
-        assert counter.stages() == ["decode", "render"]
-
     def test_mean_fps_regular_stream(self):
         counter = FpsCounter()
         for t in regular_times(60, 5000):
@@ -51,19 +45,6 @@ class TestFpsCounter:
         assert len(series) == 4
         for fps in series:
             assert fps == pytest.approx(60, abs=2)
-
-    def test_stage_fps_summary(self):
-        counter = FpsCounter()
-        for t in regular_times(30, 10000):
-            counter.record("render", t)
-        summary = counter.stage_fps("render", 0, 10000)
-        assert summary.stage == "render"
-        assert summary.mean_fps == pytest.approx(30, abs=0.5)
-        assert summary.box.count == 10
-
-    def test_stage_fps_no_windows_raises(self):
-        with pytest.raises(ValueError):
-            FpsCounter().stage_fps("render", 0, 100)
 
 
 class TestFpsGap:

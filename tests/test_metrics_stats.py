@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics import BoxStats, mean, percentile, summarize
-from repro.metrics.stats import paired_delta_cis, stddev
+from repro.metrics.stats import paired_delta_cis
 
 
 class TestMean:
@@ -15,18 +15,6 @@ class TestMean:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             mean([])
-
-
-class TestStddev:
-    def test_constant_sequence(self):
-        assert stddev([5, 5, 5]) == 0.0
-
-    def test_known_value(self):
-        assert stddev([2, 4]) == pytest.approx(1.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            stddev([])
 
 
 class TestPercentile:
@@ -76,12 +64,6 @@ class TestSummarize:
         assert box.p25 == 25.0
         assert box.p75 == 75.0
         assert box.p99 == 99.0
-
-    def test_as_dict_roundtrip(self):
-        box = summarize([1.0, 2.0, 3.0])
-        d = box.as_dict()
-        assert d["count"] == 3
-        assert d["mean"] == 2.0
 
     def test_str_formatting(self):
         text = str(summarize([1.0, 2.0]))

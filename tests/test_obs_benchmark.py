@@ -105,7 +105,7 @@ def best_of_interleaved(baseline_fn, current_fn, rounds=5):
 def test_standard_run_benchmark_telemetry_disabled(benchmark):
     result = benchmark.pedantic(run_disabled, rounds=3, warmup_rounds=1)
     assert result.client_fps > 0
-    assert result.telemetry() is None
+    assert result.system.telemetry is None
 
 
 def test_disabled_probe_overhead_under_five_percent():

@@ -68,7 +68,7 @@ class TestChromeTrace:
     def test_timestamps_are_microseconds(self, odr_run):
         _, telemetry = odr_run
         span = next(iter(telemetry.spans))
-        render = span.interval("render")
+        render = next(iv for iv in span.intervals if iv.stage == "render")
         events = chrome_trace(telemetry)["traceEvents"]
         slice0 = next(
             e
@@ -118,9 +118,9 @@ class TestJsonl:
 class TestRunResultIntegration:
     def test_run_result_exposes_telemetry(self, odr_run):
         result, telemetry = odr_run
-        assert result.telemetry() is telemetry
-        assert len(result.telemetry().spans) > 0
-        snapshot = result.telemetry().snapshot()
+        assert result.system.telemetry is telemetry
+        assert len(telemetry.spans) > 0
+        snapshot = telemetry.snapshot()
         assert snapshot.counter_value("frames_created_total") == len(telemetry.spans)
         assert snapshot.histogram_stats("gate_delay_ms").count > 0
 
@@ -133,7 +133,7 @@ class TestRunResultIntegration:
             warmup_ms=100.0,
         )
         result = CloudSystem(config, make_regulator("NoReg")).run()
-        assert result.telemetry() is None
+        assert result.system.telemetry is None
 
     def test_span_counts_consistent_with_run_result(self, odr_run):
         result, telemetry = odr_run

@@ -310,18 +310,6 @@ class TestByteBudgetQueue:
         with pytest.raises(ValueError):
             q.put(frame(1, size=0))
 
-    def test_clear_drops_queued(self, env):
-        q = ByteBudgetQueue(env, budget_bytes=10**6)
-
-        def run():
-            yield q.put(frame(1, size=10))
-            yield q.put(frame(2, size=10))
-            dropped = q.clear()
-            assert [f.frame_id for f in dropped] == [1, 2]
-            assert q.queued_bytes == 0
-
-        env.run(env.process(run()))
-
     def test_bad_budget_rejected(self, env):
         with pytest.raises(ValueError):
             ByteBudgetQueue(env, budget_bytes=0)

@@ -131,8 +131,6 @@ class TestStatsValidation:
             _ = model.stats.mean_added_latency_ms
         with pytest.raises(ValueError):
             _ = model.stats.tear_fraction
-        with pytest.raises(ValueError):
-            model.stats.pacing_jitter_ms()
 
     def test_presentation_dropped_property(self):
         assert Presentation(display_time=None).dropped

@@ -4,7 +4,7 @@ import pytest
 
 from repro import CloudSystem, SystemConfig, make_regulator
 from repro.pipeline.abr import AbrSizeSampler, AdaptiveBitrate
-from repro.pipeline.netdyn import compose, constant, dips, sinusoidal
+from repro.pipeline.netdyn import compose, dips
 from repro.workloads import GCE, PRIVATE_CLOUD, Resolution
 
 
@@ -34,7 +34,7 @@ class TestAbrController:
         """60 FPS at 1080p needs ~60 Mbps > GCE's 42: ABR must adapt."""
         result = run("ODR60", abr=AdaptiveBitrate())
         controller = result.system.abr
-        assert controller.final_scale < 0.85
+        assert controller.scale < 0.85
         assert controller.mean_scale(result.t_start, result.t_end) < 0.95
 
     def test_abr_makes_infeasible_target_feasible(self):
@@ -77,21 +77,6 @@ class TestAbrController:
 
 
 class TestBandwidthSchedules:
-    def test_constant(self):
-        assert constant(1.0)(123.0) == 1.0
-        with pytest.raises(ValueError):
-            constant(0)
-
-    def test_sinusoidal_bounds(self):
-        schedule = sinusoidal(period_ms=1000, amplitude=0.3)
-        values = [schedule(t) for t in range(0, 2000, 17)]
-        assert 0.69 <= min(values) <= 0.72
-        assert 1.28 <= max(values) <= 1.31
-        with pytest.raises(ValueError):
-            sinusoidal(0, 0.5)
-        with pytest.raises(ValueError):
-            sinusoidal(100, 1.0)
-
     def test_dips_timing(self):
         schedule = dips(period_ms=1000, dip_duration_ms=200, dip_factor=0.4,
                         first_dip_at_ms=500)
@@ -105,7 +90,7 @@ class TestBandwidthSchedules:
             dips(1000, 100, 0.0)
 
     def test_compose(self):
-        schedule = compose([constant(0.5), constant(0.5)])
+        schedule = compose([lambda t: 0.5, lambda t: 0.5])
         assert schedule(0) == 0.25
         with pytest.raises(ValueError):
             compose([])
@@ -115,7 +100,7 @@ class TestDynamicBandwidthRuns:
     def test_schedule_slows_transmission(self):
         steady = run("ODR60", platform=GCE, resolution=Resolution.R720P)
         throttled = run("ODR60", platform=GCE, resolution=Resolution.R720P,
-                        bandwidth_schedule=constant(0.5))
+                        bandwidth_schedule=lambda t: 0.5)
         assert throttled.mean_mtp_ms() > steady.mean_mtp_ms()
 
     def test_invalid_schedule_value_raises(self):

@@ -9,16 +9,18 @@ frames.
 import pytest
 
 from repro import CloudSystem, SystemConfig, make_regulator
-from repro.faults import StallInjector, inject_stall
+from repro.faults import FaultPlan, StageStall, StallInjector
 from repro.simcore import Environment
 from repro.simcore.tracing import windowed_counts
 from repro.workloads import PRIVATE_CLOUD, Resolution
 
 
-def build(spec, seed=1, duration=12000.0):
+def build(spec, stall=None, seed=1, duration=12000.0):
+    """An IM system, with ``stall = (stage, at_ms, duration_ms)`` planned."""
     config = SystemConfig("IM", PRIVATE_CLOUD, Resolution.R720P, seed=seed,
                           duration_ms=duration, warmup_ms=2000.0)
-    return CloudSystem(config, make_regulator(spec))
+    plan = FaultPlan([StageStall(*stall)]) if stall is not None else None
+    return CloudSystem(config, make_regulator(spec), fault_plan=plan)
 
 
 class FixedSampler:
@@ -54,9 +56,8 @@ class TestStallInjector:
             StallInjector(FixedSampler(1.0), env, [(-1.0, 5.0)])
 
     def test_unknown_stage_rejected(self):
-        system = build("NoReg")
-        with pytest.raises(KeyError):
-            inject_stall(system, "teleport", 100.0, 10.0)
+        with pytest.raises(ValueError):
+            build("NoReg", stall=("teleport", 100.0, 10.0))
 
 
 class TestStallRecovery:
@@ -69,8 +70,7 @@ class TestStallRecovery:
 
     @pytest.mark.parametrize("stage", ["render", "encode"])
     def test_odr_recovers_within_a_second(self, stage):
-        system = build("ODR60")
-        inject_stall(system, stage, self.STALL_AT, self.STALL_MS)
+        system = build("ODR60", stall=(stage, self.STALL_AT, self.STALL_MS))
         result = system.run()
         # the stall is visible: some window right after it dips
         during = self.window_fps(result, self.STALL_AT, self.STALL_AT + self.STALL_MS)
@@ -84,8 +84,7 @@ class TestStallRecovery:
     def test_odr_acceleration_repays_stalled_frames(self):
         """Immediately after the stall, ODR runs *above* target to repay
         the debt window — the Fig. 5d catch-up burst."""
-        system = build("ODR60")
-        inject_stall(system, "encode", self.STALL_AT, self.STALL_MS)
+        system = build("ODR60", stall=("encode", self.STALL_AT, self.STALL_MS))
         result = system.run()
         burst = result.counter.mean_fps(
             "decode", self.STALL_AT + self.STALL_MS, self.STALL_AT + self.STALL_MS + 400.0
@@ -93,16 +92,9 @@ class TestStallRecovery:
         assert burst > 65.0
 
     def test_delay_only_does_not_repay(self):
-        accel_sys = build("ODR60", seed=3)
-        inject_stall(accel_sys, "encode", self.STALL_AT, self.STALL_MS)
-        accel = accel_sys.run()
-        noaccel_sys = CloudSystem(
-            SystemConfig("IM", PRIVATE_CLOUD, Resolution.R720P, seed=3,
-                         duration_ms=12000.0, warmup_ms=2000.0),
-            make_regulator("ODR60-noAccel"),
-        )
-        inject_stall(noaccel_sys, "encode", self.STALL_AT, self.STALL_MS)
-        noaccel = noaccel_sys.run()
+        stall = ("encode", self.STALL_AT, self.STALL_MS)
+        accel = build("ODR60", stall=stall, seed=3).run()
+        noaccel = build("ODR60-noAccel", stall=stall, seed=3).run()
         window = (self.STALL_AT, self.STALL_AT + 2000.0)
         accel_delivered = len([t for t in accel.counter.times("decode")
                                if window[0] <= t < window[1]])
@@ -113,8 +105,7 @@ class TestStallRecovery:
     def test_decode_stall_bounded_under_odr(self):
         """A client-side freeze must not wedge the pipeline: ODR's
         bounded buffering backpressures and then recovers."""
-        system = build("ODRMax")
-        inject_stall(system, "decode", self.STALL_AT, self.STALL_MS)
+        system = build("ODRMax", stall=("decode", self.STALL_AT, self.STALL_MS))
         result = system.run()
         after = result.counter.mean_fps("decode", self.STALL_AT + 1500.0, result.t_end)
         assert after > 90
@@ -125,8 +116,7 @@ class TestStallRecovery:
 
     def test_render_stall_drops_noreg_client_too(self):
         """Sanity: stalls propagate in all systems, not just ODR."""
-        system = build("NoReg")
-        inject_stall(system, "render", self.STALL_AT, self.STALL_MS)
+        system = build("NoReg", stall=("render", self.STALL_AT, self.STALL_MS))
         result = system.run()
         during = self.window_fps(result, self.STALL_AT, self.STALL_AT + self.STALL_MS)
         assert min(during) < 40

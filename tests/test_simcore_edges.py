@@ -75,22 +75,6 @@ class TestConditionEdges:
 
 
 class TestEventEdges:
-    def test_trigger_copies_state(self, env):
-        source = env.event()
-        mirror = env.event()
-        source.callbacks.append(mirror.trigger)
-        source.succeed("payload")
-        env.run()
-        assert mirror.value == "payload"
-
-    def test_trigger_on_already_triggered_is_noop(self, env):
-        mirror = env.event()
-        mirror.succeed("first")
-        source = env.event()
-        source.succeed("second")
-        mirror.trigger(source)  # must not raise or overwrite
-        assert mirror.value == "first"
-
     def test_ok_before_trigger_raises(self, env):
         with pytest.raises(SimulationError):
             _ = env.event().ok

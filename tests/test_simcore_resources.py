@@ -1,8 +1,8 @@
-"""Unit tests for Store / PriorityStore / Resource / Gate."""
+"""Unit tests for Store / Resource / Gate."""
 
 import pytest
 
-from repro.simcore import Environment, Gate, PriorityStore, Resource, Store
+from repro.simcore import Environment, Gate, Resource, Store
 
 
 @pytest.fixture
@@ -69,18 +69,6 @@ class TestStore:
         with pytest.raises(ValueError):
             Store(env, capacity=0)
 
-    def test_try_get_nonblocking(self, env):
-        store = Store(env)
-        assert store.try_get() is None
-
-        def producer():
-            yield store.put("x")
-
-        env.process(producer())
-        env.run()
-        assert store.try_get() == "x"
-        assert store.try_get() is None
-
     def test_try_put_serves_a_waiting_getter(self, env):
         store = Store(env)
         got = []
@@ -100,7 +88,7 @@ class TestStore:
         store = Store(env)
         assert store.try_put("x") is True
         assert env.peek() == float("inf")
-        assert store.try_get() == "x"
+        assert store.items == ["x"]
 
     def test_try_put_refuses_when_full(self, env):
         store = Store(env, capacity=1)
@@ -118,60 +106,6 @@ class TestStore:
         assert store.try_put(3) is False
         assert store.items == [1]
         assert not blocked.triggered
-
-    def test_clear_drops_items_and_unblocks_producers(self, env):
-        store = Store(env, capacity=2)
-        log = []
-
-        def producer():
-            for i in range(4):
-                yield store.put(i)
-                log.append((i, env.now))
-
-        def clearer():
-            yield env.timeout(3)
-            dropped = store.clear()
-            log.append(("cleared", dropped))
-
-        env.process(producer())
-        env.process(clearer())
-        env.run()
-        assert ("cleared", [0, 1]) in log
-        # producers 2 and 3 complete after the clear
-        assert (2, 3.0) in log and (3, 3.0) in log
-
-    def test_is_full(self, env):
-        store = Store(env, capacity=1)
-
-        def producer():
-            yield store.put("x")
-
-        env.process(producer())
-        env.run()
-        assert store.is_full
-        assert len(store) == 1
-
-
-class TestPriorityStore:
-    def test_smallest_first(self, env):
-        store = PriorityStore(env)
-        results = []
-
-        def producer():
-            yield store.put((5, "low"))
-            yield store.put((1, "high"))
-            yield store.put((3, "mid"))
-
-        def consumer():
-            yield env.timeout(1)
-            for _ in range(3):
-                item = yield store.get()
-                results.append(item[1])
-
-        env.process(producer())
-        env.process(consumer())
-        env.run()
-        assert results == ["high", "mid", "low"]
 
 
 class TestResource:
@@ -227,9 +161,9 @@ class TestResource:
         held = res.request()  # granted immediately
         queued = res.request()
         res.release(queued)  # cancel while still queued
-        assert res.count == 1
+        assert len(res.users) == 1
         res.release(held)
-        assert res.count == 0
+        assert len(res.users) == 0
 
     def test_capacity_validation(self, env):
         with pytest.raises(ValueError):
@@ -299,22 +233,3 @@ class TestGate:
         env.process(opener())
         env.run()
         assert log == [0.0, 20.0]
-
-    def test_pulse_releases_but_stays_closed(self, env):
-        gate = Gate(env)
-        log = []
-
-        def waiter(tag):
-            yield gate.wait()
-            log.append((tag, env.now))
-
-        env.process(waiter("first"))
-
-        def pulser():
-            yield env.timeout(5)
-            gate.pulse()
-            assert not gate.is_open
-
-        env.process(pulser())
-        env.run()
-        assert log == [("first", 5.0)]

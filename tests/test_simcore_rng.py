@@ -41,11 +41,6 @@ class TestSeededRng:
         seq2 = [child_a_second.random() for _ in range(5)]
         assert seq1 == seq2
 
-    def test_randint_bounds_inclusive(self):
-        rng = SeededRng(9)
-        draws = {rng.randint(1, 3) for _ in range(200)}
-        assert draws == {1, 2, 3}
-
     def test_exponential_mean(self):
         rng = SeededRng(11)
         draws = [rng.exponential(10.0) for _ in range(20000)]

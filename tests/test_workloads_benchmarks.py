@@ -99,13 +99,6 @@ class TestStageModelScaling:
 
 
 class TestResolution:
-    def test_dimensions(self):
-        assert Resolution.R720P.width == 1280
-        assert Resolution.R1080P.height == 1080
-
-    def test_pixels(self):
-        assert Resolution.R720P.pixels == 1280 * 720
-
     def test_default_fps_targets_match_paper(self):
         # Sec. 6.1: 60 FPS at 720p, 30 FPS at 1080p.
         assert Resolution.R720P.default_fps_target == 60
