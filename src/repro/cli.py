@@ -56,7 +56,8 @@ Service verbs (the sweep gateway, see ``docs/SERVICE.md``)::
 
     serve       host the async sweep gateway: one warm worker pool,
                 cross-job in-flight dedupe, streamed telemetry
-    submit      submit a matrix/bench/chaos plan to a running gateway
+    submit      plan a matrix/bench/chaos sweep from the local verb's
+                flags and submit its cells to a running gateway
     status      list a gateway's jobs, or show one by id/prefix
     fetch       fetch one cell's record from a gateway by run_id
 
@@ -71,6 +72,7 @@ import os
 import sys
 from typing import Dict, List, Optional
 
+from repro.experiments.chaos import chaos_demands
 from repro.experiments.config import (
     ExperimentConfig,
     PlatformRes,
@@ -78,13 +80,14 @@ from repro.experiments.config import (
     platform_res_combos,
 )
 from repro.experiments.executor import ExecutionError, ExecutionReport, make_executor
-from repro.experiments.plan import Plan, bench_demands
+from repro.experiments.plan import Plan, bench_demands, matrix_demands
 from repro.experiments.runner import PlanRecords, Runner
 from repro.experiments.store import ResultStore
 from repro.faults.catalog import build_fault_plan, fault_class_names
 from repro.obs.ledger import DEFAULT_LEDGER_DIR
 from repro.pipeline import CloudSystem, SystemConfig
 from repro.regulators import make_regulator
+from repro.service.cli import add_connect_args, add_service_parsers
 from repro.workloads import BENCHMARKS, PLATFORMS, Resolution
 
 __all__ = ["main"]
@@ -133,6 +136,125 @@ def _csv_items(values: List[str]) -> List[str]:
     for value in values:
         items.extend(part for part in value.split(",") if part)
     return items
+
+
+# The sweep verbs' plan flags and ``args → Plan`` builders.  The local
+# verb and ``submit <verb>`` both register and call these, so the same
+# command plans the same cells whether it runs here or on a gateway.
+# A builder raises ``ValueError`` for input argparse cannot check.
+
+
+def _add_matrix_plan_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--ablation", action="store_true",
+                     help="include the ODRMax-noPri rows")
+    sub.add_argument(
+        "--benchmarks", nargs="+", choices=sorted(BENCHMARKS),
+        help="restrict to these benchmarks (reduced matrix)",
+    )
+    sub.add_argument(
+        "--groups", nargs="+",
+        choices=[c.label for c in platform_res_combos()],
+        help="restrict to these platform-resolution groups (reduced matrix)",
+    )
+
+
+def _matrix_plan(args: argparse.Namespace) -> Plan:
+    return matrix_demands(
+        benchmarks=sorted(args.benchmarks) if args.benchmarks else None,
+        groups=args.groups,
+        include_ablation=args.ablation,
+        seeds=(args.seed,),
+        duration_ms=args.duration,
+        warmup_ms=args.warmup,
+    )
+
+
+def _add_bench_plan_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--seeds", type=int, nargs="+", default=[1, 2], help="seeds per cell"
+    )
+    sub.add_argument(
+        "--benchmarks", nargs="+", choices=sorted(BENCHMARKS), default=["IM", "STK"]
+    )
+    sub.add_argument(
+        "--regulators", nargs="+", default=["NoReg", "ODR60"],
+        help="regulator specs per cell",
+    )
+    sub.add_argument("--platform", choices=sorted(PLATFORMS), default="private")
+    sub.add_argument(
+        "--resolution", choices=[r.value for r in Resolution], default="720p"
+    )
+
+
+def _bench_plan(args: argparse.Namespace) -> Plan:
+    return bench_demands(
+        benchmarks=args.benchmarks,
+        regulators=args.regulators,
+        seeds=args.seeds,
+        platform=args.platform,
+        resolution=args.resolution,
+        duration_ms=args.duration,
+        warmup_ms=args.warmup,
+    )
+
+
+def _add_chaos_plan_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--benchmarks", nargs="+", default=["STK", "IM"],
+        help="benchmarks to disturb (space- or comma-separated)",
+    )
+    sub.add_argument(
+        "--groups", nargs="+", default=["NoReg", "Int60", "ODR60"],
+        help="regulator specs to contrast (space- or comma-separated)",
+    )
+    sub.add_argument(
+        "--faults", nargs="+", default=None, metavar="CLASS",
+        help="fault classes to inject (default: the whole catalog: "
+             + ", ".join(fault_class_names()) + ")",
+    )
+    sub.add_argument(
+        "--seeds", type=int, nargs="+", default=[1], help="seeds per cell"
+    )
+    sub.add_argument("--platform", choices=sorted(PLATFORMS), default="private")
+    sub.add_argument(
+        "--resolution", choices=[r.value for r in Resolution], default="720p"
+    )
+    sub.add_argument(
+        "--no-baseline", action="store_true",
+        help="skip the fault-free contrast cells",
+    )
+
+
+def _chaos_plan(args: argparse.Namespace) -> Plan:
+    benchmarks = _csv_items(args.benchmarks)
+    unknown = sorted(set(benchmarks) - set(BENCHMARKS))
+    if unknown:
+        raise ValueError(f"unknown benchmark(s): {', '.join(unknown)}")
+    fault_classes = _csv_items(args.faults) if args.faults else None
+    if fault_classes:
+        bad = sorted(set(fault_classes) - set(fault_class_names()))
+        if bad:
+            raise ValueError(f"unknown fault class(es): {', '.join(bad)}")
+    return chaos_demands(
+        benchmarks=benchmarks,
+        regulators=_csv_items(args.groups),
+        fault_classes=fault_classes,
+        seeds=args.seeds,
+        platform=args.platform,
+        resolution=args.resolution,
+        duration_ms=args.duration,
+        warmup_ms=args.warmup,
+        include_baseline=not args.no_baseline,
+    )
+
+
+#: Verb → (plan-flag registrar, ``args → Plan`` builder) for every
+#: sweep verb ``odr-sim submit`` can send to a gateway.
+SWEEP_PLANS = {
+    "matrix": (_add_matrix_plan_args, _matrix_plan),
+    "bench": (_add_bench_plan_args, _bench_plan),
+    "chaos": (_add_chaos_plan_args, _chaos_plan),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -201,17 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "matrix", help="run the full 28-configuration matrix and export CSV"
     )
     matrix.add_argument("output", help="destination CSV path")
-    matrix.add_argument("--ablation", action="store_true",
-                        help="include the ODRMax-noPri rows")
-    matrix.add_argument(
-        "--benchmarks", nargs="+", choices=sorted(BENCHMARKS),
-        help="restrict to these benchmarks (reduced matrix)",
-    )
-    matrix.add_argument(
-        "--groups", nargs="+",
-        choices=[c.label for c in platform_res_combos()],
-        help="restrict to these platform-resolution groups (reduced matrix)",
-    )
+    _add_matrix_plan_args(matrix)
     matrix.add_argument(
         "--telemetry-dir",
         help="also persist per-cell Chrome traces + JSONL telemetry here",
@@ -227,30 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="fault-injection chaos sweep: fault classes x regulators, "
              "scored into a resilience table",
     )
-    chaos.add_argument(
-        "--benchmarks", nargs="+", default=["STK", "IM"],
-        help="benchmarks to disturb (space- or comma-separated)",
-    )
-    chaos.add_argument(
-        "--groups", nargs="+", default=["NoReg", "Int60", "ODR60"],
-        help="regulator specs to contrast (space- or comma-separated)",
-    )
-    chaos.add_argument(
-        "--faults", nargs="+", default=None, metavar="CLASS",
-        help="fault classes to inject (default: the whole catalog: "
-             + ", ".join(fault_class_names()) + ")",
-    )
-    chaos.add_argument(
-        "--seeds", type=int, nargs="+", default=[1], help="seeds per cell"
-    )
-    chaos.add_argument("--platform", choices=sorted(PLATFORMS), default="private")
-    chaos.add_argument(
-        "--resolution", choices=[r.value for r in Resolution], default="720p"
-    )
-    chaos.add_argument(
-        "--no-baseline", action="store_true",
-        help="skip the fault-free contrast cells",
-    )
+    _add_chaos_plan_args(chaos)
     chaos.add_argument("--ledger", default=DEFAULT_LEDGER_DIR,
                        help="run-ledger directory")
     chaos.add_argument(
@@ -386,20 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--ledger", default=DEFAULT_LEDGER_DIR,
                        help="run-ledger directory")
-    bench.add_argument(
-        "--seeds", type=int, nargs="+", default=[1, 2], help="seeds per cell"
-    )
-    bench.add_argument(
-        "--benchmarks", nargs="+", choices=sorted(BENCHMARKS), default=["IM", "STK"]
-    )
-    bench.add_argument(
-        "--regulators", nargs="+", default=["NoReg", "ODR60"],
-        help="regulator specs per cell",
-    )
-    bench.add_argument("--platform", choices=sorted(PLATFORMS), default="private")
-    bench.add_argument(
-        "--resolution", choices=[r.value for r in Resolution], default="720p"
-    )
+    _add_bench_plan_args(bench)
     _add_exec_args(bench)
 
     runs_cmd = sub.add_parser("runs", help="list the run ledger's records")
@@ -426,24 +502,14 @@ def _build_parser() -> argparse.ArgumentParser:
              "forever; press q or Ctrl-C to leave)",
     )
     watch.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
-        help="stream from a running sweep gateway instead of a local "
-             "event log",
-    )
-    watch.add_argument(
         "--job", default=None, metavar="ID",
         help="with --connect: job id or unique prefix to follow "
              "(default: the newest submission)",
     )
-    watch.add_argument(
-        "--connect-wait", type=float, default=5.0, metavar="S",
-        help="with --connect: keep dialing a not-yet-listening gateway "
-             "for S seconds (default: %(default)s)",
-    )
-    watch.add_argument(
-        "--retries", type=int, default=5, metavar="N",
-        help="with --connect: attempts per request, and stream "
-             "reconnections, on retryable failures (default: %(default)s)",
+    add_connect_args(
+        watch, default=None,
+        connect_help="stream from a running sweep gateway instead of a "
+                     "local event log",
     )
 
     sweep_trace = sub.add_parser(
@@ -532,9 +598,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resamples", type=int, default=2000, help="bootstrap resamples"
     )
 
-    from repro.service.cli import add_service_parsers
-
-    add_service_parsers(sub)
+    add_service_parsers(sub, SWEEP_PLANS)
     return parser
 
 
@@ -720,36 +784,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
     from repro.experiments.chaos import (
-        chaos_demands,
         render_resilience,
         resilience_payload,
         resilience_rows,
     )
 
-    benchmarks = _csv_items(args.benchmarks)
-    regulators = _csv_items(args.groups)
-    unknown = sorted(set(benchmarks) - set(BENCHMARKS))
-    if unknown:
-        print(f"chaos: unknown benchmark(s): {', '.join(unknown)}", file=sys.stderr)
+    try:
+        plan = _chaos_plan(args)
+    except ValueError as exc:
+        print(f"chaos: {exc}", file=sys.stderr)
         return 2
-    fault_classes = _csv_items(args.faults) if args.faults else None
-    if fault_classes:
-        bad = sorted(set(fault_classes) - set(fault_class_names()))
-        if bad:
-            print(f"chaos: unknown fault class(es): {', '.join(bad)}", file=sys.stderr)
-            return 2
-
-    plan = chaos_demands(
-        benchmarks=benchmarks,
-        regulators=regulators,
-        fault_classes=fault_classes,
-        seeds=args.seeds,
-        platform=args.platform,
-        resolution=args.resolution,
-        duration_ms=args.duration,
-        warmup_ms=args.warmup,
-        include_baseline=not args.no_baseline,
-    )
     runner = _experiment_runner(args)
     ledger = runner.attach_ledger(args.ledger)
     report = _run_sweep("chaos", runner, plan)
@@ -809,15 +853,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """The smoke benchmark matrix (benchmarks × regulators × seeds) into
     the run ledger, whose rows CI's ``compare-runs`` gate diffs against
     ``benchmarks/baselines/``.  Speed is measured by ``perfbench/``."""
-    plan = bench_demands(
-        benchmarks=args.benchmarks,
-        regulators=args.regulators,
-        seeds=args.seeds,
-        platform=args.platform,
-        resolution=args.resolution,
-        duration_ms=args.duration,
-        warmup_ms=args.warmup,
-    )
+    plan = _bench_plan(args)
     runner = _experiment_runner(args)
     ledger = runner.attach_ledger(args.ledger)
     report = _run_sweep("bench", runner, plan)
@@ -1268,20 +1304,11 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
         print(study["fig15_text"])
     elif args.command == "matrix":
         from repro.experiments.export import records_to_csv
-        from repro.experiments.plan import matrix_demands
 
         runner.telemetry_dir = args.telemetry_dir
         if args.ledger:
             runner.attach_ledger(args.ledger)
-        plan = matrix_demands(
-            benchmarks=sorted(args.benchmarks) if args.benchmarks else None,
-            groups=args.groups,
-            include_ablation=args.ablation,
-            seeds=(args.seed,),
-            duration_ms=args.duration,
-            warmup_ms=args.warmup,
-        )
-        report = _run_sweep("matrix", runner, plan)
+        report = _run_sweep("matrix", runner, _matrix_plan(args))
         count = records_to_csv(report.records(), args.output)
         print(
             f"wrote {count} rows to {args.output} "

@@ -4,11 +4,14 @@
 one result store (``--resume`` persists it under the ledger's
 ``cells/`` so a restarted server warm-starts from disk), one run
 ledger, one asyncio accept loop.  The client verbs are thin wrappers
-over :class:`~repro.service.client.ServiceClient`: ``submit`` sends a
-named plan (``matrix`` / ``bench`` / ``chaos``) and can stay attached
-(``--watch`` streams the job's events into the live dashboard,
-``--wait`` polls to completion), ``status`` lists jobs or shows one,
-and ``fetch`` pulls a single cell's record by ``run_id``.
+over :class:`~repro.service.client.ServiceClient`.  ``submit <verb>``
+(``matrix`` / ``bench`` / ``chaos``) takes the local verb's plan
+flags, builds the plan on the client with the local verb's own code,
+and sends it as a ``cells`` payload, so the same command plans the
+same cells here or on a gateway.  It can stay attached (``--watch``
+streams the job's events into the live dashboard, ``--wait`` polls to
+completion).  ``status`` lists jobs or shows one, and ``fetch`` pulls
+a single cell's record by ``run_id``.
 
 The parsers plug into the main ``odr-sim`` parser via
 :func:`add_service_parsers`; dispatch routes back through
@@ -21,23 +24,35 @@ import argparse
 import asyncio
 import json
 import sys
-from typing import Any, Dict
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.obs.ledger import DEFAULT_LEDGER_DIR
-from repro.workloads import BENCHMARKS, PLATFORMS, Resolution
 
-__all__ = ["add_service_parsers", "run_service_command"]
+if TYPE_CHECKING:
+    from repro.experiments.plan import Plan
+
+__all__ = ["add_connect_args", "add_service_parsers", "run_service_command"]
 
 DEFAULT_PORT = 7433
 
 #: Commands :func:`run_service_command` handles.
 SERVICE_COMMANDS = ("serve", "submit", "status", "fetch")
 
+#: A sweep verb's plan-flag registrar and its ``args → Plan`` builder.
+SweepPlan = Tuple[
+    Callable[[argparse.ArgumentParser], None],
+    Callable[[argparse.Namespace], "Plan"],
+]
 
-def _add_connect_arg(sub: argparse.ArgumentParser) -> None:
+
+def add_connect_args(
+    sub: argparse.ArgumentParser,
+    default: Optional[str] = f"127.0.0.1:{DEFAULT_PORT}",
+    connect_help: str = "gateway address (default: %(default)s)",
+) -> None:
+    """The gateway address and dialing flags of every client verb."""
     sub.add_argument(
-        "--connect", default=f"127.0.0.1:{DEFAULT_PORT}", metavar="HOST:PORT",
-        help="gateway address (default: %(default)s)",
+        "--connect", default=default, metavar="HOST:PORT", help=connect_help
     )
     sub.add_argument(
         "--connect-wait", type=float, default=5.0, metavar="S",
@@ -46,12 +61,20 @@ def _add_connect_arg(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--retries", type=int, default=5, metavar="N",
-        help="attempts per request on retryable failures (default: %(default)s)",
+        help="attempts per request, and stream reconnections, on "
+             "retryable failures (default: %(default)s)",
     )
 
 
-def add_service_parsers(sub: "argparse._SubParsersAction[Any]") -> None:
-    """Register the four service subcommands on the main parser."""
+def add_service_parsers(
+    sub: "argparse._SubParsersAction[Any]",
+    sweep_plans: Mapping[str, SweepPlan],
+) -> None:
+    """Register the four service subcommands on the main parser.
+
+    ``sweep_plans`` maps each sweep verb ``submit`` offers to the local
+    verb's plan-flag registrar and ``args → Plan`` builder.
+    """
     serve = sub.add_parser(
         "serve",
         help="host the sweep gateway: accept submit/status/fetch/watch "
@@ -108,52 +131,33 @@ def add_service_parsers(sub: "argparse._SubParsersAction[Any]") -> None:
 
     submit = sub.add_parser(
         "submit",
-        help="submit a sweep plan to a running gateway",
+        help="plan a sweep verb's cells and submit them to a running gateway",
     )
-    _add_connect_arg(submit)
-    submit.add_argument(
-        "kind", choices=("matrix", "bench", "chaos"),
-        help="which server-side demand builder shapes the plan",
-    )
-    submit.add_argument(
-        "--benchmarks", nargs="+", choices=sorted(BENCHMARKS), default=None
-    )
-    submit.add_argument(
-        "--regulators", nargs="+", default=None,
-        help="bench/chaos plans: regulator specs per cell",
-    )
-    submit.add_argument(
-        "--groups", nargs="+", default=None,
-        help="matrix plans: restrict to these configuration groups",
-    )
-    submit.add_argument(
-        "--ablation", action="store_true",
-        help="matrix plans: include the ablation configurations",
-    )
-    submit.add_argument(
-        "--fault-classes", nargs="+", default=None,
-        help="chaos plans: restrict to these fault classes",
-    )
-    submit.add_argument("--seeds", type=int, nargs="+", default=None)
-    submit.add_argument("--platform", choices=sorted(PLATFORMS), default=None)
-    submit.add_argument(
-        "--resolution", choices=[r.value for r in Resolution], default=None
-    )
-    submit.add_argument("--label", default="", help="free-form job label")
-    submit.add_argument(
-        "--wait", action="store_true",
-        help="poll until the job finishes; exit non-zero if it failed",
-    )
-    submit.add_argument(
-        "--watch", action="store_true",
-        help="stay attached and stream the job's events into the live "
-             "dashboard until its sweep ends (implies --wait)",
-    )
+    verbs = submit.add_subparsers(dest="verb", required=True, metavar="VERB")
+    for verb, (add_plan_args, plan_for) in sweep_plans.items():
+        verb_parser = verbs.add_parser(
+            verb, help=f"submit the cells `odr-sim {verb}` would run"
+        )
+        add_plan_args(verb_parser)
+        add_connect_args(verb_parser)
+        verb_parser.add_argument(
+            "--label", default="", help="free-form job label (default: the verb)"
+        )
+        verb_parser.add_argument(
+            "--wait", action="store_true",
+            help="poll until the job finishes; exit non-zero if it failed",
+        )
+        verb_parser.add_argument(
+            "--watch", action="store_true",
+            help="stay attached and stream the job's events into the live "
+                 "dashboard until its sweep ends (implies --wait)",
+        )
+        verb_parser.set_defaults(plan_for=plan_for)
 
     status = sub.add_parser(
         "status", help="list a gateway's jobs, or show one by id/prefix"
     )
-    _add_connect_arg(status)
+    add_connect_args(status)
     status.add_argument(
         "job_id", nargs="?", default=None,
         help="job id or unique prefix (default: list all jobs)",
@@ -162,7 +166,7 @@ def add_service_parsers(sub: "argparse._SubParsersAction[Any]") -> None:
     fetch = sub.add_parser(
         "fetch", help="fetch one cell's record from a gateway by run_id"
     )
-    _add_connect_arg(fetch)
+    add_connect_args(fetch)
     fetch.add_argument("run_id", help="content-addressed cell run_id")
     fetch.add_argument(
         "-o", "--output", default=None,
@@ -241,7 +245,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
         if args.resume:
-            recovered = await loop.run_in_executor(None, scheduler.recover)
+            recovered = await loop.run_in_executor(
+                None,
+                scheduler.recover,
+                lambda job_id, error: print(
+                    f"serve: cannot recover {job_id}: {error}", flush=True
+                ),
+            )
             if recovered:
                 print(
                     "serve: recovered "
@@ -275,52 +285,21 @@ def _client(args: argparse.Namespace) -> "Any":
     return ServiceClient(
         host=host,
         port=port,
-        retry=RetryPolicy(attempts=max(1, int(getattr(args, "retries", 5)))),
-        connect_wait_s=float(getattr(args, "connect_wait", 5.0)),
+        retry=RetryPolicy(attempts=max(1, args.retries)),
+        connect_wait_s=args.connect_wait,
     )
-
-
-def _plan_params(args: argparse.Namespace) -> Dict[str, Any]:
-    """The submitted plan payload, omitting unset knobs.
-
-    Server-side defaults (seeds, platform, horizon) apply to whatever
-    the client leaves out, so two clients submitting the same bare
-    command address the same cells.
-    """
-    params: Dict[str, Any] = {"kind": args.kind}
-    if args.benchmarks is not None:
-        params["benchmarks"] = args.benchmarks
-    if args.regulators is not None:
-        params["regulators"] = args.regulators
-    if args.kind == "matrix" and args.groups is not None:
-        params["groups"] = args.groups
-    if args.kind == "matrix" and args.ablation:
-        params["include_ablation"] = True
-    if args.kind == "chaos" and args.fault_classes is not None:
-        params["fault_classes"] = args.fault_classes
-    if args.seeds is not None:
-        params["seeds"] = args.seeds
-    if args.platform is not None:
-        params["platform"] = args.platform
-    if args.resolution is not None:
-        params["resolution"] = args.resolution
-    params["duration_ms"] = args.duration
-    params["warmup_ms"] = args.warmup
-    return params
 
 
 def _describe_job(job: Dict[str, Any]) -> str:
     line = (
         f"{job.get('job_id', '?'):16s} {job.get('state', '?'):8s} "
-        f"{job.get('kind', '?'):7s} cells={job.get('cells', '?')}"
+        f"{job.get('label') or '-':10s} cells={job.get('cells', '?')}"
     )
     if "executed" in job:
         line += (
             f" executed={job['executed']} cached={job['cached']}"
             f" deduped={job.get('deduped', 0)} failed={job.get('failed', 0)}"
         )
-    if job.get("label"):
-        line += f"  [{job['label']}]"
     if job.get("error"):
         line += f"  error: {job['error']}"
     return line
@@ -328,10 +307,16 @@ def _describe_job(job: Dict[str, Any]) -> str:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceError
+    from repro.service.protocol import plan_payload
 
+    try:
+        plan = args.plan_for(args)
+    except ValueError as exc:
+        print(f"submit {args.verb}: {exc}", file=sys.stderr)
+        return 2
     client = _client(args)
     try:
-        job = client.submit(_plan_params(args), label=args.label)
+        job = client.submit(plan_payload(plan), label=args.label or args.verb)
     except (OSError, ServiceError) as exc:
         print(f"submit: {exc}", file=sys.stderr)
         return 2

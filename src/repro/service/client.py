@@ -299,7 +299,7 @@ class ServiceClient:
         label: str = "",
         token: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """Submit a plan payload (``{"kind": ..., ...}``); returns the job.
+        """Submit a ``cells`` plan payload (:func:`plan_payload`); returns the job.
 
         Safe under retry: the whole retry loop shares one idempotency
         ``token``, so the server runs at most one job for this call no

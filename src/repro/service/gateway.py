@@ -249,11 +249,11 @@ class ServiceGateway:
         plan = request.get("plan")
         if not isinstance(plan, dict):
             return error_frame("submit needs a 'plan' object", code="protocol")
-        kind = str(plan.get("kind", ""))
-        params = {key: value for key, value in plan.items() if key != "kind"}
+        kind = plan.get("kind")
+        if kind != "cells":
+            return error_frame(f"unknown plan kind {kind!r}", code="protocol")
         spec = JobSpec(
-            kind=kind,
-            params=params,
+            params={key: value for key, value in plan.items() if key != "kind"},
             label=str(request.get("label", "")),
             token=str(request.get("token", "")),
         )

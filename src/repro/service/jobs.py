@@ -3,8 +3,8 @@
 A *job* wraps one :class:`~repro.experiments.plan.Plan` submitted to
 the gateway:
 
-* :class:`JobSpec` — the plain-data request (which demand builder,
-  with which parameters, plus a human label);
+* :class:`JobSpec` — the plain-data request (the plan's cells, plus
+  a human label);
 * :class:`JobState` — the lifecycle
   ``queued → running → done | failed`` (``failed`` means the job
   machinery itself broke; individual cell failures leave the job
@@ -24,7 +24,7 @@ same plan are two jobs); *cell* identity stays content-addressed by
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
 from repro.experiments.plan import Plan
@@ -51,15 +51,12 @@ class JobState(enum.Enum):
 class JobSpec:
     """The plain-data request one ``submit`` carries.
 
-    ``kind`` names a demand builder (``cells``, ``matrix``, ``bench``,
-    ``chaos`` — see :func:`repro.service.protocol.build_plan`) and
-    ``params`` its JSON-safe arguments.  Figure- and table-shaped
-    plans ride the ``cells`` kind: any plan serializes to its cell
-    list.
+    ``params`` is the ``cells`` plan payload without its ``kind`` (see
+    :func:`repro.service.protocol.build_plan`): JSON-safe, and rebuilt
+    into the same plan on crash recovery.
     """
 
-    kind: str
-    params: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any]
     label: str = ""
     #: Client-chosen idempotency token.  A resubmit carrying a token the
     #: scheduler has already accepted *joins* the existing job instead
@@ -101,7 +98,6 @@ class Job:
         out: Dict[str, Any] = {
             "job_id": self.job_id,
             "label": self.spec.label,
-            "kind": self.spec.kind,
             "state": self.state.value,
             "cells": len(self.plan),
             "submitted_epoch_s": self.submitted_epoch_s,

@@ -9,9 +9,8 @@ canonical-JSON record per line, same idiom as the run ledger and the
 sweep event log:
 
 * ``job_submitted`` — appended *before* a job's first cell executes:
-  job id, plan kind + params (the exact wire payload, so the plan can
-  be rebuilt bit-for-bit), label, idempotency token, cell count and
-  plan digest;
+  job id, plan params (the exact wire payload, so the plan can be
+  rebuilt bit-for-bit), label, idempotency token and cell count;
 * ``job_finished`` — appended when the job reaches a terminal state,
   with its outcome accounting.
 
@@ -62,7 +61,6 @@ class JournalEntry:
     """One submitted job as the journal remembers it."""
 
     job_id: str
-    kind: str
     params: Dict[str, Any]
     label: str
     token: str
@@ -96,7 +94,6 @@ class JobJournal:
     def record_submitted(
         self,
         job_id: str,
-        kind: str,
         params: Mapping[str, Any],
         label: str,
         token: str,
@@ -109,7 +106,6 @@ class JobJournal:
                 "kind": "job_submitted",
                 "job_id": job_id,
                 "epoch_s": host_epoch(),
-                "plan_kind": kind,
                 "params": dict(params),
                 "label": label,
                 "token": token,
@@ -176,7 +172,6 @@ class JobJournal:
             out.append(
                 JournalEntry(
                     job_id=str(record.get("job_id", "")),
-                    kind=str(record.get("plan_kind", "")),
                     params=dict(params) if isinstance(params, dict) else {},
                     label=str(record.get("label", "")),
                     token=str(record.get("token", "")),

@@ -24,28 +24,21 @@ is versioned (:data:`PROTOCOL_VERSION`) and the version rides every
 ``ping``/``submit`` response, so a drifted client fails loud, not
 weird.
 
-Plans travel as ``{"kind": ..., ...params}``.  ``cells`` is the
-universal form — any :class:`~repro.experiments.plan.Plan` serializes
-to its cell list via :func:`plan_payload` (figure- and table-shaped
-demands ride it unchanged); ``matrix``, ``bench`` and ``chaos`` name
-the standard server-side demand builders so common sweeps stay a
-one-line request.
+Plans travel as ``{"kind": "cells", "cells": [...]}``: any
+:class:`~repro.experiments.plan.Plan` serializes to its cell list via
+:func:`plan_payload`.  Clients build the plan themselves — ``odr-sim
+submit <verb>`` with the local verb's own code — so the gateway never
+interprets sweep flags.  Version 1 also accepted server-side demand
+builders by name; version 2 answers any kind but ``cells`` with a
+``protocol`` error.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
-from repro.experiments.chaos import chaos_demands
-from repro.experiments.plan import (
-    DEFAULT_DURATION_MS,
-    DEFAULT_WARMUP_MS,
-    CellSpec,
-    Plan,
-    bench_demands,
-    matrix_demands,
-)
+from repro.experiments.plan import CellSpec, Plan
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -57,7 +50,7 @@ __all__ = [
 ]
 
 #: Bumped whenever the frame layout changes incompatibly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Largest accepted request line (a 10k-cell ``cells`` plan fits).
 MAX_FRAME_BYTES = 8 * 1024 * 1024
@@ -99,84 +92,22 @@ def error_frame(
     return frame
 
 
-def plan_payload(plan: Plan, kind: str = "cells") -> Dict[str, Any]:
-    """Serialize any plan to its universal ``cells`` wire form."""
-    return {"kind": kind, "cells": [spec.to_dict() for spec in plan]}
-
-
-def _seeds(params: Dict[str, Any]) -> Sequence[int]:
-    seeds = params.get("seeds", [1])
-    return [int(seed) for seed in seeds]
-
-
-def _horizon(params: Dict[str, Any]) -> Dict[str, float]:
-    return {
-        "duration_ms": float(params.get("duration_ms", DEFAULT_DURATION_MS)),
-        "warmup_ms": float(params.get("warmup_ms", DEFAULT_WARMUP_MS)),
-    }
-
-
-def _str_list(value: Any) -> Optional[List[str]]:
-    if value is None:
-        return None
-    return [str(item) for item in value]
+def plan_payload(plan: Plan) -> Dict[str, Any]:
+    """Serialize any plan to its ``cells`` wire form."""
+    return {"kind": "cells", "cells": [spec.to_dict() for spec in plan]}
 
 
 def build_plan(kind: str, params: Dict[str, Any]) -> Plan:
-    """Materialize a submitted plan payload into a :class:`Plan`.
+    """Materialize a submitted ``cells`` payload into a :class:`Plan`.
 
     The cell identity math (``run_id``) happens in :class:`CellSpec`
     itself, so a plan built here from a client's payload addresses the
     exact same cells as the same demand built offline — which is what
     makes serving from the shared store, and cross-job dedupe, sound.
     """
-    if kind == "cells":
-        cells = params.get("cells")
-        if not isinstance(cells, list) or not cells:
-            raise ValueError("cells plan needs a non-empty 'cells' list")
-        return Plan(CellSpec.from_dict(cell) for cell in cells)
-    if kind == "matrix":
-        if params.get("regulators") is not None:
-            # Silently dropping a selector would make the "same
-            # command, same cells" contract a lie — fail loudly.
-            raise ValueError(
-                "matrix plan fixes the regulator slate per "
-                "platform-resolution group; filter with 'groups', or "
-                "use the bench kind for an explicit regulator list"
-            )
-        return matrix_demands(
-            benchmarks=_str_list(params.get("benchmarks")),
-            groups=_str_list(params.get("groups")),
-            include_ablation=bool(params.get("include_ablation", False)),
-            seeds=_seeds(params),
-            **_horizon(params),
-        )
-    if kind == "bench":
-        benchmarks = _str_list(params.get("benchmarks"))
-        regulators = _str_list(params.get("regulators"))
-        if not benchmarks or not regulators:
-            raise ValueError("bench plan needs 'benchmarks' and 'regulators'")
-        return bench_demands(
-            benchmarks,
-            regulators,
-            seeds=_seeds(params),
-            platform=str(params.get("platform", "private")),
-            resolution=str(params.get("resolution", "720p")),
-            **_horizon(params),
-        )
-    if kind == "chaos":
-        benchmarks = _str_list(params.get("benchmarks"))
-        regulators = _str_list(params.get("regulators"))
-        if not benchmarks or not regulators:
-            raise ValueError("chaos plan needs 'benchmarks' and 'regulators'")
-        return chaos_demands(
-            benchmarks,
-            regulators,
-            fault_classes=_str_list(params.get("fault_classes")),
-            seeds=_seeds(params),
-            platform=str(params.get("platform", "private")),
-            resolution=str(params.get("resolution", "720p")),
-            include_baseline=bool(params.get("include_baseline", True)),
-            **_horizon(params),
-        )
-    raise ValueError(f"unknown plan kind {kind!r}")
+    if kind != "cells":
+        raise ValueError(f"unknown plan kind {kind!r}")
+    cells = params.get("cells")
+    if not isinstance(cells, list) or not cells:
+        raise ValueError("cells plan needs a non-empty 'cells' list")
+    return Plan(CellSpec.from_dict(cell) for cell in cells)

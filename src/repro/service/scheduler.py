@@ -259,7 +259,7 @@ class SweepScheduler:
                 f"submit queue full ({active} active jobs)",
                 retry_after_s=1.0,
             )
-        plan = build_plan(spec.kind, dict(spec.params))
+        plan = build_plan("cells", dict(spec.params))
         job_id = job_id if job_id is not None else self._new_job_id()
         bus = SweepEventBus(path=self.events_path, sweep_id=job_id)
         job = Job(
@@ -277,7 +277,6 @@ class SweepScheduler:
         if self.journal is not None and not recovered:
             self.journal.record_submitted(
                 job_id=job_id,
-                kind=spec.kind,
                 params=spec.params,
                 label=spec.label,
                 token=spec.token,
@@ -286,7 +285,9 @@ class SweepScheduler:
         self._threads.submit(self._run_job, job)
         return job
 
-    def recover(self) -> List[Job]:
+    def recover(
+        self, on_failure: Callable[[str, str], None] = lambda job_id, error: None
+    ) -> List[Job]:
         """Replay submitted-but-unfinished journaled jobs after a crash.
 
         Each pending journal entry is resubmitted under its **original**
@@ -297,20 +298,25 @@ class SweepScheduler:
         the missing cells execute, and the content-addressed ledger
         dedupes their re-appends, so the resumed sweep's results and
         ledger are bit-identical to an uninterrupted run's.
+
+        An entry whose plan no longer builds (say, one written by a
+        server that accepted plan kinds this one does not) is journaled
+        ``failed`` with the error, reported to ``on_failure(job_id,
+        error)``, and never retried; the rest still recover.
         """
         if self.journal is None:
             return []
         recovered: List[Job] = []
         for entry in self.journal.pending():
-            spec = JobSpec(
-                kind=entry.kind,
-                params=entry.params,
-                label=entry.label,
-                token=entry.token,
-            )
-            recovered.append(
-                self.submit(spec, job_id=entry.job_id, recovered=True)
-            )
+            spec = JobSpec(params=entry.params, label=entry.label, token=entry.token)
+            try:
+                job = self.submit(spec, job_id=entry.job_id, recovered=True)
+            except ValueError as exc:
+                error = f"plan no longer builds: {exc}"
+                self.journal.record_finished(entry.job_id, "failed", error=error)
+                on_failure(entry.job_id, error)
+                continue
+            recovered.append(job)
         return recovered
 
     def get(self, job_id: str) -> Optional[Job]:

@@ -16,14 +16,15 @@ import weakref
 
 import pytest
 
+from repro.cli import SWEEP_PLANS, _build_parser, main
 from repro.experiments import CellSpec, Plan, ResultStore, SerialExecutor
 from repro.obs import sweep as sweepbus
 from repro.obs.ledger import RunLedger
 from repro.obs.runmeta import metrics_digest
-from repro.service import ServiceClient, ServiceGateway, SweepScheduler
+from repro.service import ProtocolError, ServiceClient, ServiceGateway, SweepScheduler
 from repro.service.scheduler import Subscription
 from repro.service.protocol import (
-    build_plan,
+    PROTOCOL_VERSION,
     decode_frame,
     encode_frame,
     plan_payload,
@@ -294,15 +295,65 @@ class TestProtocolEdges:
                 pong = decode_frame(stream.readline())
             assert not bad["ok"] and "bad frame" in bad["error"]
             assert not unknown["ok"] and "unknown op" in unknown["error"]
-            assert pong["ok"] and pong["protocol"] == 1
+            assert pong["ok"] and pong["protocol"] == PROTOCOL_VERSION
 
             client = harness.client()
             with pytest.raises(Exception) as excinfo:
                 client.fetch("deadbeef00000000")
             assert "not in store or ledger" in str(excinfo.value)
+            # Only cells plans: naming a demand builder is a protocol error.
+            with pytest.raises(ProtocolError, match="unknown plan kind"):
+                client.submit({"kind": "matrix", "benchmarks": ["IM"]})
+            assert harness.scheduler.jobs() == []
 
-    def test_matrix_plan_rejects_regulator_selector(self):
-        # Builders must reject selectors they can't honor — silently
-        # dropping one would execute a different plan than requested.
-        with pytest.raises(ValueError, match="groups"):
-            build_plan("matrix", {"regulators": ["ODR60"]})
+
+HORIZON = ["--duration", str(DURATION_MS), "--warmup", str(WARMUP_MS)]
+
+
+class TestSubmitVerb:
+    """``submit <verb> ARGS`` runs exactly the cells of local ``<verb> ARGS``."""
+
+    @pytest.mark.parametrize(
+        "verb, local_only, plan_args",
+        [
+            ("bench", [], []),
+            ("matrix", ["out.csv"], ["--benchmarks", "IM", "--groups", "Priv720p"]),
+            (
+                "chaos",
+                [],
+                ["--benchmarks", "IM", "--groups", "NoReg", "--faults", "encode_stall"],
+            ),
+        ],
+    )
+    def test_submitted_plan_matches_the_local_verb(
+        self, tmp_path, verb, local_only, plan_args
+    ):
+        local_args = _build_parser().parse_args(HORIZON + [verb] + local_only + plan_args)
+        local = SWEEP_PLANS[verb][1](local_args)
+        with GatewayHarness(tmp_path, workers=1) as harness:
+            address = f"127.0.0.1:{harness.gateway.port}"
+            code = main(
+                HORIZON + ["submit", verb] + plan_args + ["--connect", address, "--wait"]
+            )
+            assert code == 0
+            (job,) = harness.scheduler.jobs()
+            assert job.state.value == "done" and job.spec.label == verb
+            assert [s.run_id for s in job.plan] == [s.run_id for s in local]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["matrix", "--groups", "Bogus"], ["chaos", "--faults", "meteor"]],
+    )
+    def test_bad_plan_flags_exit_2_without_dialing(self, argv):
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen()
+            listener.setblocking(False)
+            address = f"127.0.0.1:{listener.getsockname()[1]}"
+            try:
+                code = main(["submit"] + argv + ["--connect", address, "--wait"])
+            except SystemExit as exc:  # argparse rejects the choice
+                code = exc.code
+            assert code == 2
+            with pytest.raises(BlockingIOError):
+                listener.accept()

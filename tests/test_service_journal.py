@@ -47,14 +47,28 @@ def spec(benchmark="IM", regulator="ODR60", seed=1) -> CellSpec:
     )
 
 
+def wait_journaled(job, timeout_s=60.0):
+    """Block until ``job`` ends its stream.
+
+    The scheduler journals ``job_finished`` before it emits
+    ``sweep_end`` but after it sets the terminal state, so only the
+    stream's end guarantees the journal row is written.
+    """
+    for _ in range(int(timeout_s / 0.05)):
+        if any(e.kind == sweepbus.SWEEP_END for e in job.bus.events):
+            return
+        time.sleep(0.05)
+    raise AssertionError(f"{job.job_id} never finished")
+
+
 class TestJobJournal:
     def test_pending_tracks_unfinished_submissions(self, tmp_path):
         journal = JobJournal(journal_path_for(tmp_path))
         journal.record_submitted(
-            "job-a", "cells", {"cells": []}, label="", token="tok-a", cells=0
+            "job-a", {"cells": []}, label="", token="tok-a", cells=0
         )
         journal.record_submitted(
-            "job-b", "cells", {"cells": []}, label="lbl", token="tok-b", cells=2
+            "job-b", {"cells": []}, label="lbl", token="tok-b", cells=2
         )
         assert [e.job_id for e in journal.pending()] == ["job-a", "job-b"]
 
@@ -70,7 +84,7 @@ class TestJobJournal:
     def test_replay_reopens_from_disk(self, tmp_path):
         path = journal_path_for(tmp_path)
         JobJournal(path).record_submitted(
-            "job-x", "cells", {"cells": []}, label="", token="t", cells=1
+            "job-x", {"cells": []}, label="", token="t", cells=1
         )
         # A different instance (a restarted process) sees the entry.
         assert [e.job_id for e in JobJournal(path).pending()] == ["job-x"]
@@ -79,7 +93,7 @@ class TestJobJournal:
         path = journal_path_for(tmp_path)
         journal = JobJournal(path)
         journal.record_submitted(
-            "job-ok", "cells", {"cells": []}, label="", token="t", cells=1
+            "job-ok", {"cells": []}, label="", token="t", cells=1
         )
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("not json at all\n")
@@ -108,7 +122,7 @@ class TestInProcessRecovery:
         journal = JobJournal(journal_path_for(ledger_dir))
         params = {"cells": [c.to_dict() for c in cells]}
         journal.record_submitted(
-            "job-test123", "cells", params, label="resumed",
+            "job-test123", params, label="resumed",
             token="tok-recover", cells=len(cells),
         )
 
@@ -125,10 +139,7 @@ class TestInProcessRecovery:
             job = recovered[0]
             assert job.recovered and job.spec.label == "resumed"
 
-            for _ in range(1200):
-                if job.state.terminal:
-                    break
-                time.sleep(0.05)
+            wait_journaled(job)
             assert job.state.value == "done"
             report = job.report
             assert report is not None
@@ -146,7 +157,7 @@ class TestInProcessRecovery:
             # A client submit-retry with the pre-crash token joins the
             # recovered job instead of forking a duplicate sweep.
             joined = scheduler.submit(
-                JobSpec(kind="cells", params=params, token="tok-recover")
+                JobSpec(params=params, token="tok-recover")
             )
             assert joined is job
         finally:
@@ -157,6 +168,47 @@ class TestInProcessRecovery:
         assert sorted(r["run_id"] for r in rows) == sorted(
             c.run_id for c in cells
         )
+
+    def test_entry_whose_plan_no_longer_builds_fails_once(self, tmp_path):
+        ledger_dir = tmp_path / "ledger"
+        os.makedirs(ledger_dir)
+        path = journal_path_for(ledger_dir)
+        # A protocol-1 server journaled a server-side ``matrix`` plan.
+        with open(path, "w", encoding="utf-8") as handle:
+            old = {
+                "schema": 1, "kind": "job_submitted", "job_id": "job-old",
+                "epoch_s": 0.0, "plan_kind": "matrix",
+                "params": {"benchmarks": ["IM"], "groups": ["Priv720p"]},
+                "label": "", "token": "tok-old", "cells": 7,
+            }
+            handle.write(json.dumps(old) + "\n")
+        journal = JobJournal(path)
+        journal.record_submitted(
+            "job-new", {"cells": [spec("IM").to_dict()]}, label="",
+            token="tok-new", cells=1,
+        )
+        scheduler = SweepScheduler(
+            ResultStore(ledger_dir / "cells"),
+            ledger=RunLedger(ledger_dir),
+            workers=1,
+            journal=journal,
+        )
+        failures = []
+        try:
+            def note(job_id, error):
+                failures.append(job_id)
+
+            recovered = scheduler.recover(note)
+            assert [job.job_id for job in recovered] == ["job-new"]
+            assert failures == ["job-old"]
+            assert journal.finished_ids()["job-old"] == "failed"
+            wait_journaled(recovered[0])
+            assert recovered[0].state.value == "done"
+            # Journaled as failed: a second recovery does not retry it.
+            assert scheduler.recover(note) == []
+            assert failures == ["job-old"]
+        finally:
+            scheduler.close()
 
 
 class TestKillDashNineRecovery:

@@ -258,7 +258,7 @@ class TestDegradedSerial:
         try:
             cells = [spec("IM"), spec("STK", "NoReg")]
             job = scheduler.submit(
-                JobSpec(kind="cells", params={"cells": [c.to_dict() for c in cells]})
+                JobSpec(params={"cells": [c.to_dict() for c in cells]})
             )
             for _ in range(1200):
                 if job.state.terminal:
