@@ -187,6 +187,8 @@ def _add_bench_plan_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _bench_plan(args: argparse.Namespace) -> Plan:
+    for spec in args.regulators:
+        make_regulator(spec)  # raises ValueError on a bad spec
     return bench_demands(
         benchmarks=args.benchmarks,
         regulators=args.regulators,
@@ -235,9 +237,12 @@ def _chaos_plan(args: argparse.Namespace) -> Plan:
         bad = sorted(set(fault_classes) - set(fault_class_names()))
         if bad:
             raise ValueError(f"unknown fault class(es): {', '.join(bad)}")
+    regulators = _csv_items(args.groups)
+    for spec in regulators:
+        make_regulator(spec)  # raises ValueError on a bad spec
     return chaos_demands(
         benchmarks=benchmarks,
-        regulators=_csv_items(args.groups),
+        regulators=regulators,
         fault_classes=fault_classes,
         seeds=args.seeds,
         platform=args.platform,
@@ -489,10 +494,6 @@ def _build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--ledger", default=DEFAULT_LEDGER_DIR,
                        help="run-ledger directory (reads its events.jsonl)")
     watch.add_argument(
-        "--events-file", default=None,
-        help="explicit events.jsonl path (overrides --ledger)",
-    )
-    watch.add_argument(
         "--poll", type=float, default=0.25, metavar="S",
         help="tail poll interval in seconds",
     )
@@ -520,10 +521,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_trace.add_argument("--ledger", default=DEFAULT_LEDGER_DIR,
                              help="run-ledger directory (reads its events.jsonl)")
     sweep_trace.add_argument(
-        "--events-file", default=None,
-        help="explicit events.jsonl path (overrides --ledger)",
-    )
-    sweep_trace.add_argument(
         "--sweep", default=None, metavar="ID",
         help="sweep id (or unique prefix) to export (default: the latest)",
     )
@@ -540,10 +537,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cost.add_argument("--ledger", default=DEFAULT_LEDGER_DIR,
                       help="run-ledger directory (reads its events.jsonl)")
-    cost.add_argument(
-        "--events-file", default=None,
-        help="explicit events.jsonl path (overrides --ledger)",
-    )
     cost.add_argument(
         "--sweep", default=None, metavar="ID",
         help="sweep id (or unique prefix) to report on (default: the latest)",
@@ -853,7 +846,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     """The smoke benchmark matrix (benchmarks × regulators × seeds) into
     the run ledger, whose rows CI's ``compare-runs`` gate diffs against
     ``benchmarks/baselines/``.  Speed is measured by ``perfbench/``."""
-    plan = _bench_plan(args)
+    try:
+        plan = _bench_plan(args)
+    except ValueError as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return 2
     runner = _experiment_runner(args)
     ledger = runner.attach_ledger(args.ledger)
     report = _run_sweep("bench", runner, plan)
@@ -909,12 +906,9 @@ def _last_sweep_failures(ledger_dir: str) -> List[str]:
     from repro.obs import sweep as sweepbus
     from repro.obs.sweep import events_path_for, read_events
 
-    path = events_path_for(ledger_dir)
-    if not os.path.exists(path):
-        return []
     try:
-        events = read_events(path)
-    except (OSError, ValueError):
+        events = read_events(events_path_for(ledger_dir))
+    except OSError:
         return []
     lines: List[str] = []
     for event in events:
@@ -932,24 +926,15 @@ def _last_sweep_failures(ledger_dir: str) -> List[str]:
     return lines
 
 
-def _events_file(args: argparse.Namespace) -> str:
-    """The events.jsonl a telemetry subcommand should read."""
-    from repro.obs.sweep import events_path_for
-
-    explicit = getattr(args, "events_file", None)
-    if explicit:
-        return str(explicit)
-    return events_path_for(args.ledger)
-
-
 def _cmd_watch(args: argparse.Namespace) -> int:
     if args.connect:
         from repro.service.cli import watch_remote
 
         return watch_remote(args)
     from repro.obs.dashboard import SweepDashboard, follow_events
+    from repro.obs.sweep import events_path_for
 
-    path = _events_file(args)
+    path = events_path_for(args.ledger)
     print(f"watch: following {path} (q or Ctrl-C to leave)")
     dashboard = SweepDashboard()
     try:
@@ -969,16 +954,13 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_trace(args: argparse.Namespace) -> int:
-    from repro.obs.sweep import read_events
+    from repro.obs.sweep import events_path_for, read_events
     from repro.obs.sweeptrace import write_sweep_trace
 
-    path = _events_file(args)
+    path = events_path_for(args.ledger)
     try:
         events = read_events(path, sweep_id=args.sweep)
-    except OSError:
-        print(f"sweep-trace: no event log at {path}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"sweep-trace: {exc}", file=sys.stderr)
         return 2
     if not events:
@@ -996,15 +978,12 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs.cost import render_cost, sweep_cost
-    from repro.obs.sweep import read_events
+    from repro.obs.sweep import events_path_for, read_events
 
-    path = _events_file(args)
+    path = events_path_for(args.ledger)
     try:
         events = read_events(path, sweep_id=args.sweep)
-    except OSError:
-        print(f"cost: no event log at {path}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"cost: {exc}", file=sys.stderr)
         return 2
     if not events:

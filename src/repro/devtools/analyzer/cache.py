@@ -25,6 +25,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.devtools.analyzer import facts as _facts
 from repro.devtools.analyzer.facts import ModuleFacts, facts_from_payload
+from repro.obs.jsonl import write_atomic
 
 __all__ = ["EXTRACTOR_DIGEST", "FactsCache"]
 
@@ -89,10 +90,7 @@ class FactsCache:
         if self.path is None or not self._dirty:
             return
         payload = {"extractor": EXTRACTOR_DIGEST, "entries": self._entries}
-        tmp = f"{self.path}.tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, self.path)
+            write_atomic(self.path, json.dumps(payload))
         except OSError:
             pass  # advisory: a read-only checkout just runs cold

@@ -39,6 +39,7 @@ from repro.experiments.record import (
     record_as_dict,
     record_from_dict,
 )
+from repro.obs.jsonl import dump_row, write_atomic
 
 __all__ = ["ResultStore"]
 
@@ -102,12 +103,7 @@ class ResultStore:
         }
         if exec_meta is not None:
             payload["exec"] = dict(exec_meta)
-        tmp = path.with_suffix(".json.tmp")
-        # json.dumps takes the C encoder; json.dump to a handle never does.
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        write_atomic(path, dump_row(payload))
 
     def quarantined(self) -> List[str]:
         """run_ids of corrupt cells moved to ``<persist_dir>/corrupt/``.

@@ -34,6 +34,7 @@ import time
 from typing import IO, Callable, Dict, List, Optional, Tuple
 
 from repro.obs import sweep as sweepbus
+from repro.obs.jsonl import decode_row
 from repro.obs.probes import host_epoch
 from repro.obs.sweep import SweepEvent
 
@@ -327,8 +328,6 @@ def follow_events(
     ``q``/EOF/timeout).  The file may not exist yet — the executor
     creates it lazily on the first event — so the loop waits for it.
     """
-    import json
-
     consumed = 0
     waited = 0.0
     position = 0
@@ -349,14 +348,8 @@ def follow_events(
         progressed = False
         while "\n" in buffer:
             line, buffer = buffer.split("\n", 1)
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(record, dict):
+            record = decode_row(line)
+            if record is None:
                 continue
             event = SweepEvent.from_dict(record)
             if current_sweep is None:

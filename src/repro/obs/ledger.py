@@ -2,8 +2,8 @@
 
 Every instrumented :class:`~repro.experiments.runner.Runner` invocation
 (and every ``odr-sim bench`` cell) persists its run record — built by
-:func:`repro.obs.runmeta.build_record` — into ``.odr-runs/ledger.jsonl``,
-one canonical-JSON object per line.  The store is
+:func:`repro.obs.runmeta.build_record` — into ``.odr-runs/ledger.jsonl``
+as one :mod:`repro.obs.jsonl` row.  The store is
 
 * **append-only** — records are never rewritten; history is the point;
 * **content-addressed** — a record's ``run_id`` hashes its
@@ -30,16 +30,13 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.obs.jsonl import append_row, decode_row, read_rows, write_atomic
 from repro.obs.runmeta import metrics_digest
 
 __all__ = ["DEFAULT_LEDGER_DIR", "RunLedger", "load_record", "resolve_record"]
 
 #: Conventional ledger location at a repository / experiment root.
 DEFAULT_LEDGER_DIR = ".odr-runs"
-
-
-def _dump(record: Dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def load_record(path: Union[str, Path]) -> Dict[str, Any]:
@@ -141,13 +138,8 @@ class RunLedger:
         for line in lines:
             row_offset = offset
             offset += len(line) + 1
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
+            record = decode_row(line)
+            if record is not None:
                 run_id = str(record.get("run_id", ""))
                 self._rows[run_id] = (self._count, row_offset)
                 self._digests.pop(run_id, None)
@@ -179,53 +171,23 @@ class RunLedger:
         if not run_id:
             raise ValueError("run record has no run_id")
         digest = metrics_digest(record)
-        line = _dump(record) + "\n"
         with self._indexed() as indexed:
-            if self._digest(indexed, run_id) == digest:
-                return run_id
-            os.makedirs(self.root, exist_ok=True)
-            with open(self.path, "ab+") as handle:
-                size = handle.seek(0, os.SEEK_END)
-                if size:
-                    handle.seek(size - 1)
-                    if handle.read(1) != b"\n":
-                        # A writer died mid-line: end its fragment so it
-                        # cannot swallow this row.
-                        line = "\n" + line
-                handle.write(line.encode("utf-8"))
+            if self._digest(indexed, run_id) != digest:
+                append_row(self.path, record)
         return run_id
 
     def set_baseline(self, record: Dict[str, Any]) -> Path:
         """Pin ``record`` as the ledger's baseline."""
+        text = json.dumps(record, sort_keys=True, indent=2) + "\n"
         os.makedirs(self.root, exist_ok=True)
-        with open(self.baseline_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+        write_atomic(self.baseline_path, text)
         return self.baseline_path
 
     # -- reading ---------------------------------------------------------
 
     def records(self) -> List[Dict[str, Any]]:
-        """Every record in append order (oldest first).
-
-        A line that does not decode to a JSON object is skipped: the
-        fragment a crashed writer left, or the tail of a row another
-        thread is appending right now (reads take no lock).
-        """
-        if not self.path.exists():
-            return []
-        out: List[Dict[str, Any]] = []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict):
-                    out.append(record)
-        return out
+        """Every record in append order (oldest first); takes no lock."""
+        return read_rows(self.path)
 
     def get(self, run_id: str) -> Optional[Dict[str, Any]]:
         """Latest record whose ``run_id`` starts with ``run_id``."""
@@ -265,7 +227,9 @@ class RunLedger:
 def _read_row(handle: BinaryIO, offset: int) -> Dict[str, Any]:
     """The indexed row starting at byte ``offset`` of ``handle``."""
     handle.seek(offset)
-    row: Dict[str, Any] = json.loads(handle.readline())
+    row = decode_row(handle.readline())
+    if row is None:
+        raise ValueError(f"ledger row at byte {offset} no longer decodes")
     return row
 
 

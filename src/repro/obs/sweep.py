@@ -25,8 +25,9 @@ Worker processes attach per-cell **resource telemetry**
 live events back over a multiprocessing queue
 (:func:`attach_worker_sink` / :func:`emit_cell_event`); the parent
 drains the queue into the bus.  With a ``path`` the bus appends each
-event to ``<ledger>/events.jsonl`` as one JSON object per line, keyed
-by ``run_id`` and grouped by ``sweep_id`` — the artifact
+event to ``<ledger>/events.jsonl`` as one row of a
+:mod:`repro.obs.jsonl` log, keyed by ``run_id`` and grouped by
+``sweep_id`` — the artifact
 ``odr-sim watch``, ``odr-sim sweep-trace``, and ``odr-sim cost`` read.
 
 The plane is **strictly out-of-band**: executors consult it only
@@ -39,15 +40,14 @@ budgeted at <2% of a cell's wall clock (both in
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    IO,
     Any,
+    BinaryIO,
     Callable,
     Dict,
     Iterable,
@@ -58,6 +58,7 @@ from typing import (
     Union,
 )
 
+from repro.obs.jsonl import decode_row, dump_row, open_append, read_rows
 from repro.obs.probes import host_epoch, host_wallclock
 from repro.obs.runmeta import config_fingerprint
 
@@ -316,7 +317,7 @@ class SweepEventBus:
         self._subscribers: List[Callable[[SweepEvent], None]] = []
         self._lock = threading.Lock()
         self._t0 = host_wallclock()
-        self._handle: Optional[IO[str]] = None
+        self._handle: Optional[BinaryIO] = None
 
     @property
     def events(self) -> Tuple[SweepEvent, ...]:
@@ -350,12 +351,8 @@ class SweepEventBus:
             self._events.append(event)
             if self.path is not None:
                 if self._handle is None:
-                    os.makedirs(self.path.parent, exist_ok=True)
-                    self._handle = open(self.path, "a", encoding="utf-8")
-                self._handle.write(
-                    json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
-                    + "\n"
-                )
+                    self._handle = open_append(self.path)
+                self._handle.write(dump_row(event.to_dict()).encode("utf-8"))
                 self._handle.flush()
         for callback in list(self._subscribers):
             callback(event)
@@ -418,29 +415,19 @@ def emit_cell_event(
 # -- reading and validating ------------------------------------------------
 
 
-def _iter_event_dicts(path: Union[str, Path]) -> Iterable[Dict[str, Any]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if isinstance(record, dict):
-                yield record
-
-
 def read_events(
     path: Union[str, Path], sweep_id: Optional[str] = None
 ) -> List[SweepEvent]:
     """Load one sweep's events from an ``events.jsonl`` file.
 
     The log is append-only across sweeps; by default the **latest**
-    sweep (the one the final line belongs to) is returned.  Pass a
-    ``sweep_id`` (or a unique prefix) to select an earlier sweep.
+    sweep (the one the final row belongs to) is returned.  Pass a
+    ``sweep_id`` (or a unique prefix) to select an earlier sweep.  A
+    missing file holds no events.
     """
     by_sweep: Dict[str, List[SweepEvent]] = {}
     order: List[str] = []
-    for record in _iter_event_dicts(path):
+    for record in read_rows(path):
         event = SweepEvent.from_dict(record)
         if event.sweep_id not in by_sweep:
             by_sweep[event.sweep_id] = []
@@ -517,11 +504,18 @@ def validate_events(records: Iterable[Mapping[str, Any]]) -> List[str]:
 
 
 def validate_events_file(path: Union[str, Path]) -> List[str]:
-    """Schema-check an ``events.jsonl`` file (see :func:`validate_events`)."""
+    """Schema-check an ``events.jsonl`` file (see :func:`validate_events`);
+    unlike the readers, it reports each line that is not a JSON object."""
+    errors: List[str] = []
+    records: List[Dict[str, Any]] = []
     try:
-        records = list(_iter_event_dicts(path))
+        with open(path, "rb") as handle:
+            for number, line in enumerate(handle, start=1):
+                record = decode_row(line)
+                if record is not None:
+                    records.append(record)
+                elif line.strip():
+                    errors.append(f"{path}:{number}: not JSONL ({line[:40]!r})")
     except OSError as exc:
         return [f"{path}: unreadable ({exc})"]
-    except ValueError as exc:
-        return [f"{path}: not JSONL ({exc})"]
-    return validate_events(records)
+    return errors + validate_events(records)

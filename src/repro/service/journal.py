@@ -5,8 +5,8 @@ The scheduler's in-memory job table dies with the process; the
 SIGKILLed gateway used to forget which sweeps it still owed its
 clients.  :class:`JobJournal` closes that gap with the cheapest durable
 structure that works — an append-only ``<ledger>/jobs.jsonl``, one
-canonical-JSON record per line, same idiom as the run ledger and the
-sweep event log:
+canonical-JSON record per line, written and read by the same rules as
+the run ledger and the sweep event log (:mod:`repro.obs.jsonl`):
 
 * ``job_submitted`` — appended *before* a job's first cell executes:
   job id, plan params (the exact wire payload, so the plan can be
@@ -26,20 +26,19 @@ completed, and the content-addressed ledger dedupes re-appends, so a
 kill-and-resume sweep produces the same results and the same ledger as
 an uninterrupted one.
 
-Torn final lines (the process died mid-append) are skipped on replay —
-an interrupted ``job_submitted`` is a job the server never
-acknowledged, so dropping it is correct.
+A torn ``job_submitted`` (the process died mid-append) is a job the
+server never acknowledged, so dropping it on replay is correct.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from repro.obs.jsonl import append_row, read_rows
 from repro.obs.probes import host_epoch
 
 __all__ = ["JOURNAL_FILENAME", "JobJournal", "JournalEntry", "journal_path_for"]
@@ -71,9 +70,7 @@ class JournalEntry:
 class JobJournal:
     """Append-only NDJSON journal of submitted and finished jobs.
 
-    Thread-safe (concurrent jobs finish on scheduler threads); every
-    append is flushed, so the journal is as current as the last
-    completed write even under SIGKILL.
+    Thread-safe: concurrent jobs finish on scheduler threads.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -84,12 +81,7 @@ class JobJournal:
 
     def _append(self, record: Dict[str, Any]) -> None:
         with self._lock:
-            os.makedirs(self.path.parent, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-                )
-                handle.flush()
+            append_row(self.path, record)
 
     def record_submitted(
         self,
@@ -140,27 +132,13 @@ class JobJournal:
     # -- replay ------------------------------------------------------------
 
     def _records(self) -> List[Dict[str, Any]]:
-        """Every decodable journal record, in append order.
-
-        A torn final line — the process died mid-append — decodes as
-        junk and is skipped; so is any record of an unknown schema or
-        shape (a newer server's journal read by an older one).
-        """
-        if not self.path.exists():
-            return []
-        out: List[Dict[str, Any]] = []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict) and record.get("schema") == JOURNAL_SCHEMA:
-                    out.append(record)
-        return out
+        """Every journal record of this schema, in append order (a newer
+        server's records are skipped by an older one)."""
+        return [
+            record
+            for record in read_rows(self.path)
+            if record.get("schema") == JOURNAL_SCHEMA
+        ]
 
     def entries(self) -> List[JournalEntry]:
         """Every journaled submission, in submission order."""

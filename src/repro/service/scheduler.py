@@ -360,6 +360,7 @@ class SweepScheduler:
         sweep_started = host_wallclock()
         bus = job.bus
         tally = SweepTally()
+        state = JobState.FAILED
         try:
             bus.emit(
                 sweepbus.SWEEP_BEGIN,
@@ -384,22 +385,24 @@ class SweepScheduler:
                     replace(outcome, ledger_record=None) for outcome in report.outcomes
                 ),
             )
-            job.state = JobState.DONE
+            state = JobState.DONE
         except Exception as exc:  # infrastructure failure, not a cell failure
             job.error = f"{type(exc).__name__}: {exc}"
-            job.state = JobState.FAILED
         finally:
             job.finished_epoch_s = host_epoch()
             counts = tally.report(job.plan).counts()
             if self.journal is not None:
                 try:
                     self.journal.record_finished(
-                        job.job_id, state=job.state.value, error=job.error, **counts
+                        job.job_id, state=state.value, error=job.error, **counts
                     )
                 except OSError:
                     # A full disk must not unwind past the sweep_end
                     # emit below; the job simply replays on resume.
                     pass
+            # Published only once journaled: a client that sees the job
+            # terminal never finds it pending in the journal.
+            job.state = state
             try:
                 # The stream's terminal frame: watchers key end-of-job
                 # off it, so it is emitted on every exit path.

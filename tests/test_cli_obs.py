@@ -2,6 +2,7 @@
 compare-runs."""
 
 import json
+import os
 
 import pytest
 
@@ -68,21 +69,43 @@ class TestBenchAndLedgerVerbs:
         labels = {r["label"] for r in records}
         assert labels == {"IM/Priv720p/NoReg", "IM/Priv720p/ODR60"}
 
-    def test_bench_failed_cell_exits_one_and_is_named(self, capsys, ledger_dir):
+    def test_bench_failed_cell_exits_one_and_is_named(
+        self, capsys, ledger_dir, monkeypatch
+    ):
+        from repro.experiments import executor
+
+        real = executor.make_regulator
+
+        def make_regulator(spec):
+            # The cell fails as it executes, past the plan's spec check.
+            if spec == "ODR60":
+                raise RuntimeError("regulator crashed")
+            return real(spec)
+
+        monkeypatch.setattr(executor, "make_regulator", make_regulator)
         code = main([
             *FAST, "bench", "--ledger", ledger_dir, "--seeds", "1",
-            "--benchmarks", "IM", "--regulators", "NoReg", "Bogus",
+            "--benchmarks", "IM", "--regulators", "NoReg", "ODR60",
         ])
         captured = capsys.readouterr()
         assert code == 1
         assert "failed=1" in captured.out
-        assert "bench: FAILED IM/Priv720p/Bogus" in captured.err
+        assert "bench: FAILED IM/Priv720p/ODR60" in captured.err
         # The cell that did run still reached the ledger.
         from repro.obs import RunLedger
 
         assert [r["label"] for r in RunLedger(ledger_dir).records()] == [
             "IM/Priv720p/NoReg"
         ]
+
+    def test_bench_unknown_regulator_exits_two(self, capsys, ledger_dir):
+        code = main([
+            *FAST, "bench", "--ledger", ledger_dir, "--regulators", "NoReg", "Bogus",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "bench: unrecognized regulator spec 'Bogus'\n"
+        assert not os.path.exists(os.path.join(ledger_dir, "ledger.jsonl"))
 
     def test_bench_resume_recalls_every_cell(self, capsys, ledger_dir):
         bench_fast(capsys, ledger_dir, "--resume")

@@ -198,3 +198,11 @@ class TestChaosCli:
     def test_unknown_inputs_rejected(self, capsys):
         assert main(["chaos", "--benchmarks", "NOPE", "--groups", "ODR60"]) == 2
         assert main(["chaos", "--faults", "meteor_strike"]) == 2
+
+    def test_unknown_regulator_rejected(self, capsys):
+        argv = ["chaos", "--benchmarks", "IM", "--groups", "ODR60,Bogus",
+                "--faults", "encode_stall"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "chaos: unrecognized regulator spec 'Bogus'\n"
+        )

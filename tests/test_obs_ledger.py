@@ -215,6 +215,15 @@ class TestRunLedger:
         assert ledger.baseline() == record
         assert load_record(path) == record
 
+    def test_failed_set_baseline_keeps_the_previous_pin(self, tmp_path, record):
+        ledger = RunLedger(tmp_path / "runs")
+        ledger.set_baseline(record)
+        # Serialising this record fails part-way through its fields.
+        broken = dict(record, zz_unserialisable=object())
+        with pytest.raises(TypeError):
+            ledger.set_baseline(broken)
+        assert ledger.baseline() == record
+
 
 def renamed(record, run_id):
     return dict(copy.deepcopy(record), run_id=run_id)

@@ -342,7 +342,12 @@ class TestSubmitVerb:
 
     @pytest.mark.parametrize(
         "argv",
-        [["matrix", "--groups", "Bogus"], ["chaos", "--faults", "meteor"]],
+        [
+            ["matrix", "--groups", "Bogus"],
+            ["chaos", "--faults", "meteor"],
+            ["bench", "--regulators", "Bogus"],
+            ["chaos", "--groups", "Bogus"],
+        ],
     )
     def test_bad_plan_flags_exit_2_without_dialing(self, argv):
         with socket.socket() as listener:

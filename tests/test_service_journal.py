@@ -48,12 +48,8 @@ def spec(benchmark="IM", regulator="ODR60", seed=1) -> CellSpec:
 
 
 def wait_journaled(job, timeout_s=60.0):
-    """Block until ``job`` ends its stream.
-
-    The scheduler journals ``job_finished`` before it emits
-    ``sweep_end`` but after it sets the terminal state, so only the
-    stream's end guarantees the journal row is written.
-    """
+    """Block until ``job`` ends its stream (``sweep_end`` is its last
+    emit, after the journal row and the terminal state)."""
     for _ in range(int(timeout_s / 0.05)):
         if any(e.kind == sweepbus.SWEEP_END for e in job.bus.events):
             return
@@ -209,6 +205,41 @@ class TestInProcessRecovery:
             assert failures == ["job-old"]
         finally:
             scheduler.close()
+
+
+class StateProbeJournal(JobJournal):
+    """Notes the job's published state each time ``job_finished`` is
+    journaled."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.scheduler = None
+        self.states_at_finish = []
+
+    def record_finished(self, job_id, state, **counts):
+        self.states_at_finish.append(self.scheduler.get(job_id).state)
+        super().record_finished(job_id, state, **counts)
+
+
+class TestJournalBeforeState:
+    def test_terminal_state_is_published_after_the_journal_row(self, tmp_path):
+        ledger_dir = tmp_path / "ledger"
+        journal = StateProbeJournal(journal_path_for(ledger_dir))
+        scheduler = SweepScheduler(
+            ResultStore(ledger_dir / "cells"),
+            ledger=RunLedger(ledger_dir),
+            workers=1,
+            journal=journal,
+        )
+        journal.scheduler = scheduler
+        try:
+            job = scheduler.submit(JobSpec(params={"cells": [spec().to_dict()]}))
+            wait_journaled(job)
+        finally:
+            scheduler.close()
+        assert job.state.value == "done"
+        assert [state.terminal for state in journal.states_at_finish] == [False]
+        assert journal.finished_ids() == {job.job_id: "done"}
 
 
 class TestKillDashNineRecovery:
