@@ -460,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--resolution", choices=[r.value for r in Resolution], default="720p"
     )
     profile.add_argument(
-        "--top", type=int, default=10, help="generator callsites to show"
+        "--top", type=int, default=10, help="callsites to show"
     )
     profile.add_argument(
         "--depth-sample", type=float, default=250.0,

@@ -68,6 +68,10 @@ class RunLedger:
 
     def __init__(self, root: Union[str, Path] = DEFAULT_LEDGER_DIR) -> None:
         self.root = Path(root)
+        #: The JSONL store itself.
+        self.path = self.root / "ledger.jsonl"
+        #: Location of the pinned baseline record.
+        self.baseline_path = self.root / "baseline.json"
         # Guards the index, and makes append() read-check-append one
         # step: concurrent service jobs that finish cells simultaneously
         # must not interleave those, or the same record lands twice.
@@ -87,16 +91,6 @@ class RunLedger:
         self._tail = b""
         #: Rows indexed so far, i.e. the next row's position.
         self._count = 0
-
-    @property
-    def path(self) -> Path:
-        """The JSONL store itself."""
-        return self.root / "ledger.jsonl"
-
-    @property
-    def baseline_path(self) -> Path:
-        """Location of the pinned baseline record."""
-        return self.root / "baseline.json"
 
     # -- the index -------------------------------------------------------
 

@@ -4,18 +4,22 @@
 extended with the engine's optional resume hooks
 (``on_resume_begin`` / ``on_resume_end`` — see
 :class:`repro.simcore.engine.Environment`'s ``probe=``): every time the
-engine resumes a simulated process, the profiler reads its injectable
-clock before and after, attributing host wall time to
+engine resumes a generator process or runs a plain calendar entry, the
+profiler reads its injectable clock before and after, attributing host
+wall time to
 
 * the **simulated process** that ran (``app``, ``client``, ``proxy``,
-  ``network``, ...),
+  ``network``, ...): a generator process by its name, a plain entry by
+  the name of the :class:`~repro.simcore.engine.Actor` whose step it is
+  (plain entries of no actor, such as ``call_at`` callbacks, stay in the
+  ``engine`` remainder, as event callbacks do),
 * its **pipeline stage** (a prefix mapping from process names —
   ``render``, ``encode``, ``transmit``, ``client``, ``inputs``,
   ``control``), with the un-attributed remainder reported as
   ``engine`` (heap operations, callback dispatch), so the per-stage
   table always sums to the profiled total,
-* its **generator callsite** (function name, file, line), giving a
-  top-K "hottest generators" view.
+* its **callsite** (the generator function, or the actor step method:
+  name, file, line), giving a top-K "hottest callsites" view.
 
 It also samples the event-calendar depth over simulated time and
 derives events/sec throughput.  Like every probe, it is opt-in: a run
@@ -32,6 +36,7 @@ import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.probes import EngineProbe
+from repro.simcore.engine import Actor, Process
 
 __all__ = ["SimProfiler", "stage_for_process"]
 
@@ -77,16 +82,17 @@ class SimProfiler(EngineProbe):
         if depth_sample_ms <= 0:
             raise ValueError("depth_sample_ms must be positive")
         self.depth_sample_ms = float(depth_sample_ms)
-        #: Host seconds spent resuming each simulated process, by name.
+        #: Host seconds spent resuming each simulated process (generator
+        #: or actor), by name.
         self.wall_by_process: Dict[str, float] = {}
         #: Resume counts by process name.
         self.resumes_by_process: Dict[str, int] = {}
-        #: Host seconds by generator callsite ("name (file:line)").
+        #: Host seconds by callsite ("name (file:line)").
         self.wall_by_callsite: Dict[str, float] = {}
         #: Peak calendar depth per simulated-time bucket.
         self._depth_buckets: Dict[int, int] = {}
-        #: id(process) -> (name, callsite) cache.
-        self._identities: Dict[int, Tuple[str, str]] = {}
+        #: (id(process or actor), id(code)) -> (name, callsite) cache.
+        self._identities: Dict[Tuple[int, int], Tuple[str, str]] = {}
         self._resume_started: float = 0.0
         self._resume_key: Optional[Tuple[str, str]] = None
         self._run_started: Optional[float] = None
@@ -111,15 +117,24 @@ class SimProfiler(EngineProbe):
         if previous is None or heap_depth > previous:
             self._depth_buckets[bucket] = heap_depth
 
-    def _identity(self, process: Any) -> Tuple[str, str]:
-        key = id(process)
+    def _identity(self, target: Any) -> Optional[Tuple[str, str]]:
+        """(process name, callsite) of a resumed process or a plain entry;
+        None for a plain entry that is no actor's step."""
+        if isinstance(target, Process):
+            owner: Any = target
+            code = getattr(target._generator, "gi_code", None)
+        else:
+            func = getattr(target, "func", target)  # a functools.partial's callable
+            owner = getattr(func, "__self__", None)
+            if not isinstance(owner, Actor):
+                return None
+            code = func.__func__.__code__
+        key = (id(owner), id(code))
         cached = self._identities.get(key)
         if cached is not None:
             return cached
-        name = str(getattr(process, "name", "process"))
+        name = str(owner.name)
         callsite = name
-        generator = getattr(process, "_generator", None)
-        code = getattr(generator, "gi_code", None)
         if code is not None:
             filename = os.path.basename(str(code.co_filename))
             callsite = f"{code.co_name} ({filename}:{code.co_firstlineno})"
@@ -127,13 +142,13 @@ class SimProfiler(EngineProbe):
         self._identities[key] = identity
         return identity
 
-    def on_resume_begin(self, process: Any) -> None:
-        """The engine is about to run one process's generator."""
-        self._resume_key = self._identity(process)
+    def on_resume_begin(self, target: Any) -> None:
+        """The engine is about to resume a process or run a plain entry."""
+        self._resume_key = self._identity(target)
         self._resume_started = self._perf_counter()
 
-    def on_resume_end(self, process: Any) -> None:
-        """The generator returned control to the engine."""
+    def on_resume_end(self, target: Any) -> None:
+        """The process or entry returned control to the engine."""
         key = self._resume_key
         if key is None:
             return
@@ -171,8 +186,8 @@ class SimProfiler(EngineProbe):
         """Attributed wall seconds per pipeline stage, plus ``engine``.
 
         The ``engine`` row is the profiled total minus everything
-        attributed to resumes (heap churn, callback dispatch, condition
-        bookkeeping), so the rows sum to :attr:`total_wall_s` whenever
+        attributed to processes and actors (heap churn, callback
+        dispatch, condition bookkeeping), so the rows sum to :attr:`total_wall_s` whenever
         the run was framed with :meth:`start`/:meth:`finish`.
         """
         stages: Dict[str, float] = {}
@@ -185,7 +200,7 @@ class SimProfiler(EngineProbe):
         return dict(sorted(stages.items(), key=lambda item: -item[1]))
 
     def top_callsites(self, k: int = 10) -> List[Tuple[str, float]]:
-        """The ``k`` generator callsites with the most attributed wall time."""
+        """The ``k`` callsites with the most attributed wall time."""
         ranked = sorted(self.wall_by_callsite.items(), key=lambda item: -item[1])
         return ranked[: max(0, k)]
 
@@ -245,7 +260,7 @@ class SimProfiler(EngineProbe):
                 )
         top = self.top_callsites(top_k)
         if top:
-            lines.append(f"  top {len(top)} generator callsites:")
+            lines.append(f"  top {len(top)} callsites:")
             for callsite, wall in top:
                 lines.append(f"    {wall * 1000.0:9.2f} ms  {callsite}")
         timeline = self.depth_timeline()

@@ -22,6 +22,10 @@ Render and copy times are inflated by the live DRAM-contention
 multiplier (:mod:`repro.pipeline.contention`): when the encoder is
 hammering memory at the same time, the app's own frame takes longer —
 the feedback loop behind the paper's Sec. 4.3 analysis.
+
+The loop is a callback actor (:class:`~repro.simcore.engine.Actor`):
+each step above is a method that schedules or hands over the next, and
+the regulator's hooks call back the step that follows them.
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.pipeline.frames import Frame
 from repro.pipeline.inputs import InputEvent
-from repro.simcore import Event, ProcessGenerator
+from repro.simcore import Actor, Step
+from repro.simcore.resources import ResourceRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.system import CloudSystem
@@ -40,8 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Application3D"]
 
 
-class Application3D:
+class Application3D(Actor):
     """The (closed-source) interactive 3D application, as hooked by ODR."""
+
+    name = "app"
 
     def __init__(self, system: "CloudSystem") -> None:
         self.system = system
@@ -67,7 +74,13 @@ class Application3D:
         #: Time each frame waited in the regulator's gate (ms), one per
         #: frame in ``frames`` order — what run records summarise.
         self.gate_delays: List[float] = []
-        self.process = self.env.process(self.run(), name="app")
+        # The frame in flight, when it entered the gate, and the running
+        # stage's start time and GPU claim.
+        self._frame: Optional[Frame] = None
+        self._gate_entered = 0.0
+        self._stage_start = 0.0
+        self._gpu_request: Optional[ResourceRequest] = None
+        self.env.start(self, self._gate)
 
     # -- input path ------------------------------------------------------
 
@@ -100,57 +113,68 @@ class Application3D:
         self.frames.append(frame)
         return frame
 
-    def _busy_stage(
-        self, stage: str, sampler: "StageTimeSampler", frame: Frame
-    ) -> ProcessGenerator:
-        """Generator: run one contention-inflated stage and trace it.
-
-        Rendering additionally acquires the (possibly shared) GPU when
-        the system defines one — sessions consolidated onto one server
-        serialize their renders on it (see :mod:`repro.multitenant`).
-        """
+    def _busy_stage(self, stage: str, sampler: "StageTimeSampler", done: Step) -> None:
+        """Start one contention-inflated stage; ``done()`` runs when it ends."""
         system = self.system
-        resource = system.gpu_resource if stage == "render" else None
-        request: Optional[Event] = None
-        if resource is not None:
-            request = resource.request()
-            yield request
-        try:
-            start = self.env.now
-            duration = sampler.next() * system.contention.multiplier(stage)
-            system.contention.enter(stage)
-            try:
-                yield self.env.timeout(duration)
-            finally:
-                system.contention.exit(stage)
-            system.trace.record(stage, start, self.env.now)
-            if system.telemetry is not None:
-                system.telemetry.stage_complete(frame, stage, start, self.env.now)
-        finally:
-            if request is not None:
-                resource.release(request)
+        self._stage_start = self.env.now
+        duration = sampler.next() * system.contention.multiplier(stage)
+        system.contention.enter(stage)
+        self.env.call_later(duration, done)
+
+    def _end_stage(self, stage: str) -> None:
+        """Leave the running stage and trace it."""
+        system = self.system
+        start = self._stage_start
+        system.contention.exit(stage)
+        system.trace.record(stage, start, self.env.now)
+        if system.telemetry is not None:
+            assert self._frame is not None
+            system.telemetry.stage_complete(self._frame, stage, start, self.env.now)
 
     # -- the main loop -----------------------------------------------------
 
-    def run(self) -> ProcessGenerator:
+    def _gate(self) -> None:
+        """Enter the regulator's gate; it calls back :meth:`_render`."""
+        self._gate_entered = self.env.now
+        self.in_gate = True
+        self.system.regulator.app_wait(self, self._render)
+
+    def _render(self) -> None:
+        """Open the frame and render it, on the shared GPU when the
+        system defines one (sessions consolidated onto one server
+        serialize their renders on it, see :mod:`repro.multitenant`)."""
         env = self.env
         system = self.system
-        while True:
-            gate_entered = env.now
-            self.in_gate = True
-            try:
-                yield from system.regulator.app_wait(self)
-            finally:
-                self.in_gate = False
-            frame = self._begin_frame()
-            gate_delay_ms = env.now - gate_entered
-            self.gate_delays.append(gate_delay_ms)
-            if system.telemetry is not None:
-                system.telemetry.frame_opened(frame, env.now, gate_delay_ms=gate_delay_ms)
-            frame.t_render_start = env.now
-            yield from self._busy_stage("render", self._render_sampler, frame)
-            frame.t_render_end = env.now
-            system.counter.record("render", env.now)
-            yield from self._busy_stage("copy", self._copy_sampler, frame)
-            frame.t_copy_end = env.now
-            yield from system.regulator.app_submit(self, frame)
+        self.in_gate = False
+        frame = self._frame = self._begin_frame()
+        gate_delay_ms = env.now - self._gate_entered
+        self.gate_delays.append(gate_delay_ms)
+        if system.telemetry is not None:
+            system.telemetry.frame_opened(frame, env.now, gate_delay_ms=gate_delay_ms)
+        frame.t_render_start = env.now
+        if system.gpu_resource is None:
+            self._start_render()
+        else:
+            self._gpu_request = system.gpu_resource.request(self._start_render)
+
+    def _start_render(self) -> None:
+        self._busy_stage("render", self._render_sampler, self._rendered)
+
+    def _rendered(self) -> None:
+        system = self.system
+        self._end_stage("render")
+        if self._gpu_request is not None:
+            assert system.gpu_resource is not None
+            system.gpu_resource.release(self._gpu_request)
+            self._gpu_request = None
+        assert self._frame is not None
+        self._frame.t_render_end = self.env.now
+        system.counter.record("render", self.env.now)
+        self._busy_stage("copy", self._copy_sampler, self._copied)
+
+    def _copied(self) -> None:
+        self._end_stage("copy")
+        frame = self._frame
+        assert frame is not None
+        frame.t_copy_end = self.env.now
+        self.system.regulator.app_submit(self, frame, self._gate)

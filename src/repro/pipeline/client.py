@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.pipeline.display import DisplayModel
 from repro.pipeline.frames import Frame
-from repro.simcore import ProcessGenerator, Store
+from repro.simcore import Actor, Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.system import CloudSystem
@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Client"]
 
 
-class Client:
+class Client(Actor):
     """Client-side decode/display loop with a vblank clock.
 
     By default frames are displayed the instant their decode completes
@@ -38,7 +38,12 @@ class Client:
     with tearing/judder/drop accounting.  Inputs answered by a frame the
     display model drops are carried to the next presented frame, so MtP
     accounting stays photon-exact.
+
+    The loop is a callback actor: take the next received frame, decode
+    it, display it, repeat.
     """
+
+    name = "client"
 
     def __init__(
         self,
@@ -57,7 +62,10 @@ class Client:
         self.displayed: List[Frame] = []
         #: Input ids from display-dropped frames awaiting the next photon.
         self._carry_ids: Set[int] = set()
-        self.process = self.env.process(self.run(), name="client")
+        #: The frame being decoded and when its decode started.
+        self._frame: Optional[Frame] = None
+        self._decode_start = 0.0
+        self.env.start(self, self._next)
 
     @property
     def refresh_period_ms(self) -> float:
@@ -74,28 +82,37 @@ class Client:
         # The receive queue is unbounded, so the frame always fits.
         self.receive_queue.try_put(frame)
 
-    def run(self) -> ProcessGenerator:
+    def _next(self) -> None:
+        """Take the next received frame (waits while the queue is empty)."""
+        self.receive_queue.get(self._decode)
+
+    def _decode(self, frame: Frame) -> None:
+        self._frame = frame
+        self._decode_start = self.env.now
+        self.env.call_later(self._decode_sampler.next(), self._decoded)
+
+    def _decoded(self) -> None:
         env = self.env
         system = self.system
-        while True:
-            frame = yield self.receive_queue.get()
-            decode_start = env.now
-            yield env.timeout(self._decode_sampler.next())
-            system.trace.record("decode", decode_start, env.now)
+        frame = self._frame
+        assert frame is not None
+        decode_start = self._decode_start
+        system.trace.record("decode", decode_start, env.now)
+        if system.telemetry is not None:
+            system.telemetry.stage_complete(frame, "decode", decode_start, env.now)
+        system.counter.record("decode", env.now)
+        if self.display_model is None:
+            # The paper's client: a frame becomes photons when its
+            # decode completes.
+            frame.t_displayed = env.now
+            self.displayed.append(frame)
+            system.tracker.frame_displayed(frame.input_ids, env.now)
             if system.telemetry is not None:
-                system.telemetry.stage_complete(frame, "decode", decode_start, env.now)
-            system.counter.record("decode", env.now)
-            if self.display_model is None:
-                # The paper's client: a frame becomes photons when its
-                # decode completes.
-                frame.t_displayed = env.now
-                self.displayed.append(frame)
-                system.tracker.frame_displayed(frame.input_ids, env.now)
-                if system.telemetry is not None:
-                    system.telemetry.frame_displayed(frame, env.now)
-            else:
-                self._present(frame)
-            system.regulator.on_client_display(self, frame)
+                system.telemetry.frame_displayed(frame, env.now)
+        else:
+            self._present(frame)
+        system.regulator.on_client_display(self, frame)
+        self._next()
 
     def _present(self, frame: Frame) -> None:
         """Route the decoded frame through the display model."""

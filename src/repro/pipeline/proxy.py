@@ -3,10 +3,11 @@
 The proxy encodes copied frames into video frames.  *Who drives* the
 encode loop is regulator policy (mailbox pull for the conventional
 stack, Algorithm 1 for ODR); this module provides the mechanism:
-:meth:`ServerProxy.encode` performs one stochastic-service-time encode,
-inflated by the live DRAM-contention multiplier, records the busy
-interval for the hardware models, stamps timestamps, and assigns the
-encoded frame size.
+:class:`ServerProxy` holds the encoder's state, and :class:`EncodeLoop`,
+the base of every regulator's proxy actor, runs one stochastic-service-
+time encode, inflated by the live DRAM-contention multiplier, records
+the busy interval for the hardware models, stamps timestamps, and
+assigns the encoded frame size.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.pipeline.frames import Frame
-from repro.simcore import Event, ProcessGenerator
+from repro.simcore import Actor
+from repro.simcore.resources import ResourceRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.system import CloudSystem
 
-__all__ = ["ServerProxy"]
+__all__ = ["EncodeLoop", "ServerProxy"]
 
 
 class ServerProxy:
@@ -31,25 +33,20 @@ class ServerProxy:
         self._encode_sampler = system.samplers["encode"]
         self.encoded_count = 0
 
-    def encode(self, frame: Frame) -> ProcessGenerator:
-        """Generator: encode ``frame`` into a video frame (step 5).
-
-        Acquires a slot of the (possibly shared) encoder pool when the
-        system defines one (see :mod:`repro.multitenant`).
-        """
-        env = self.env
+    def start_encode(self) -> float:
+        """Begin one encode: enter the DRAM-contention domain and return
+        the encode's duration, inflated by the live multiplier."""
         system = self.system
-        request: Optional[Event] = None
-        if system.encode_resource is not None:
-            request = system.encode_resource.request()
-            yield request
-        start = env.now
         duration = self._encode_sampler.next() * system.contention.multiplier("encode")
         system.contention.enter("encode")
-        try:
-            yield env.timeout(duration)
-        finally:
-            system.contention.exit("encode")
+        return duration
+
+    def finish_encode(self, frame: Frame, start: float) -> None:
+        """End the encode of ``frame`` begun at ``start``: trace it, stamp
+        it and assign its encoded size."""
+        env = self.env
+        system = self.system
+        system.contention.exit("encode")
         system.trace.record("encode", start, env.now)
         if system.telemetry is not None:
             system.telemetry.stage_complete(frame, "encode", start, env.now)
@@ -59,5 +56,50 @@ class ServerProxy:
         frame.size_bytes = system.size_sampler.next()
         self.encoded_count += 1
         system.counter.record("encode", env.now)
-        if request is not None:
-            system.encode_resource.release(request)
+
+
+class EncodeLoop(Actor):
+    """Base of the regulators' proxy actors: one encode at a time.
+
+    :meth:`encode` runs one encode (step 5) on ``system.proxy``,
+    acquiring a slot of the (possibly shared) encoder pool first when
+    the system defines one (see :mod:`repro.multitenant`); subclasses
+    continue in :meth:`encoded`.
+    """
+
+    def __init__(self, system: "CloudSystem", name: str) -> None:
+        self.system = system
+        self.env = system.env
+        self.name = name
+        #: The frame being encoded, its encode start, its encoder claim.
+        self._frame: Optional[Frame] = None
+        self._encode_start = 0.0
+        self._encoder_request: Optional[ResourceRequest] = None
+
+    def encode(self, frame: Frame) -> None:
+        """Encode ``frame``; :meth:`encoded` runs when it is done."""
+        self._frame = frame
+        resource = self.system.encode_resource
+        if resource is None:
+            self._run_encode()
+        else:
+            self._encoder_request = resource.request(self._run_encode)
+
+    def _run_encode(self) -> None:
+        self._encode_start = self.env.now
+        self.env.call_later(self.system.proxy.start_encode(), self._encode_done)
+
+    def _encode_done(self) -> None:
+        system = self.system
+        frame = self._frame
+        assert frame is not None
+        system.proxy.finish_encode(frame, self._encode_start)
+        if self._encoder_request is not None:
+            assert system.encode_resource is not None
+            system.encode_resource.release(self._encoder_request)
+            self._encoder_request = None
+        self.encoded(frame)
+
+    def encoded(self, frame: Frame) -> None:
+        """The encode of ``frame`` finished; continue the loop."""
+        raise NotImplementedError

@@ -6,7 +6,7 @@ A regulator is the *policy* layer of the pipeline.  It decides:
   — the ``glXSwapBuffers`` hook point);
 * what happens to a frame after rendering (:meth:`Regulator.app_submit`);
 * how the server proxy and network sender loops are driven
-  (:meth:`Regulator.build` spawns them);
+  (:meth:`Regulator.build` starts them as callback actors);
 * how feedback from the client and user inputs are handled
   (:meth:`Regulator.on_client_display`, :meth:`Regulator.on_client_fps_report`,
   :meth:`Regulator.on_server_input`).
@@ -17,6 +17,10 @@ overwrites are the excessive rendering), and a byte-bounded send queue
 between proxy and network (whose congestion produces the NoReg latency
 blow-up on slow paths).  Subclasses override only the policy hooks.
 ODR replaces the buffers and loops wholesale (see :mod:`repro.core`).
+
+The app-side hooks take a continuation: the app's next step, which a
+hook calls (directly, or from a calendar entry once its wait is over)
+when the app may go on.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.pipeline.buffers import ByteBudgetQueue, Mailbox
-from repro.simcore import ProcessGenerator
+from repro.pipeline.network import TransmitLoop
+from repro.pipeline.proxy import EncodeLoop
+from repro.simcore import Step
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.app import Application3D
@@ -63,17 +69,17 @@ class Regulator:
     # -- wiring ------------------------------------------------------------
 
     def attach(self, system: "CloudSystem") -> None:
-        """Bind to a system and spawn this policy's proxy/network loops."""
+        """Bind to a system and start this policy's proxy/network loops."""
         self.system = system
         self.build(system)
 
     def build(self, system: "CloudSystem") -> None:
-        """Construct buffers and spawn the conventional proxy/network loops."""
+        """Construct buffers and start the conventional proxy/network loops."""
         env = system.env
         self.mailbox = Mailbox(env, on_drop=self._record_drop)
         self.send_queue = ByteBudgetQueue(env, system.platform.send_buffer_bytes)
-        env.process(self.proxy_loop(system), name="proxy")
-        env.process(self.network_loop(system), name="network")
+        MailboxProxy(system, self.mailbox, self.send_queue)
+        QueueSender(system, self.send_queue)
 
     def _record_drop(self, frame: "Frame") -> None:
         """Annotate a buffer drop on the run's telemetry, if enabled."""
@@ -85,12 +91,11 @@ class Regulator:
 
     # -- app-side hooks -------------------------------------------------------
 
-    def app_wait(self, app: "Application3D") -> ProcessGenerator:
+    def app_wait(self, app: "Application3D", then: Step) -> None:
         """Rendering delay before the next frame; default: none (free-run)."""
-        return
-        yield  # pragma: no cover -- generator marker
+        then()
 
-    def app_submit(self, app: "Application3D", frame: "Frame") -> ProcessGenerator:
+    def app_submit(self, app: "Application3D", frame: "Frame", then: Step) -> None:
         """Deliver a rendered frame downstream; default: mailbox offer.
 
         The mailbox never blocks the renderer: an unconsumed older frame
@@ -98,39 +103,7 @@ class Regulator:
         """
         assert self.mailbox is not None, "build() must run before app_submit()"
         self.mailbox.offer(frame)
-        return
-        yield  # pragma: no cover -- generator marker
-
-    # -- proxy / network loops -------------------------------------------------
-
-    def proxy_loop(self, system: "CloudSystem") -> ProcessGenerator:
-        """Pull the latest rendered frame, copy+encode, push to send queue.
-
-        The ``put`` blocks while the send queue's byte budget is full —
-        TCP backpressure on the encoder.
-        """
-        assert self.mailbox is not None and self.send_queue is not None
-        while True:
-            frame = yield self.mailbox.get()
-            yield from system.proxy.encode(frame)
-            yield self.send_queue.put(frame)
-            if system.telemetry is not None:
-                self._publish_queue_depth(system)
-
-    def network_loop(self, system: "CloudSystem") -> ProcessGenerator:
-        """Serially transmit frames from the send queue."""
-        assert self.send_queue is not None, "build() must run before network_loop()"
-        while True:
-            frame = yield self.send_queue.get()
-            if system.telemetry is not None:
-                self._publish_queue_depth(system)
-            yield from system.network.transmit(frame)
-
-    def _publish_queue_depth(self, system: "CloudSystem") -> None:
-        """Publish send-queue occupancy gauges (telemetry already checked)."""
-        assert system.telemetry is not None and self.send_queue is not None
-        system.telemetry.queue_depth("send_queue", len(self.send_queue))
-        system.telemetry.queue_bytes("send_queue", self.send_queue.queued_bytes)
+        then()
 
     # -- feedback hooks -----------------------------------------------------------
 
@@ -155,3 +128,59 @@ class Regulator:
 
     def on_fault_end(self, kind: str, at_ms: float) -> None:
         """An injected fault window closed (:mod:`repro.faults`)."""
+
+
+def _publish_queue_depth(system: "CloudSystem", send_queue: ByteBudgetQueue) -> None:
+    """Publish send-queue occupancy gauges (telemetry already checked)."""
+    assert system.telemetry is not None
+    system.telemetry.queue_depth("send_queue", len(send_queue))
+    system.telemetry.queue_bytes("send_queue", send_queue.queued_bytes)
+
+
+class MailboxProxy(EncodeLoop):
+    """The conventional proxy loop: pull the latest rendered frame,
+    encode it, push it to the send queue.
+
+    The ``put`` waits while the send queue's byte budget is full — TCP
+    backpressure on the encoder.
+    """
+
+    def __init__(
+        self, system: "CloudSystem", mailbox: Mailbox, send_queue: ByteBudgetQueue
+    ) -> None:
+        super().__init__(system, "proxy")
+        self.mailbox = mailbox
+        self.send_queue = send_queue
+        self.env.start(self, self._pull)
+
+    def _pull(self) -> None:
+        self.mailbox.get(self.encode)
+
+    def encoded(self, frame: "Frame") -> None:
+        self.send_queue.put(frame, self._queued)
+
+    def _queued(self) -> None:
+        if self.system.telemetry is not None:
+            _publish_queue_depth(self.system, self.send_queue)
+        self._pull()
+
+
+class QueueSender(TransmitLoop):
+    """The conventional network loop: serially transmit frames from the
+    send queue."""
+
+    def __init__(self, system: "CloudSystem", send_queue: ByteBudgetQueue) -> None:
+        super().__init__(system, "network")
+        self.send_queue = send_queue
+        self.env.start(self, self._pull)
+
+    def _pull(self) -> None:
+        self.send_queue.get(self._send)
+
+    def _send(self, frame: "Frame") -> None:
+        if self.system.telemetry is not None:
+            _publish_queue_depth(self.system, self.send_queue)
+        self.transmit(frame)
+
+    def transmitted(self) -> None:
+        self._pull()

@@ -24,12 +24,27 @@ import math
 from typing import TYPE_CHECKING
 
 from repro.regulators.base import Regulator
-from repro.simcore import ProcessGenerator
+from repro.simcore import Step
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.app import Application3D
 
 __all__ = ["IntervalMaxRegulator", "IntervalRegulator"]
+
+
+def _wait_for_grid(app: "Application3D", interval: float, then: Step) -> None:
+    """Run ``then`` at the start of the next ``interval`` grid slot, or now
+    when the app is already on a slot boundary."""
+    env = app.env
+    now = env.now
+    slot = math.floor(now / interval + 1e-9)
+    boundary = slot * interval
+    if now > boundary + 1e-9:
+        # Mid-interval: the previous frame overran; wait for the next
+        # grid slot (this is where spike-induced slots are lost).
+        env.call_later((slot + 1) * interval - now, then)
+    else:
+        then()
 
 
 class IntervalRegulator(Regulator):
@@ -48,17 +63,9 @@ class IntervalRegulator(Regulator):
     def interval_ms(self) -> float:
         return 1000.0 / self.fps_target
 
-    def app_wait(self, app: "Application3D") -> ProcessGenerator:
+    def app_wait(self, app: "Application3D", then: Step) -> None:
         """Delay rendering to the start of the next interval grid slot."""
-        env = app.env
-        interval = self.interval_ms
-        now = env.now
-        slot = math.floor(now / interval + 1e-9)
-        boundary = slot * interval
-        if now > boundary + 1e-9:
-            # Mid-interval: the previous frame overran; wait for the next
-            # grid slot (this is where spike-induced slots are lost).
-            yield env.timeout((slot + 1) * interval - now)
+        _wait_for_grid(app, self.interval_ms, then)
 
 
 class IntervalMaxRegulator(Regulator):
@@ -95,14 +102,8 @@ class IntervalMaxRegulator(Regulator):
         self.interval_ms = self.MIN_INTERVAL_MS
         self._last_render_count = 0
 
-    def app_wait(self, app: "Application3D") -> ProcessGenerator:
-        env = app.env
-        interval = self.interval_ms
-        now = env.now
-        slot = math.floor(now / interval + 1e-9)
-        boundary = slot * interval
-        if now > boundary + 1e-9:
-            yield env.timeout((slot + 1) * interval - now)
+    def app_wait(self, app: "Application3D", then: Step) -> None:
+        _wait_for_grid(app, self.interval_ms, then)
 
     def on_client_fps_report(self, client_fps: float) -> None:
         # Cloud-side render FPS over the same reporting period.

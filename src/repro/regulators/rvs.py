@@ -27,7 +27,7 @@ import math
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.regulators.base import Regulator
-from repro.simcore import Event, ProcessGenerator
+from repro.simcore import Event, Step
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.app import Application3D
@@ -84,6 +84,9 @@ class RemoteVsync(Regulator):
         self._last_rendered_id = 0
         self._last_acked_id = 0
         self._ack_events: List[Event] = []
+        # The app's wait in progress: its stall deadline and continuation.
+        self._stall_deadline = 0.0
+        self._gate_passed: Optional[Step] = None
 
     @property
     def vblank_period_ms(self) -> float:
@@ -93,16 +96,29 @@ class RemoteVsync(Regulator):
     def frames_in_flight(self) -> int:
         return self._last_rendered_id - self._last_acked_id
 
-    def app_wait(self, app: "Application3D") -> ProcessGenerator:
-        env = app.env
-        period = self.vblank_period_ms
+    def app_wait(self, app: "Application3D", then: Step) -> None:
         # 1. feedback window: wait for acknowledgements (bounded stall).
-        stall_deadline = env.now + self.MAX_FEEDBACK_STALL_PERIODS * period
-        while self.frames_in_flight >= self.WINDOW and env.now < stall_deadline:
+        self._stall_deadline = app.env.now + self.MAX_FEEDBACK_STALL_PERIODS * (
+            self.vblank_period_ms
+        )
+        self._gate_passed = then
+        self._await_window(app)
+
+    def _await_window(self, app: "Application3D") -> None:
+        """Re-check the window on every ack or deadline, then pace."""
+        env = app.env
+        if self.frames_in_flight >= self.WINDOW and env.now < self._stall_deadline:
             ack = env.event()
             self._ack_events.append(ack)
-            yield env.any_of([ack, env.timeout(stall_deadline - env.now)])
+            window = env.any_of([ack, env.timeout(self._stall_deadline - env.now)])
+            assert window.callbacks is not None  # fresh: fires no earlier than now
+            window.callbacks.append(lambda _event: self._await_window(app))
+            return
+        then = self._gate_passed
+        assert then is not None
+        self._gate_passed = None
         # 2. vblank grid.
+        period = self.vblank_period_ms
         now = env.now
         slot = math.floor(now / period + 1e-9)
         boundary = slot * period
@@ -112,11 +128,13 @@ class RemoteVsync(Regulator):
         # 3. cc-scaled feedback delay.
         wait += self.cc * self.latest_slack_ms
         if wait > 0:
-            yield env.timeout(wait)
+            env.call_later(wait, then)
+        else:
+            then()
 
-    def app_submit(self, app: "Application3D", frame: "Frame") -> ProcessGenerator:
+    def app_submit(self, app: "Application3D", frame: "Frame", then: Step) -> None:
         self._last_rendered_id = frame.frame_id
-        yield from super().app_submit(app, frame)
+        super().app_submit(app, frame, then)
 
     def on_client_display(self, client: "Client", frame: "Frame") -> None:
         """Client-side: compute decode-to-vblank slack, send it uplink."""

@@ -12,9 +12,8 @@ the gateway:
   offline sweep);
 * :class:`Job` — the live record the scheduler mutates and the gateway
   reads: state, timestamps, the per-job
-  :class:`~repro.obs.sweep.SweepEventBus` clients stream from, and the
-  per-job :class:`~repro.experiments.results.ExecutionReport` once the
-  sweep completes.
+  :class:`~repro.obs.sweep.SweepEventBus` clients stream from, and a
+  :class:`JobReport` once the sweep completes.
 
 Job identity is time-of-submission identity (two submissions of the
 same plan are two jobs); *cell* identity stays content-addressed by
@@ -25,13 +24,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.experiments.plan import Plan
-from repro.experiments.results import ExecutionReport
+from repro.experiments.plan import CellSpec, Plan
+from repro.experiments.results import CellFailure, ExecutionReport
 from repro.obs.sweep import SweepEventBus
 
-__all__ = ["Job", "JobSpec", "JobState"]
+__all__ = ["Job", "JobCell", "JobReport", "JobSpec", "JobState"]
 
 
 class JobState(enum.Enum):
@@ -66,6 +65,49 @@ class JobSpec:
     token: str = ""
 
 
+@dataclass(frozen=True)
+class JobCell:
+    """A finished job's view of one cell that produced a record."""
+
+    spec: CellSpec
+    cached: bool
+    deduped: bool
+    wall_clock_s: float
+
+
+@dataclass(frozen=True)
+class JobReport:
+    """What a finished job keeps of its :class:`ExecutionReport`.
+
+    The server keeps every finished job for ``result``, which serves
+    only these fields (and reads each cell's digest from the ledger);
+    :meth:`Job.summary` reads only the counts.  The records stay in the
+    result store and the rows in the ledger, not on the job.
+    """
+
+    outcomes: Tuple[JobCell, ...]
+    failures: Tuple[CellFailure, ...]
+    executed: int
+    cached: int
+    deduped: int
+
+    @classmethod
+    def of(cls, report: ExecutionReport) -> "JobReport":
+        return cls(
+            outcomes=tuple(
+                JobCell(o.spec, o.cached, o.deduped, o.wall_clock_s) for o in report.outcomes
+            ),
+            failures=report.failures,
+            executed=report.executed,
+            cached=report.cached,
+            deduped=report.deduped,
+        )
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+
 @dataclass
 class Job:
     """One submitted sweep, from queue to report.
@@ -85,7 +127,7 @@ class Job:
     submitted_epoch_s: float = 0.0
     started_epoch_s: Optional[float] = None
     finished_epoch_s: Optional[float] = None
-    report: Optional[ExecutionReport] = None
+    report: Optional[JobReport] = None
     #: Infrastructure failure diagnosis (``state == FAILED`` only).
     error: Optional[str] = None
     #: True when this job was replayed from the job journal after a

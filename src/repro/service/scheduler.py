@@ -36,7 +36,6 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
@@ -50,7 +49,7 @@ from repro.obs.probes import host_epoch, host_wallclock
 from repro.obs.runmeta import config_fingerprint
 from repro.obs.sweep import SweepEvent, SweepEventBus
 from repro.service.errors import ServerBusy
-from repro.service.jobs import Job, JobSpec, JobState
+from repro.service.jobs import Job, JobReport, JobSpec, JobState
 from repro.service.journal import JobJournal
 
 __all__ = ["Subscription", "SweepScheduler"]
@@ -376,15 +375,9 @@ class SweepScheduler:
                     label=job.spec.label,
                 )
             report = self.loop.run(job.plan, owner=job.job_id, bus=bus, tally=tally)
-            # The server keeps every finished job for ``result``; the
-            # ledger rows its cells produced are on disk, and ``result``
-            # reads their digests from the ledger, so drop the copies.
-            job.report = replace(
-                report,
-                outcomes=tuple(
-                    replace(outcome, ledger_record=None) for outcome in report.outcomes
-                ),
-            )
+            # The server keeps every finished job for ``result``; keep
+            # only what it serves, not the records and ledger rows.
+            job.report = JobReport.of(report)
             state = JobState.DONE
         except Exception as exc:  # infrastructure failure, not a cell failure
             job.error = f"{type(exc).__name__}: {exc}"

@@ -1,15 +1,16 @@
 """Discrete-event simulation core.
 
 ``repro.simcore`` is a small, self-contained discrete-event simulation
-(DES) engine in the style of SimPy: simulation logic is written as Python
-generator functions ("processes") that ``yield`` events (timeouts, store
-gets/puts, other processes, ...) and are resumed by the environment when
-those events fire.
+(DES) engine in the style of SimPy.  Simulation logic is written either
+as Python generator functions ("processes") that ``yield`` events
+(timeouts, conditions, other processes, ...) and are resumed by the
+environment when those events fire, or as callback actors whose steps
+are plain calendar entries (the pipeline's per-frame stage loops).
 
 The engine is the substrate for every experiment in this repository: the
 cloud-3D pipeline (:mod:`repro.pipeline`), the FPS regulators
-(:mod:`repro.regulators`), and ODR itself (:mod:`repro.core`) are all
-simcore processes.
+(:mod:`repro.regulators`), and ODR itself (:mod:`repro.core`) all run
+as simcore processes and actors.
 
 Public API
 ----------
@@ -17,6 +18,8 @@ Public API
     The event loop: clock, scheduler, process factory.
 :class:`Event`, :class:`Timeout`, :class:`Process`
     Event primitives.
+:class:`Actor`
+    Base of callback actors (processes written as plain entries).
 :class:`Interrupt`
     Exception thrown into a process by :meth:`Process.interrupt`.
 :class:`AllOf`, :class:`AnyOf`
@@ -30,6 +33,7 @@ Public API
 """
 
 from repro.simcore.engine import (
+    Actor,
     AllOf,
     AnyOf,
     Environment,
@@ -38,6 +42,7 @@ from repro.simcore.engine import (
     Process,
     ProcessGenerator,
     SimulationError,
+    Step,
     Timeout,
 )
 from repro.simcore.resources import Gate, Resource, Store
@@ -45,6 +50,7 @@ from repro.simcore.rng import SeededRng
 from repro.simcore.tracing import IntervalTrace, TraceRecord
 
 __all__ = [
+    "Actor",
     "AllOf",
     "AnyOf",
     "Environment",
@@ -57,6 +63,7 @@ __all__ = [
     "Resource",
     "SeededRng",
     "SimulationError",
+    "Step",
     "Store",
     "Timeout",
     "TraceRecord",

@@ -4,35 +4,32 @@ These are the shared-state building blocks the cloud-3D pipeline is made
 of: bounded FIFO stores model queues between pipeline stages, resources
 model exclusive devices (the GPU, the encoder), and gates model binary
 conditions processes can block on (ODR's buffer-swap waits).
+
+Waiters are callbacks, the steps of an :class:`~repro.simcore.engine.Actor`.
+A wait that can be served is never served inline: the waiter runs from a
+zero-delay plain entry (:meth:`~repro.simcore.engine.Environment.call_later`),
+scheduled at the moment the wait is satisfied, so a hand-off costs the
+calendar exactly one entry and runs after everything already due at the
+current instant.  Item-carrying waiters (:meth:`Store.get`) are called
+with the item.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+from functools import partial
+from typing import Any, Callable, List, Tuple
 
-from repro.simcore.engine import Environment, Event, SimulationError
+from repro.simcore.engine import Environment, SimulationError, Step
 
 __all__ = ["Gate", "Resource", "Store"]
-
-
-class StorePut(Event):
-    """Event returned by :meth:`Store.put`; fires when the item is stored."""
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store.env)
-        self.item = item
-
-
-class StoreGet(Event):
-    """Event returned by :meth:`Store.get`; fires with the retrieved item."""
 
 
 class Store:
     """A bounded FIFO store of items.
 
-    ``put`` blocks (returns a pending event) when the store is full;
-    ``get`` blocks when it is empty.  With ``capacity=1`` this is a
-    classic single-slot hand-off buffer.
+    ``put`` waits when the store is full; ``get`` waits when it is
+    empty.  With ``capacity=1`` this is a classic single-slot hand-off
+    buffer.
     """
 
     def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
@@ -41,31 +38,27 @@ class Store:
         self.env = env
         self.capacity = capacity
         self.items: List[Any] = []
-        self._put_waiters: List[StorePut] = []
-        self._get_waiters: List[StoreGet] = []
+        self._put_waiters: List[Tuple[Any, Step]] = []
+        self._get_waiters: List[Callable[[Any], None]] = []
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> StorePut:
-        """Store ``item``; the returned event fires once it is stored."""
-        event = StorePut(self, item)
-        self._put_waiters.append(event)
+    def put(self, item: Any, stored: Step) -> None:
+        """Store ``item``; ``stored()`` runs once it is stored."""
+        self._put_waiters.append((item, stored))
         self._dispatch()
-        return event
 
-    def get(self) -> StoreGet:
-        """Retrieve the oldest item; the event's value is the item."""
-        event = StoreGet(self.env)
-        self._get_waiters.append(event)
+    def get(self, got: Callable[[Any], None]) -> None:
+        """Retrieve the oldest item; ``got(item)`` runs once it is taken."""
+        self._get_waiters.append(got)
         self._dispatch()
-        return event
 
     def try_put(self, item: Any) -> bool:
         """Non-blocking put: store ``item`` now and return True, or return
         False when the store is full or blocked putters are queued ahead.
 
-        Unlike :meth:`put` it schedules no event of its own, so a caller
+        Unlike :meth:`put` it schedules no entry of its own, so a caller
         that would never wait on the put costs the calendar nothing; a
         waiting getter is served as :meth:`put` would serve it.
         """
@@ -79,35 +72,42 @@ class Store:
 
     def _dispatch(self) -> None:
         """Match waiting puts with free slots and waiting gets with items."""
+        env = self.env
         progressed = True
         while progressed:
             progressed = False
             while self._put_waiters and len(self.items) < self.capacity:
-                put = self._put_waiters.pop(0)
-                self.items.append(put.item)
-                put.succeed()
+                item, stored = self._put_waiters.pop(0)
+                self.items.append(item)
+                env.call_later(0.0, stored)
                 progressed = True
             while self._get_waiters and self.items:
-                get = self._get_waiters.pop(0)
-                get.succeed(self.items.pop(0))
+                got = self._get_waiters.pop(0)
+                env.call_later(0.0, partial(got, self.items.pop(0)))
                 progressed = True
 
 
-class ResourceRequest(Event):
-    """Event returned by :meth:`Resource.request`."""
+class ResourceRequest:
+    """One claim on a :class:`Resource`, queued or held; pass it to
+    :meth:`Resource.release`."""
+
+    __slots__ = ("granted",)
+
+    def __init__(self, granted: Step) -> None:
+        #: Runs (from its own entry) when the claim is granted.
+        self.granted = granted
 
 
 class Resource:
     """A counted exclusive resource with FIFO granting.
 
-    Usage::
+    Usage from an actor::
 
-        req = resource.request()
-        yield req
-        try:
+        self._request = resource.request(self._holding)
+        ...
+        def _holding(self):
             ...  # hold the resource
-        finally:
-            resource.release(req)
+            resource.release(self._request)
     """
 
     def __init__(self, env: Environment, capacity: int = 1) -> None:
@@ -118,13 +118,15 @@ class Resource:
         self.users: List[ResourceRequest] = []
         self.queue: List[ResourceRequest] = []
 
-    def request(self) -> ResourceRequest:
-        event = ResourceRequest(self.env)
-        self.queue.append(event)
+    def request(self, granted: Step) -> ResourceRequest:
+        """Queue a claim; ``granted()`` runs once it holds a slot."""
+        request = ResourceRequest(granted)
+        self.queue.append(request)
         self._grant()
-        return event
+        return request
 
     def release(self, request: ResourceRequest) -> None:
+        """Give a held slot back, or withdraw a queued claim."""
         if request in self.users:
             self.users.remove(request)
         elif request in self.queue:
@@ -137,38 +139,36 @@ class Resource:
         while self.queue and len(self.users) < self.capacity:
             request = self.queue.pop(0)
             self.users.append(request)
-            request.succeed()
+            self.env.call_later(0.0, request.granted)
 
 
 class Gate:
     """A binary open/closed condition processes can wait on.
 
-    ``wait()`` returns an event that fires immediately if the gate is
-    open, otherwise when the gate next opens.  Opening releases *all*
-    current waiters (broadcast).  This models ODR's swap conditions:
-    "the 3D application pauses its rendering until the buffers are
-    swapped".
+    ``wait(waiter)`` runs ``waiter()`` right away (from its own entry) if
+    the gate is open, otherwise when the gate next opens.  Opening
+    releases *all* current waiters (broadcast).  This models ODR's swap
+    conditions: "the 3D application pauses its rendering until the
+    buffers are swapped".
     """
 
     def __init__(self, env: Environment, is_open: bool = False) -> None:
         self.env = env
         self._open = is_open
-        self._waiters: List[Event] = []
+        self._waiters: List[Step] = []
 
-    def wait(self) -> Event:
-        event = Event(self.env)
+    def wait(self, waiter: Step) -> None:
         if self._open:
-            event.succeed()
+            self.env.call_later(0.0, waiter)
         else:
-            self._waiters.append(event)
-        return event
+            self._waiters.append(waiter)
 
     def open(self) -> None:
         """Open the gate, releasing all waiters."""
         self._open = True
         waiters, self._waiters = self._waiters, []
-        for event in waiters:
-            event.succeed()
+        for waiter in waiters:
+            self.env.call_later(0.0, waiter)
 
     def close(self) -> None:
         """Close the gate; subsequent waits will block."""

@@ -37,7 +37,7 @@ class TestProfile:
         assert "engine profile:" in out
         assert "stage wall time:" in out
         assert "render" in out
-        assert "generator callsites:" in out
+        assert "callsites:" in out
 
     def test_profile_json_summary(self, capsys):
         out = run_cli(capsys, *FAST, "profile", "--json")

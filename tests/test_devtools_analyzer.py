@@ -210,13 +210,13 @@ def test_nondeterminism_in_unreachable_regulator_hooks_is_found(cache_path):
     # The regulator hooks run under the engine through callbacks the call
     # graph does not resolve, so a reachability-scoped rule misses both.
     interval = _read(INTERVAL_PATH)
-    anchor = '    def app_wait(self, app: "Application3D") -> ProcessGenerator:\n'
+    anchor = '    def app_wait(self, app: "Application3D", then: Step) -> None:\n'
     assert interval.count(anchor) == 2
     interval = interval.replace(
         anchor, anchor + "        import time\n        time.time()\n", 1
     )
     odr = _read(ODR_PATH)
-    anchor = '    def proxy_loop(self, system: "CloudSystem") -> ProcessGenerator:\n'
+    anchor = "    def _store(self) -> None:\n"
     assert odr.count(anchor) == 1
     odr = odr.replace(anchor, anchor + "        import random\n        random.random()\n")
     report = _analyze(
@@ -228,7 +228,7 @@ def test_nondeterminism_in_unreachable_regulator_hooks_is_found(cache_path):
     p2 = [f for f in report.findings if f.rule == "P2"]
     assert {f.detail for f in p2} == {"entropy:import random", "entropy:random.random()"}
     assert all(
-        f.path == ODR_PATH and "OnDemandRendering.proxy_loop()" in f.message for f in p2
+        f.path == ODR_PATH and "OdrProxy._store()" in f.message for f in p2
     )
 
 

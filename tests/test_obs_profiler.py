@@ -28,6 +28,24 @@ def spin(env, period, count):
         yield env.timeout(period)
 
 
+def start_spinner(env, period, count, name):
+    """Start the actor form of :func:`spin`: ``count`` steps ``period`` apart."""
+    from repro.simcore import Actor
+
+    class Spinner(Actor):
+        def __init__(self):
+            self.name = name
+            self.left = count
+            env.start(self, self.step)
+
+        def step(self):
+            if self.left:
+                self.left -= 1
+                env.call_later(period, self.step)
+
+    return Spinner()
+
+
 class TestStageMapping:
     @pytest.mark.parametrize(
         "name,stage",
@@ -119,6 +137,58 @@ class TestFakeClockAccounting:
             SimProfiler(depth_sample_ms=0.0)
 
 
+class TestActorAttribution:
+    def test_plain_entries_are_attributed_to_their_actor(self):
+        clock = FakeClock()
+        profiler = SimProfiler(wallclock=clock)
+        env = Environment(probe=profiler)
+        start_spinner(env, 10.0, 20, name="app")
+        env.process(spin(env, 25.0, 8), name="client")
+        # A plain entry that is no actor's step stays unattributed.
+        env.call_at(5.0, lambda: None)
+        profiler.start()
+        env.run(until=1000.0)
+        profiler.finish()
+        # one entry per step plus the start entry, as for a generator
+        assert profiler.resumes_by_process == {"app": 21, "client": 9}
+        callsites = [c for c, _ in profiler.top_callsites()]
+        assert sorted(c.split(" (")[0] for c in callsites) == ["spin", "step"]
+        assert all("test_obs_profiler.py" in c for c in callsites)
+        stages = profiler.wall_by_stage()
+        assert sum(stages.values()) == pytest.approx(profiler.total_wall_s)
+
+    @pytest.mark.parametrize(
+        "spec,actors",
+        [
+            ("ODR60", ("app", "odr-proxy", "odr-network", "client")),
+            ("NoReg", ("app", "proxy", "network", "client")),
+        ],
+    )
+    def test_stage_actors_run_plain_entries(self, spec, actors):
+        profiler = SimProfiler()
+        telemetry = Telemetry()
+        telemetry.probe = profiler
+        config = SystemConfig(
+            benchmark="IM",
+            platform=PLATFORMS["private"],
+            resolution=Resolution("720p"),
+            seed=3,
+            duration_ms=1000.0,
+            warmup_ms=200.0,
+        )
+        system = CloudSystem(config, make_regulator(spec), telemetry=telemetry)
+        profiler.start()
+        system.run()
+        profiler.finish()
+        for name in actors:
+            assert profiler.resumes_by_process.get(name, 0) > 0, name
+            assert profiler.wall_by_process[name] > 0.0, name
+        # the stage loops run as actors: their callsites are step methods
+        callsites = [c for c, _ in profiler.top_callsites(k=50)]
+        for module in ("app.py", "client.py", "proxy.py", "network.py"):
+            assert any(module in c for c in callsites), (module, callsites)
+
+
 @pytest.fixture(scope="module")
 def pipeline_profile():
     telemetry = Telemetry()
@@ -167,7 +237,7 @@ class TestPipelineProfile:
         text = profiler.report(top_k=3)
         assert "engine profile:" in text
         assert "stage wall time:" in text
-        assert "generator callsites:" in text
+        assert "callsites:" in text
         assert "queue depth:" in text
 
     def test_chrome_trace_overlay(self, pipeline_profile):

@@ -4,7 +4,7 @@ import pytest
 
 from repro import CloudSystem, SystemConfig, make_regulator
 from repro.pipeline.frames import DropReason
-from repro.simcore import Timeout
+from repro.simcore import Event, Timeout
 from repro.workloads import GCE, PRIVATE_CLOUD, Resolution
 
 
@@ -88,7 +88,8 @@ class TestDeterminism:
 
 class TestNoDeadEvents:
     """Every event the pipeline fires, other than a timeout, is waited on:
-    an event nobody listens to is a heap round trip that changes nothing."""
+    an event nobody listens to is a heap round trip that changes nothing.
+    (Plain entries are steps: they always run code of their own.)"""
 
     @pytest.mark.parametrize("spec", ["NoReg", "ODR60", "RVS60"])
     def test_fired_events_have_callbacks(self, spec):
@@ -101,7 +102,7 @@ class TestNoDeadEvents:
 
         def checked_step():
             event = env._queue[0][3]
-            if not isinstance(event, Timeout) and not event.callbacks:
+            if isinstance(event, Event) and not isinstance(event, Timeout) and not event.callbacks:
                 dead.append(type(event).__name__)
             step()
 
@@ -109,6 +110,42 @@ class TestNoDeadEvents:
         system.run()
         assert dead == []
         assert env.stats()["events_fired"] > 1000
+
+
+class _ConstantSampler:
+    def __init__(self, value):
+        self.value = value
+
+    def next(self):
+        return self.value
+
+
+class TestStageDurationGuards:
+    """A stage actor rejects a NaN or negative duration as a Timeout does,
+    instead of corrupting the calendar."""
+
+    @pytest.mark.parametrize("duration", [float("nan"), -1.0])
+    @pytest.mark.parametrize(
+        "owner,attr",
+        [("app", "_render_sampler"), ("app", "_copy_sampler"),
+         ("proxy", "_encode_sampler"), ("client", "_decode_sampler")],
+    )
+    def test_bad_stage_duration_raises(self, owner, attr, duration):
+        config = SystemConfig("IM", PRIVATE_CLOUD, Resolution.R720P, seed=1,
+                              duration_ms=500.0, warmup_ms=100.0)
+        system = CloudSystem(config, make_regulator("NoReg"))
+        setattr(getattr(system, owner), attr, _ConstantSampler(duration))
+        with pytest.raises(ValueError, match="invalid timeout delay"):
+            system.run()
+
+    @pytest.mark.parametrize("duration", [float("nan"), -1.0])
+    def test_bad_serialization_time_raises(self, duration):
+        config = SystemConfig("IM", PRIVATE_CLOUD, Resolution.R720P, seed=1,
+                              duration_ms=500.0, warmup_ms=100.0)
+        system = CloudSystem(config, make_regulator("ODR60"))
+        system.network.serialize_ms = lambda size_bytes: duration
+        with pytest.raises(ValueError, match="invalid timeout delay"):
+            system.run()
 
 
 class TestRunResultAccessors:

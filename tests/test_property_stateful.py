@@ -59,20 +59,15 @@ class MailboxMachine(RuleBasedStateMachine):
 
     @rule()
     def get(self):
-        event = self.box.get()
-
-        def _collect(ev):
-            self.received.append(ev.value.frame_id)
-
-        if event.triggered:
-            self.env.run(until=self.env.now)  # flush the immediate event
-            self.received.append(event.value.frame_id)
-        else:
-            event.callbacks.append(_collect)
+        # Served at once (from a hand-off entry at the current instant)
+        # exactly when the model holds a frame and nobody waits ahead.
+        immediate = self.model_slot is not None and not self.waiting
+        self.box.get(lambda got: self.received.append(got.frame_id))
+        if not immediate:
             self.waiting += 1
             return
+        self.env.run(until=self.env.now)  # deliver the hand-off entry
         # model: immediate get consumed the slot
-        assert self.model_slot is not None
         self.expected.append(self.model_slot)
         self.model_slot = None
 
@@ -121,16 +116,15 @@ class ByteQueueMachine(RuleBasedStateMachine):
     def put(self, size):
         fid = self.next_id
         self.next_id += 1
-        self.queue.put(frame(fid, size=size))
+        self.queue.put(frame(fid, size=size), lambda: None)
         self.model_waiting.append((fid, size))
         self._model_dispatch()
 
     @rule()
     def get(self):
-        event = self.queue.get()
-        event.callbacks.append(lambda ev: self.received.append(ev.value.frame_id))
-        if event.triggered:
-            self.env.step()  # deliver the already-triggered event
+        # A served get runs its callback from an entry at the current
+        # instant; the invariant below delivers it.
+        self.queue.get(lambda got: self.received.append(got.frame_id))
         self.model_getters += 1
         self._model_dispatch()
 

@@ -8,6 +8,7 @@ cell in flight long enough for the second client to join it.
 """
 
 import asyncio
+import dataclasses
 import gc
 import socket
 import threading
@@ -18,6 +19,7 @@ import pytest
 
 from repro.cli import SWEEP_PLANS, _build_parser, main
 from repro.experiments import CellSpec, Plan, ResultStore, SerialExecutor
+from repro.experiments.record import ExperimentRecord
 from repro.obs import sweep as sweepbus
 from repro.obs.ledger import RunLedger
 from repro.obs.runmeta import metrics_digest
@@ -250,13 +252,50 @@ class TestWatchStream:
             job = client.submit(plan_payload(plan))
             assert client.wait(job["job_id"])["executed"] == 2
             report = harness.scheduler.get(job["job_id"]).report
-            assert [o.ledger_record for o in report.outcomes] == [None, None]
+            assert len(report.outcomes) == 2
+            assert all(getattr(o, "ledger_record", None) is None for o in report.outcomes)
             # ``result`` still serves each cell's digest, from the ledger.
             rows = {r["run_id"]: r for r in harness.ledger.records()}
             cells = client.result(job["job_id"])["cells"]
             assert {c["run_id"]: c["metrics_digest"] for c in cells} == {
                 run_id: metrics_digest(row) for run_id, row in rows.items()
             }
+
+    def test_finished_job_holds_no_record(self, tmp_path):
+        plan = Plan([spec("IM"), spec("STK", "NoReg")])
+        with GatewayHarness(tmp_path) as harness:
+            client = harness.client()
+            job = client.submit(plan_payload(plan))
+            assert client.wait(job["job_id"])["executed"] == 2
+            report = harness.scheduler.get(job["job_id"]).report
+
+            def values(obj):
+                """Every value reachable through dataclass fields and tuples."""
+                yield obj
+                children = (
+                    [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+                    if dataclasses.is_dataclass(obj)
+                    else obj if isinstance(obj, tuple) else ()
+                )
+                for child in children:
+                    yield from values(child)
+
+            assert not any(isinstance(v, (ExperimentRecord, dict)) for v in values(report))
+            # The ``result`` frame serves exactly what it served before.
+            rows = {r["run_id"]: r for r in harness.ledger.records()}
+            cells = client.result(job["job_id"])["cells"]
+            assert [c["run_id"] for c in cells] == [s.run_id for s in plan]
+            for cell, cell_spec in zip(cells, plan):
+                assert set(cell) == {
+                    "run_id", "label", "ok", "cached", "deduped", "wall_clock_s",
+                    "metrics_digest",
+                }
+                assert cell["label"] == cell_spec.label
+                assert cell["ok"] is True
+                assert cell["cached"] is False and cell["deduped"] is False
+                assert cell["wall_clock_s"] > 0
+                assert cell["metrics_digest"] == metrics_digest(rows[cell["run_id"]])
+
 
 class TestRestartResume:
     def test_restart_serves_cells_from_persistent_store(self, tmp_path):

@@ -9,6 +9,7 @@ from repro.simcore import (
     Interrupt,
     SimulationError,
 )
+from repro.simcore.engine import URGENT
 
 
 @pytest.fixture
@@ -302,6 +303,67 @@ class TestCallAt:
         env.timeout(2.0)
         with pytest.raises(ValueError):
             env.call_at(float("nan"), lambda: None)
+
+
+class TestPlainEntries:
+    def test_call_later_runs_after_delay(self, env):
+        seen = []
+        env.call_later(2.5, lambda: seen.append(env.now))
+        env.run()
+        assert seen == [2.5]
+
+    @pytest.mark.parametrize("delay", [float("nan"), -1.0])
+    def test_call_later_rejects_bad_delay_as_timeout_does(self, env, delay):
+        with pytest.raises(ValueError):
+            env.timeout(delay)
+        with pytest.raises(ValueError):
+            env.call_later(delay, lambda: None)
+        assert env.stats()["events_scheduled"] == 0
+
+    def test_entry_time_matches_a_timeout_bit_for_bit(self):
+        # now + delay, not call_at(now + delay): the two round differently.
+        env = Environment(initial_time=0.1)
+        fired = []
+        env.call_later(0.2, lambda: fired.append(env.now))
+        env.timeout(0.2).callbacks.append(lambda _event: fired.append(env.now))
+        env.run()
+        assert fired == [0.1 + 0.2, 0.1 + 0.2]
+
+    def test_plain_entries_and_events_share_the_fifo_tie_break(self, env):
+        order = []
+        env.call_later(1.0, lambda: order.append("plain-1"))
+        env.timeout(1.0).callbacks.append(lambda _event: order.append("event"))
+        env.call_later(1.0, lambda: order.append("plain-2"))
+        env.call_later(1.0, lambda: order.append("urgent"), URGENT)
+        env.run()
+        assert order == ["urgent", "plain-1", "event", "plain-2"]
+
+    def test_start_counts_an_actor_as_a_process(self, env):
+        from repro.simcore import Actor
+
+        class Ticker(Actor):
+            name = "ticker"
+
+            def __init__(self):
+                self.ticks = []
+                env.start(self, self.tick)
+
+            def tick(self):
+                self.ticks.append(env.now)
+                if len(self.ticks) < 3:
+                    env.call_later(1.0, self.tick)
+
+        seen_by_earlier_entry = []
+        env.call_later(0.0, lambda: seen_by_earlier_entry.append(len(ticker.ticks)))
+        ticker = Ticker()
+        env.run()
+        assert ticker.ticks == [0.0, 1.0, 2.0]
+        # The first step is urgent, as a process's first resume is: it
+        # runs before a normal entry scheduled ahead of it.
+        assert seen_by_earlier_entry == [1]
+        stats = env.stats()
+        assert stats["process_names"] == {"ticker": 1}
+        assert stats["events_scheduled"] == stats["events_fired"] == 4
 
 
 class TestRunSemantics:

@@ -1,8 +1,12 @@
-"""Unit tests for Store / Resource / Gate."""
+"""Unit tests for Store / Resource / Gate.
+
+Waiters are callbacks, run from a calendar entry once their wait is
+served; generator processes only drive the clock.
+"""
 
 import pytest
 
-from repro.simcore import Environment, Gate, Resource, Store
+from repro.simcore import Environment, Gate, Resource, SimulationError, Store
 
 
 @pytest.fixture
@@ -14,34 +18,31 @@ class TestStore:
     def test_put_then_get_fifo(self, env):
         store = Store(env)
         results = []
+        pending = ["a", "b", "c"]
 
-        def producer():
-            for item in ("a", "b", "c"):
-                yield store.put(item)
+        def produce():
+            if pending:
+                store.put(pending.pop(0), produce)
 
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                results.append(item)
+        def consume(item):
+            results.append(item)
+            if len(results) < 3:
+                store.get(consume)
 
-        env.process(producer())
-        env.process(consumer())
+        produce()
+        store.get(consume)
         env.run()
         assert results == ["a", "b", "c"]
 
     def test_get_blocks_until_put(self, env):
         store = Store(env)
         times = []
-
-        def consumer():
-            item = yield store.get()
-            times.append((env.now, item))
+        store.get(lambda item: times.append((env.now, item)))
 
         def producer():
             yield env.timeout(8)
-            yield store.put("late")
+            store.put("late", lambda: None)
 
-        env.process(consumer())
         env.process(producer())
         env.run()
         assert times == [(8.0, "late")]
@@ -50,18 +51,12 @@ class TestStore:
         store = Store(env, capacity=1)
         log = []
 
-        def producer():
-            yield store.put(1)
+        def stored_first():
             log.append(("p1", env.now))
-            yield store.put(2)
-            log.append(("p2", env.now))
+            store.put(2, lambda: log.append(("p2", env.now)))
 
-        def consumer():
-            yield env.timeout(5)
-            yield store.get()
-
-        env.process(producer())
-        env.process(consumer())
+        store.put(1, stored_first)
+        env.call_later(5, lambda: store.get(lambda _item: None))
         env.run()
         assert log == [("p1", 0.0), ("p2", 5.0)]
 
@@ -72,12 +67,7 @@ class TestStore:
     def test_try_put_serves_a_waiting_getter(self, env):
         store = Store(env)
         got = []
-
-        def consumer():
-            got.append((yield store.get()))
-            got.append(env.now)
-
-        env.process(consumer())
+        store.get(lambda item: got.extend([item, env.now]))
         env.run()
         assert store.try_put("x") is True
         env.run()
@@ -98,14 +88,16 @@ class TestStore:
 
     def test_try_put_refuses_when_putters_are_queued_ahead(self, env):
         store = Store(env, capacity=1)
-        store.put(1)
-        blocked = store.put(2)
+        stored = []
+        store.put(1, lambda: stored.append(1))
+        store.put(2, lambda: stored.append(2))
         # Room appears without a dispatch: the blocked putter is still
         # first in line, so try_put may not overtake it.
         store.capacity = 2
         assert store.try_put(3) is False
         assert store.items == [1]
-        assert not blocked.triggered
+        env.run()
+        assert stored == [1]
 
 
 class TestResource:
@@ -114,15 +106,18 @@ class TestResource:
         log = []
 
         def worker(name, hold):
-            req = res.request()
-            yield req
-            log.append((name, "in", env.now))
-            yield env.timeout(hold)
-            res.release(req)
-            log.append((name, "out", env.now))
+            def holding():
+                log.append((name, "in", env.now))
+                env.call_later(hold, done)
 
-        env.process(worker("a", 10))
-        env.process(worker("b", 5))
+            def done():
+                res.release(request)
+                log.append((name, "out", env.now))
+
+            request = res.request(holding)
+
+        worker("a", 10)
+        worker("b", 5)
         env.run()
         assert log == [
             ("a", "in", 0.0),
@@ -136,30 +131,29 @@ class TestResource:
         entries = []
 
         def worker(name):
-            req = res.request()
-            yield req
-            entries.append((name, env.now))
-            yield env.timeout(5)
-            res.release(req)
+            def holding():
+                entries.append((name, env.now))
+                env.call_later(5, lambda: res.release(request))
+
+            request = res.request(holding)
 
         for name in ("a", "b", "c"):
-            env.process(worker(name))
+            worker(name)
         env.run()
         assert entries == [("a", 0.0), ("b", 0.0), ("c", 5.0)]
 
     def test_release_unknown_raises(self, env):
         res = Resource(env)
         other = Resource(env)
-        req = other.request()
-        from repro.simcore import SimulationError
+        req = other.request(lambda: None)
 
         with pytest.raises(SimulationError):
             res.release(req)
 
     def test_cancel_queued_request(self, env):
         res = Resource(env, capacity=1)
-        held = res.request()  # granted immediately
-        queued = res.request()
+        held = res.request(lambda: None)  # granted immediately
+        queued = res.request(lambda: None)
         res.release(queued)  # cancel while still queued
         assert len(res.users) == 1
         res.release(held)
@@ -173,38 +167,30 @@ class TestResource:
 class TestGate:
     def test_wait_on_open_gate_is_immediate(self, env):
         gate = Gate(env, is_open=True)
-
-        def proc():
-            yield gate.wait()
-            return env.now
-
-        assert env.run(env.process(proc())) == 0.0
+        woken = []
+        gate.wait(lambda: woken.append(env.now))
+        env.run()
+        assert woken == [0.0]
 
     def test_wait_blocks_until_open(self, env):
         gate = Gate(env)
-
-        def waiter():
-            yield gate.wait()
-            return env.now
+        woken = []
+        gate.wait(lambda: woken.append(env.now))
 
         def opener():
             yield env.timeout(12)
             gate.open()
 
-        p = env.process(waiter())
         env.process(opener())
-        assert env.run(p) == 12.0
+        env.run()
+        assert woken == [12.0]
 
     def test_open_is_broadcast(self, env):
         gate = Gate(env)
         woken = []
 
-        def waiter(tag):
-            yield gate.wait()
-            woken.append(tag)
-
         for tag in range(3):
-            env.process(waiter(tag))
+            gate.wait(lambda tag=tag: woken.append(tag))
 
         def opener():
             yield env.timeout(1)
@@ -218,18 +204,17 @@ class TestGate:
         gate = Gate(env, is_open=True)
         log = []
 
-        def waiter():
-            yield gate.wait()
+        def first():
             log.append(env.now)
             gate.close()
-            yield gate.wait()
-            log.append(env.now)
+            gate.wait(lambda: log.append(env.now))
+
+        gate.wait(first)
 
         def opener():
             yield env.timeout(20)
             gate.open()
 
-        env.process(waiter())
         env.process(opener())
         env.run()
         assert log == [0.0, 20.0]
