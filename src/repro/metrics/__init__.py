@@ -14,7 +14,7 @@ system:
   25 %ile, mean, 75 %ile, 99 %ile).
 """
 
-from repro.metrics.counters import FpsCounter, FpsGapReport
+from repro.metrics.counters import FpsCounter, FpsGapReport, fps_gap_report
 from repro.metrics.latency import LatencySample, MtpLatencyTracker
 from repro.metrics.qos import QosReport, qos_satisfaction
 from repro.metrics.recovery import RecoveryStats, compute_recovery, recovery_stats
@@ -35,6 +35,7 @@ __all__ = [
     "BoxStats",
     "FpsCounter",
     "FpsGapReport",
+    "fps_gap_report",
     "LatencySample",
     "MannWhitneyResult",
     "MtpLatencyTracker",

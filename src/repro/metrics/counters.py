@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.simcore.tracing import windowed_counts
 
-__all__ = ["FpsCounter", "FpsGapReport"]
+__all__ = ["FpsCounter", "FpsGapReport", "fps_gap_report"]
 
 #: Canonical pipeline step names (paper Fig. 2 steps 3-7).
 RENDER = "render"
@@ -95,13 +95,23 @@ class FpsCounter:
         client decoded more frames than were rendered (draining queued
         frames) is not "excessive rendering".
         """
-        cloud = self.fps_series(cloud_stage, start, end)
-        client = self.fps_series(client_stage, start, end)
-        if not cloud or not client:
-            raise ValueError("no complete windows for gap computation")
-        series = [max(0.0, c - d) for c, d in zip(cloud, client)]
-        return FpsGapReport(
-            mean_gap=sum(series) / len(series),
-            max_gap=max(series),
-            series=series,
+        return fps_gap_report(
+            self.fps_series(cloud_stage, start, end),
+            self.fps_series(client_stage, start, end),
         )
+
+
+def fps_gap_report(cloud: List[float], client: List[float]) -> FpsGapReport:
+    """The windowed FPS gap of two aligned per-window FPS series.
+
+    Negative per-window gaps are clamped to zero (see
+    :meth:`FpsCounter.fps_gap`).
+    """
+    if not cloud or not client:
+        raise ValueError("no complete windows for gap computation")
+    series = [max(0.0, c - d) for c, d in zip(cloud, client)]
+    return FpsGapReport(
+        mean_gap=sum(series) / len(series),
+        max_gap=max(series),
+        series=series,
+    )

@@ -167,15 +167,8 @@ def build_record(
     qos_target = float(system.resolution.default_fps_target)
     qos = result.qos(qos_target)
 
-    counter = result.counter
-    client_series = [
-        float(v)
-        for v in counter.fps_series("decode", result.t_start, result.t_end, fps_window_ms)
-    ]
-    render_series = [
-        float(v)
-        for v in counter.fps_series("render", result.t_start, result.t_end, fps_window_ms)
-    ]
+    client_series = result.fps_series("decode", fps_window_ms)
+    render_series = result.fps_series("render", fps_window_ms)
     gap_series = [r - c for r, c in zip(render_series, client_series)]
 
     stage_utilization = {

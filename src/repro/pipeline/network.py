@@ -55,7 +55,6 @@ class NetworkPath:
         self._jitter_normal: Optional[Callable[[], float]] = (
             system.rng.child("network", "jitter").claim_normals() if jitter_cv != 0 else None
         )
-        self.sent_count = 0
         self.sent_bytes = 0
 
     def capacity_factor(self, time_ms: float) -> float:
@@ -87,7 +86,6 @@ class NetworkPath:
                 frame, "transmit", frame.t_send_start, frame.t_send_end
             )
         system.counter.record("transmit", env.now)
-        self.sent_count += 1
         self.sent_bytes += frame.size_bytes
 
     def deliver(self, frame: Frame) -> None:

@@ -31,7 +31,6 @@ class ServerProxy:
         self.system = system
         self.env = system.env
         self._encode_sampler = system.samplers["encode"]
-        self.encoded_count = 0
 
     def start_encode(self) -> float:
         """Begin one encode: enter the DRAM-contention domain and return
@@ -54,7 +53,6 @@ class ServerProxy:
         # Read the sampler through the system so quality-ladder wrappers
         # (repro.pipeline.abr) spliced in after construction take effect.
         frame.size_bytes = system.size_sampler.next()
-        self.encoded_count += 1
         system.counter.record("encode", env.now)
 
 

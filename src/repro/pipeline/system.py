@@ -14,7 +14,7 @@ benchmarking practice of discarding start-up transients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Union
 
 from repro.metrics import (
     BoxStats,
@@ -22,6 +22,7 @@ from repro.metrics import (
     FpsGapReport,
     MtpLatencyTracker,
     QosReport,
+    fps_gap_report,
     qos_satisfaction,
 )
 from repro.pipeline.app import Application3D
@@ -206,10 +207,20 @@ class CloudSystem:
 
 @dataclass
 class RunResult:
-    """Measurements of one completed run (analysis-side accessors)."""
+    """Measurements of one completed run (analysis-side accessors).
+
+    Every windowed quantity the record builders share — stage FPS and
+    FPS series, the FPS gap, MtP samples, QoS, drops, utilizations — is
+    measured once, on first use, and memoised in ``_cache``, so
+    :func:`~repro.obs.runmeta.build_record` and
+    :func:`~repro.experiments.record.build_experiment_record` over one
+    result pay for each pass once.  A result describes a *finished* run:
+    its values are not refreshed if the environment runs on.  Accessors
+    that return lists return a fresh copy, so a caller may mutate it.
+    """
 
     system: CloudSystem
-    _cache: Dict[str, object] = field(default_factory=dict, repr=False)
+    _cache: Dict[Hashable, Any] = field(default_factory=dict, repr=False)
 
     @property
     def config(self) -> SystemConfig:
@@ -235,10 +246,19 @@ class RunResult:
     def trace(self) -> IntervalTrace:
         return self.system.trace
 
+    def _memo(self, key: Hashable, measure: Callable[[], Any]) -> Any:
+        cache = self._cache
+        if key not in cache:
+            cache[key] = measure()
+        return cache[key]
+
     # -- FPS metrics -------------------------------------------------------
 
     def stage_mean_fps(self, stage: str) -> float:
-        return self.counter.mean_fps(stage, self.t_start, self.t_end)
+        return self._memo(
+            ("mean_fps", stage),
+            lambda: self.counter.mean_fps(stage, self.t_start, self.t_end),
+        )
 
     @property
     def render_fps(self) -> float:
@@ -253,25 +273,43 @@ class RunResult:
         """Client decode FPS — the paper's "client FPS"."""
         return self.stage_mean_fps("decode")
 
+    def fps_series(self, stage: str, window_ms: float) -> List[float]:
+        """Per-window FPS of ``stage`` over the measurement window."""
+        series = self._memo(
+            ("fps_series", stage, window_ms),
+            lambda: self.counter.fps_series(stage, self.t_start, self.t_end, window_ms),
+        )
+        return list(series)
+
     def client_fps_box(self, window_ms: float = 1000.0) -> BoxStats:
         from repro.metrics.stats import summarize
 
-        series = self.counter.fps_series("decode", self.t_start, self.t_end, window_ms)
-        return summarize(series)
+        return summarize(self.fps_series("decode", window_ms))
 
     def fps_gap(self) -> FpsGapReport:
         """Cloud render FPS minus client decode FPS (Table 2)."""
-        return self.counter.fps_gap(self.t_start, self.t_end)
+        window = self.counter.window_ms
+        gap: FpsGapReport = self._memo(
+            ("fps_gap",),
+            lambda: fps_gap_report(
+                self.fps_series("render", window), self.fps_series("decode", window)
+            ),
+        )
+        return FpsGapReport(gap.mean_gap, gap.max_gap, list(gap.series))
 
     # -- latency metrics -----------------------------------------------------
 
     def mtp_samples(self) -> List[float]:
         """Closed MtP latencies for inputs issued inside the window."""
-        return [
-            s.latency_ms
-            for s in self.tracker.samples
-            if self.t_start <= s.issued_at < self.t_end
-        ]
+        samples = self._memo(
+            ("mtp_samples",),
+            lambda: [
+                s.latency_ms
+                for s in self.tracker.samples
+                if self.t_start <= s.issued_at < self.t_end
+            ],
+        )
+        return list(samples)
 
     def mean_mtp_ms(self) -> float:
         samples = self.mtp_samples()
@@ -288,16 +326,23 @@ class RunResult:
 
     def qos(self, target_fps: float, window_ms: float = 200.0) -> QosReport:
         """The paper's windowed QoS criterion over client display times."""
-        times = self.counter.times("decode")
-        return qos_satisfaction(times, target_fps, self.t_start, self.t_end, window_ms)
+        return self._memo(
+            ("qos", target_fps, window_ms),
+            lambda: qos_satisfaction(
+                self.counter.times("decode"), target_fps, self.t_start, self.t_end, window_ms
+            ),
+        )
 
     # -- efficiency inputs ------------------------------------------------------
 
     def dropped_frames(self, reason: Optional[DropReason] = None) -> List[Frame]:
-        frames = [f for f in self.system.app.frames if f.dropped is not None]
-        if reason is not None:
-            frames = [f for f in frames if f.dropped is reason]
-        return frames
+        dropped: List[Frame] = self._memo(
+            ("dropped_frames",),
+            lambda: [f for f in self.system.app.frames if f.dropped is not None],
+        )
+        if reason is None:
+            return list(dropped)
+        return [f for f in dropped if f.dropped is reason]
 
     def frames_rendered(self) -> int:
         return self.counter.count("render")
@@ -308,4 +353,7 @@ class RunResult:
         return self.system.network.sent_bytes * 8.0 / (total_ms / 1000.0) / 1e6
 
     def stage_utilization(self, stage: str) -> float:
-        return self.trace.utilization(stage, self.t_start, self.t_end)
+        return self._memo(
+            ("utilization", stage),
+            lambda: self.trace.utilization(stage, self.t_start, self.t_end),
+        )

@@ -529,17 +529,21 @@ class Environment:
                 entry()
                 hooks[1](entry)
                 return
-        if not isinstance(entry, Event):
+        if isinstance(entry, Event):
+            self._fire(entry)
+        else:
             entry()
-            return
-        callbacks, entry.callbacks = entry.callbacks, None
+
+    def _fire(self, event: Event) -> None:
+        """Run a popped event's callbacks; surface an unhandled failure."""
+        callbacks, event.callbacks = event.callbacks, None
         if callbacks is None:
-            raise SimulationError(f"{entry!r} processed twice")
+            raise SimulationError(f"{event!r} processed twice")
         for callback in callbacks:
-            callback(entry)
-        if not entry._ok and not entry._defused:
+            callback(event)
+        if not event._ok and not event._defused:
             # An unhandled failure: surface it instead of losing it.
-            exc = entry._value
+            exc = event._value
             if isinstance(exc, BaseException):
                 raise exc
             raise SimulationError(repr(exc))
@@ -553,11 +557,11 @@ class Environment:
         * a number — run until the clock reaches that time;
         * an :class:`Event` — run until that event triggers, returning its
           value.
+
+        For ``None`` and a number the loop pops and dispatches entries
+        inline, exactly as :meth:`step` does, without a method call per
+        entry; the probe costs one ``is None`` branch per entry.
         """
-        if until is None:
-            while self._queue:
-                self.step()
-            return None
         if isinstance(until, Event):
             stop = until
             while self._queue and not stop.processed:
@@ -567,12 +571,33 @@ class Environment:
             if not stop.ok:
                 raise stop.value
             return stop.value
-        horizon = float(until)
-        if not horizon >= self.now:  # also rejects NaN
-            raise ValueError(f"until={horizon} is in the past (now={self.now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
-        self.now = horizon
+        if until is None:
+            horizon = float("inf")
+        else:
+            horizon = float(until)
+            if not horizon >= self.now:  # also rejects NaN
+                raise ValueError(f"until={horizon} is in the past (now={self.now})")
+        queue = self._queue
+        pop = heapq.heappop
+        probe = self._probe
+        hooks = self._resume_hooks
+        fire = self._fire
+        while queue and queue[0][0] <= horizon:
+            now, _, _, entry = pop(queue)
+            self.now = now
+            if probe is not None:
+                probe.on_event_fired(now, len(queue))
+                if hooks is not None and not isinstance(entry, Event):
+                    hooks[0](entry)
+                    entry()
+                    hooks[1](entry)
+                    continue
+            if isinstance(entry, Event):
+                fire(entry)
+            else:
+                entry()
+        if until is not None:
+            self.now = horizon
         return None
 
     # -- factories -----------------------------------------------------

@@ -12,8 +12,11 @@ increase the probability that these tasks execute simultaneously").
 from __future__ import annotations
 
 import bisect
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["IntervalTrace", "TraceRecord", "overlap_profile"]
 
@@ -31,59 +34,85 @@ class TraceRecord:
         return self.end - self.start
 
 
-#: One busy interval as stored: ``(stage, start, end)``.
-_Interval = Tuple[str, float, float]
+#: One stage's intervals as two float columns, ``(starts, ends)``, in
+#: record order.
+_Columns = Tuple["array[float]", "array[float]"]
+
+_NO_INTERVALS = np.empty(0)
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, added strictly left to right.
+
+    The window statistics must equal a plain Python accumulation loop
+    bit for bit; ``np.cumsum`` adds in that order, whereas ``np.sum``
+    (pairwise), ``math.fsum`` and, from Python 3.12, ``sum`` (compensated)
+    round differently.
+    """
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 class IntervalTrace:
     """Accumulates per-stage busy intervals during a simulation run.
 
-    Intervals are kept as plain ``(stage, start, end)`` tuples, both in
-    global insertion order (for cross-stage analyses like
-    :func:`overlap_profile`) and indexed per stage, so repeated
-    per-stage queries — ``busy_time``/``utilization`` are called once
-    per stage per window by the hardware reports — cost O(records of
-    that stage) instead of O(all records).  :meth:`records` builds
-    :class:`TraceRecord` objects only when asked.
+    Each interval is stored once, in its stage's pair of ``array('d')``
+    columns (``starts``, ``ends``), so the window statistics —
+    :meth:`busy_time`, :meth:`utilization`, :func:`overlap_profile` —
+    are numpy passes over one stage's columns, which numpy reads
+    through the buffer protocol without a per-element conversion.  A
+    list of stage names remembers the global record order, which
+    :meth:`records` restores (the Fig. 5 renderer sorts that list
+    stably by start time).
     """
 
     def __init__(self) -> None:
-        self._records: List[_Interval] = []
-        self._by_stage: Dict[str, List[_Interval]] = {}
+        self._columns: Dict[str, _Columns] = {}
+        #: The stage of every stored interval, in global record order.
+        self._order: List[str] = []
 
     def record(self, stage: str, start: float, end: float) -> None:
         """Record that ``stage`` was busy on ``[start, end)``."""
         if end > start:
-            rec = (stage, start, end)
-            self._records.append(rec)
-            per_stage = self._by_stage.get(stage)
-            if per_stage is None:
-                self._by_stage[stage] = [rec]
-            else:
-                per_stage.append(rec)
+            columns = self._columns.get(stage)
+            if columns is None:
+                columns = self._columns[stage] = (array("d"), array("d"))
+            columns[0].append(start)
+            columns[1].append(end)
+            self._order.append(stage)
         elif end < start:
             raise ValueError(f"interval ends before it starts: {start}..{end}")
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._order)
 
     def records(self, stage: Optional[str] = None) -> List[TraceRecord]:
-        """All records, optionally filtered by stage name."""
-        intervals = self._records if stage is None else self._by_stage.get(stage, [])
-        return [TraceRecord(*rec) for rec in intervals]
+        """All records, optionally filtered by stage name, in record order."""
+        if stage is not None:
+            columns = self._columns.get(stage)
+            if columns is None:
+                return []
+            return [TraceRecord(stage, lo, hi) for lo, hi in zip(*columns)]
+        cursors = {name: zip(*columns) for name, columns in self._columns.items()}
+        return [TraceRecord(name, *next(cursors[name])) for name in self._order]
 
     def stages(self) -> List[str]:
-        return sorted(self._by_stage)
+        return sorted(self._columns)
+
+    def _clipped(self, stage: str, start: float, end: float) -> Tuple[np.ndarray, np.ndarray]:
+        """``stage``'s intervals clipped to ``[start, end)``, as ``(lo, hi)``
+        arrays in record order; intervals that clip to nothing are dropped."""
+        columns = self._columns.get(stage)
+        if columns is None:
+            return _NO_INTERVALS, _NO_INTERVALS
+        lo = np.maximum(columns[0], start)
+        hi = np.minimum(columns[1], end)
+        keep = hi > lo
+        return lo[keep], hi[keep]
 
     def busy_time(self, stage: str, start: float = 0.0, end: float = float("inf")) -> float:
         """Total busy time of ``stage`` clipped to ``[start, end)``."""
-        total = 0.0
-        for _, rec_start, rec_end in self._by_stage.get(stage, ()):
-            lo = max(rec_start, start)
-            hi = min(rec_end, end)
-            if hi > lo:
-                total += hi - lo
-        return total
+        lo, hi = self._clipped(stage, start, end)
+        return _sequential_sum(hi - lo)
 
     def utilization(self, stage: str, start: float, end: float) -> float:
         """Busy fraction of ``stage`` over the window ``[start, end)``."""
@@ -101,38 +130,42 @@ def overlap_profile(
     """Fraction of ``[start, end)`` during which exactly *k* of ``stages``
     were simultaneously busy.
 
-    Returns a mapping ``k -> fraction`` with keys ``0..len(stages)``.
-    This is the driver for the DRAM row-buffer contention model: the
-    more time two or more memory-intensive stages overlap, the higher
-    the row-buffer miss rate.
+    Returns a mapping ``k -> fraction`` with keys ``0..len(stages)``;
+    more than ``len(stages)`` concurrent intervals (a stage overlapping
+    itself) count in the top level.  This is the driver for the DRAM
+    row-buffer contention model: the more time two or more
+    memory-intensive stages overlap, the higher the row-buffer miss rate.
+
+    The sweep sorts every clipped interval's ``+1``/``-1`` edge by
+    ``(time, delta)`` and adds each positive gap between consecutive
+    edges, divided by the window, to the level in force over it — one
+    ``np.cumsum`` per level, in sweep order.
     """
     if end <= start:
         raise ValueError("empty window")
-    wanted = set(stages)
-    deltas: List[Tuple[float, int]] = []
-    for stage, rec_start, rec_end in trace._records:
-        if stage not in wanted:
-            continue
-        lo = max(rec_start, start)
-        hi = min(rec_end, end)
-        if hi > lo:
-            deltas.append((lo, +1))
-            deltas.append((hi, -1))
-    profile = {k: 0.0 for k in range(len(stages) + 1)}
-    if not deltas:
+    top = len(stages)
+    profile = {k: 0.0 for k in range(top + 1)}
+    # A stage listed twice still contributes its intervals once.
+    pairs = [trace._clipped(stage, start, end) for stage in dict.fromkeys(stages)]
+    lo = np.concatenate([pair[0] for pair in pairs]) if pairs else _NO_INTERVALS
+    if not lo.size:
         profile[0] = 1.0
         return profile
-    deltas.sort()
-    span = end - start
-    level = 0
-    prev = start
-    for time, delta in deltas:
-        if time > prev:
-            profile[min(level, len(stages))] += (time - prev) / span
-        level += delta
-        prev = time
-    if end > prev:
-        profile[min(level, len(stages))] += (end - prev) / span
+    hi = np.concatenate([pair[1] for pair in pairs])
+    times = np.concatenate((lo, hi))
+    deltas = np.concatenate((np.ones(lo.size, np.int64), np.full(hi.size, -1, np.int64)))
+    order = np.lexsort((deltas, times))
+    times = times[order]
+    # Gap i runs from edge i-1 (the window start for i = 0) to edge i at
+    # the level after edge i-1; the last gap runs on to the window end.
+    gap_start = np.concatenate(((start,), times))
+    gap_end = np.concatenate((times, (end,)))
+    levels = np.minimum(np.concatenate(((0,), np.cumsum(deltas[order]))), top)
+    keep = gap_end > gap_start
+    fractions = (gap_end - gap_start)[keep] / (end - start)
+    levels = levels[keep]
+    for level in range(top + 1):
+        profile[level] = _sequential_sum(fractions[levels == level])
     return profile
 
 

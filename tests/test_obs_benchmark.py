@@ -7,17 +7,17 @@ Two complementary checks:
   for ``--benchmark-compare`` workflows across revisions;
 * a self-contained A/B guard comparing the current engine (probe hooks
   compiled in, ``probe=None``) against a baseline environment whose
-  ``schedule``/``call_later``/``step``/``process``/``start`` replicate
-  the engine's bodies — its own statistics and both entry kinds
-  (events and plain entries) included — with no probe branch at all.
-  This is the acceptance gate: the probe branches on the disabled path
-  must cost <5%.
+  ``schedule``/``call_later``/``step``/``run``/``process``/``start``
+  replicate the engine's bodies — its own statistics, both entry kinds
+  (events and plain entries) and ``run``'s inline pop-and-dispatch loop
+  included — with no probe branch at all.  This is the acceptance gate:
+  the probe branches on the disabled path must cost <5%, judged on the
+  median of many interleaved A/B pairs so one slow stretch of a shared
+  host cannot decide it.
 """
 
 import heapq
 import time
-
-import pytest
 
 from repro.pipeline import CloudSystem, SystemConfig
 from repro.regulators import make_regulator
@@ -45,8 +45,8 @@ def run_disabled():
 
 class BaselineEnvironment(Environment):
     """The engine's hot path without probe branches: schedule/call_later/
-    step/process/start keep the environment's own statistics but never
-    test for a probe."""
+    step/run/process/start keep the environment's own statistics but
+    never test for a probe."""
 
     def schedule(self, event, delay=0.0, priority=NORMAL):
         self._eid += 1
@@ -83,6 +83,25 @@ class BaselineEnvironment(Environment):
                 raise exc
             raise RuntimeError(repr(exc))
 
+    def run(self, until=None):
+        # Environment.run's inline loop for until=None or a number.
+        if isinstance(until, Event):
+            return super().run(until)
+        horizon = float("inf") if until is None else float(until)
+        queue = self._queue
+        pop = heapq.heappop
+        fire = self._fire
+        while queue and queue[0][0] <= horizon:
+            now, _, _, entry = pop(queue)
+            self.now = now
+            if isinstance(entry, Event):
+                fire(entry)
+            else:
+                entry()
+        if until is not None:
+            self.now = horizon
+        return None
+
     def process(self, generator, name=""):
         from repro.simcore.engine import Process
 
@@ -118,7 +137,7 @@ class Ticker(Actor):
             self.env.call_later(0.25, self.tick)
 
 
-def drive(env_cls, events=60_000):
+def drive(env_cls, events=20_000):
     # Half generator resumes on events, half actor steps on plain entries.
     env = env_cls()
     env.process(churn(env, events // 2))
@@ -128,17 +147,23 @@ def drive(env_cls, events=60_000):
     return time.perf_counter() - start  # analyzer: allow=P1 -- benchmark harness times the host run on purpose
 
 
-def best_of_interleaved(baseline_fn, current_fn, rounds=5):
-    """Best-of-``rounds`` for both sides, alternating them run by run.
+def paired_ratios(baseline_fn, current_fn, pairs=61):
+    """``current / baseline`` for each of ``pairs`` back-to-back A/B pairs.
 
-    A host speed-state change then hits both sides instead of whichever
-    block of runs happened to follow it.
+    The side that runs first alternates from pair to pair, so neither
+    side always runs in the other's wake, and a host speed change hits
+    one pair instead of a whole block of one side's runs.
     """
-    baseline, current = float("inf"), float("inf")
-    for _ in range(rounds):
-        baseline = min(baseline, baseline_fn())
-        current = min(current, current_fn())
-    return baseline, current
+    ratios = []
+    for index in range(pairs):
+        if index % 2:
+            current = current_fn()
+            baseline = baseline_fn()
+        else:
+            baseline = baseline_fn()
+            current = current_fn()
+        ratios.append(current / baseline)
+    return ratios
 
 
 def test_standard_run_benchmark_telemetry_disabled(benchmark):
@@ -148,21 +173,18 @@ def test_standard_run_benchmark_telemetry_disabled(benchmark):
 
 
 def test_disabled_probe_overhead_under_five_percent():
-    # min-of-N timings on an event-churn microbenchmark, which maximizes
-    # the relative weight of the schedule/step hot path (a full pipeline
-    # run would only dilute any regression).  Retry to ride out noise.
+    # Paired timings on an event-churn microbenchmark, which maximizes
+    # the relative weight of the schedule/run hot path (a full pipeline
+    # run would only dilute any regression).  The gate is the median
+    # paired ratio: a noisy pair moves it by one rank at most.
     drive(Environment, events=5_000)  # warm both paths
     drive(BaselineEnvironment, events=5_000)
-    for attempt in range(3):
-        baseline, current = best_of_interleaved(
-            lambda: drive(BaselineEnvironment), lambda: drive(Environment)
-        )
-        ratio = current / baseline
-        if ratio < OVERHEAD_LIMIT:
-            return
-    pytest.fail(
+    ratios = sorted(paired_ratios(lambda: drive(BaselineEnvironment), lambda: drive(Environment)))
+    ratio = ratios[len(ratios) // 2]
+    assert ratio < OVERHEAD_LIMIT, (
         f"disabled-telemetry engine is {ratio:.3f}x the pre-telemetry "
-        f"baseline (limit {OVERHEAD_LIMIT}x)"
+        f"baseline (median of {len(ratios)} pairs, limit {OVERHEAD_LIMIT}x); "
+        f"pair ratios {[round(r, 3) for r in ratios]}"
     )
 
 

@@ -19,6 +19,12 @@ import pytest
 
 from repro.devtools.determinism import fingerprint_run
 from repro.faults.catalog import build_fault_plan
+from repro.obs import Telemetry
+from repro.obs.runmeta import build_record, metrics_digest
+from repro.pipeline import CloudSystem, SystemConfig
+from repro.pipeline.system import RunResult
+from repro.regulators import make_regulator
+from repro.workloads import PLATFORMS, Resolution
 
 #: Seed 7, 6 s measured after 0.5 s warm-up, IM/STK on the private
 #: 720p platform unless the name says otherwise.
@@ -122,3 +128,53 @@ def test_fault_run_schedule_is_pinned(name):
 
 def test_every_pin_is_exercised():
     assert set(PINNED) == set(CELLS) | set(FAULT_RUNS)
+
+
+def _drive(cell, seed, duration_ms, fault_class, mode):
+    """Run one cell bare through ``Environment.run``'s inline loop
+    (``"bare"``), with an engine probe (``"probe"``), or bare one
+    ``Environment.step()`` at a time (``"step"``); return its engine
+    statistics and record digest."""
+    config = SystemConfig(
+        benchmark=cell.get("benchmark", "IM"),
+        platform=PLATFORMS[cell.get("platform", "private")],
+        resolution=Resolution(cell.get("resolution", "720p")),
+        seed=seed,
+        duration_ms=duration_ms,
+        warmup_ms=500.0,
+    )
+    plan = build_fault_plan(fault_class, duration_ms, 500.0) if fault_class else None
+    telemetry = Telemetry(engine_probe=True) if mode == "probe" else None
+    system = CloudSystem(
+        config, make_regulator(cell.get("regulator", "ODR60")),
+        telemetry=telemetry, fault_plan=plan,
+    )
+    if mode == "step":
+        env, end = system.env, config.warmup_ms + config.duration_ms
+        while env.peek() <= end:
+            env.step()
+        env.run(until=end)  # nothing left to fire: only advances the clock
+        result = RunResult(system=system)
+    else:
+        result = system.run()
+    record = build_record(result, {"cell": "pinned"}, git_rev="-")
+    return system.env.stats(), metrics_digest(record)
+
+
+_PINNED_RUNS = {
+    **{name: (cell, 7, 6000.0, None) for name, cell in CELLS.items()},
+    **{
+        name: ({"regulator": "ODR60"}, seed, 2000.0, fault_class)
+        for name, (seed, fault_class) in FAULT_RUNS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_RUNS))
+def test_inline_loop_fires_the_probed_calendar(name):
+    # The pins above run through a probe; a bare run takes run()'s
+    # probe-free branch, and a step()-driven run the single-step path.
+    bare = _drive(*_PINNED_RUNS[name], mode="bare")
+    assert _drive(*_PINNED_RUNS[name], mode="probe") == bare
+    assert _drive(*_PINNED_RUNS[name], mode="step") == bare
+    assert bare[0]["events_scheduled"] == PINNED[name][1]

@@ -1,7 +1,7 @@
 """Tests for busy-interval tracing and the overlap profile."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.simcore import IntervalTrace, SeededRng
@@ -71,38 +71,73 @@ class TestIntervalTrace:
         assert trace.records("absent") == []
 
 
-def _reference_overlap_profile(records, stages, start, end):
-    """The overlap sweep over ``TraceRecord`` objects, for comparison."""
-    wanted = set(stages)
-    deltas = []
-    for r in records:
-        if r.stage not in wanted:
-            continue
-        lo = max(r.start, start)
-        hi = min(r.end, end)
-        if hi > lo:
-            deltas.append((lo, +1))
-            deltas.append((hi, -1))
-    profile = {k: 0.0 for k in range(len(stages) + 1)}
-    if not deltas:
-        profile[0] = 1.0
+class _PurePythonTrace:
+    """The trace as it was before the numpy passes: one list of
+    ``(stage, start, end)`` tuples, summed and swept in plain Python.
+    Kept as the bit-for-bit reference of the vectorised window statistics."""
+
+    def __init__(self):
+        self.intervals = []
+
+    def record(self, stage, start, end):
+        if end > start:
+            self.intervals.append((stage, start, end))
+        elif end < start:
+            raise ValueError(f"interval ends before it starts: {start}..{end}")
+
+    def busy_time(self, stage, start=0.0, end=float("inf")):
+        total = 0.0
+        for rec_stage, rec_start, rec_end in self.intervals:
+            if rec_stage != stage:
+                continue
+            lo = max(rec_start, start)
+            hi = min(rec_end, end)
+            if hi > lo:
+                total += hi - lo
+        return total
+
+    def utilization(self, stage, start, end):
+        if end <= start:
+            raise ValueError("empty window")
+        return self.busy_time(stage, start, end) / (end - start)
+
+    def overlap_profile(self, stages, start, end):
+        if end <= start:
+            raise ValueError("empty window")
+        wanted = set(stages)
+        deltas = []
+        for stage, rec_start, rec_end in self.intervals:
+            if stage not in wanted:
+                continue
+            lo = max(rec_start, start)
+            hi = min(rec_end, end)
+            if hi > lo:
+                deltas.append((lo, +1))
+                deltas.append((hi, -1))
+        profile = {k: 0.0 for k in range(len(stages) + 1)}
+        if not deltas:
+            profile[0] = 1.0
+            return profile
+        deltas.sort()
+        span = end - start
+        level = 0
+        prev = start
+        for time, delta in deltas:
+            if time > prev:
+                profile[min(level, len(stages))] += (time - prev) / span
+            level += delta
+            prev = time
+        if end > prev:
+            profile[min(level, len(stages))] += (end - prev) / span
         return profile
-    deltas.sort()
-    span = end - start
-    level = 0
-    prev = start
-    for time, delta in deltas:
-        if time > prev:
-            profile[min(level, len(stages))] += (time - prev) / span
-        level += delta
-        prev = time
-    if end > prev:
-        profile[min(level, len(stages))] += (end - prev) / span
-    return profile
+
+
+def _hexed(profile):
+    return {level: frac.hex() for level, frac in profile.items()}
 
 
 class TestTupleStorageMatchesReference:
-    """The tuple-backed trace answers exactly as a list of records would."""
+    """The column-backed trace answers exactly as a list of records would."""
 
     STAGES = ["render", "copy", "encode", "transmit", "decode"]
 
@@ -134,9 +169,11 @@ class TestTupleStorageMatchesReference:
             assert trace.utilization(stage, 100.0, 350.0) == (
                 trace.busy_time(stage, 100.0, 350.0) / 250.0
             )
+        pure = _PurePythonTrace()
+        pure.intervals = [(r.stage, r.start, r.end) for r in reference]
         for stages in (["render", "copy", "encode"], ["transmit"], self.STAGES):
             assert overlap_profile(trace, stages, 50.0, 900.0) == (
-                _reference_overlap_profile(reference, stages, 50.0, 900.0)
+                pure.overlap_profile(stages, 50.0, 900.0)
             )
 
     def test_backwards_interval_raises_and_records_nothing(self):
@@ -145,6 +182,95 @@ class TestTupleStorageMatchesReference:
         with pytest.raises(ValueError):
             trace.record("render", 5.0, 4.999)
         assert trace.records() == [TraceRecord("render", 1.0, 2.0)]
+
+
+#: Interval edges: a coarse grid makes opening/closing ties and
+#: zero-length intervals common; free floats cover the rest.
+_EDGE = st.one_of(
+    st.integers(min_value=-5, max_value=25).map(float),
+    st.floats(min_value=-5.0, max_value=25.0, allow_nan=False),
+)
+#: Half the intervals go to "a", so one stage often has the dozens of
+#: terms at which a pairwise or compensated sum would round differently.
+_INTERVALS = st.lists(
+    st.tuples(st.sampled_from(["a", "a", "a", "b", "c", "d"]), _EDGE, _EDGE).map(
+        lambda t: (t[0], min(t[1], t[2]), max(t[1], t[2]))
+    ),
+    max_size=60,
+)
+#: Windows straddle the interval range on either side, or sit inside it.
+_WINDOW = st.tuples(_EDGE, _EDGE).filter(lambda w: w[0] != w[1]).map(sorted)
+#: ``["a"]`` with many "a" intervals, or two listed stages over four
+#: recorded ones, give more concurrent intervals than ``len(stages)``.
+_STAGE_SETS = st.sampled_from([["a"], ["a", "b"], ["a", "b", "c"], ["b", "d", "a"], ["a", "a"], []])
+
+
+class TestVectorisedStatisticsMatchPurePython:
+    """``busy_time``, ``utilization`` and ``overlap_profile`` equal the
+    pure-Python sweep bit for bit (compared by ``float.hex``)."""
+
+    # No shrink phase: shrinking a last-bit mismatch takes minutes, and
+    # the first failing example is small enough to read as it is.
+    @given(intervals=_INTERVALS, window=_WINDOW, stages=_STAGE_SETS)
+    @settings(
+        max_examples=300,
+        deadline=None,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate),
+    )
+    def test_window_statistics_equal_reference(self, intervals, window, stages):
+        trace, reference = IntervalTrace(), _PurePythonTrace()
+        for stage, start, end in intervals:
+            trace.record(stage, start, end)
+            reference.record(stage, start, end)
+        start, end = window
+        assert _hexed(overlap_profile(trace, stages, start, end)) == _hexed(
+            reference.overlap_profile(stages, start, end)
+        )
+        for stage in ("a", "b", "c", "d", "absent"):
+            assert trace.busy_time(stage, start, end).hex() == (
+                reference.busy_time(stage, start, end).hex()
+            )
+            assert trace.busy_time(stage).hex() == reference.busy_time(stage).hex()
+            assert trace.utilization(stage, start, end).hex() == (
+                reference.utilization(stage, start, end).hex()
+            )
+        assert [(r.stage, r.start, r.end) for r in trace.records()] == reference.intervals
+
+    def test_empty_trace(self):
+        trace, reference = IntervalTrace(), _PurePythonTrace()
+        assert overlap_profile(trace, ["a", "b"], 0.0, 10.0) == (
+            reference.overlap_profile(["a", "b"], 0.0, 10.0)
+        )
+        assert trace.busy_time("a", 0.0, 10.0) == 0.0
+        assert trace.records() == []
+
+    def test_ties_and_zero_length_intervals(self):
+        trace, reference = IntervalTrace(), _PurePythonTrace()
+        for stage, start, end in [
+            ("a", 0.0, 2.0), ("b", 2.0, 4.0), ("a", 2.0, 2.0), ("c", 2.0, 3.0),
+            ("a", 4.0, 6.0), ("b", 4.0, 4.0), ("c", 3.0, 6.0), ("a", 0.0, 2.0),
+        ]:
+            trace.record(stage, start, end)
+            reference.record(stage, start, end)
+        for start, end in [(0.0, 6.0), (1.0, 5.0), (2.0, 4.0), (-1.0, 7.0)]:
+            assert _hexed(overlap_profile(trace, ["a", "b", "c"], start, end)) == _hexed(
+                reference.overlap_profile(["a", "b", "c"], start, end)
+            )
+
+    @given(window=_EDGE, stages=_STAGE_SETS)
+    @settings(max_examples=50, deadline=None)
+    def test_empty_or_backwards_window_still_raises(self, window, stages):
+        trace = IntervalTrace()
+        trace.record("a", 0.0, 5.0)
+        for end in (window, window - 1.0):
+            with pytest.raises(ValueError):
+                overlap_profile(trace, stages, window, end)
+            with pytest.raises(ValueError):
+                trace.utilization("a", window, end)
+
+    def test_backwards_interval_still_raises(self):
+        with pytest.raises(ValueError):
+            IntervalTrace().record("a", 5.0, 4.0)
 
 
 class TestOverlapProfile:
