@@ -1,4 +1,4 @@
-"""Cross-commit schedule pins: the exact event calendar of 16 runs.
+"""Cross-commit schedule pins: the exact event calendar of 17 runs.
 
 ``verify-determinism`` compares two runs of one commit; these cases pin
 the schedule fingerprint of :func:`~repro.devtools.determinism.fingerprint_run`
@@ -10,9 +10,11 @@ schedule on purpose (a model change, a merged hand-off hop) updates the
 pins in the same commit and says why.
 
 The cells cover every regulator family on two benchmarks (the interval
-grid and RVS acks put the most entries at one simulated time, ODR adds
-PriorityFrame pacing interrupts), the GCE path (largest jitter and
-frames), and the two fault classes CI's determinism job runs.
+grid and RVS acks put the most entries at one simulated time, ODR's
+PriorityFrame cuts its pacing sleep short on an input), the GCE path
+(largest jitter and frames; under RVS60 its feedback deadline, not an
+ack, ends some windows), and the two fault classes CI's determinism job
+runs.
 """
 
 import pytest
@@ -46,6 +48,9 @@ CELLS = {
     ),
     "IM-GCE1080p-ODR60": dict(
         benchmark="IM", regulator="ODR60", platform="gce", resolution="1080p"
+    ),
+    "IM-GCE1080p-RVS60": dict(
+        benchmark="IM", regulator="RVS60", platform="gce", resolution="1080p"
     ),
 }
 
@@ -98,6 +103,9 @@ PINNED = {
     ),
     "IM-GCE1080p-ODR60": (
         "d413894028420ded30190c07bf861c54dd2a9a8d39cdaa5b50b70121fc0f2222", 2384, 2381, 6
+    ),
+    "IM-GCE1080p-RVS60": (
+        "93fb1c5fb51b85ac6294730a9af8d32de7b052ed08ab4f9c6258e6e7fdbb6b13", 2216, 2211, 6
     ),
     "IM-ODR60-packet_loss": (
         "307179cca7d9ce87c438848152d2fa8dd9ed9e8a7b2e1a74fd74d3710ff54f6e", 1574, 1569, 6
