@@ -38,7 +38,7 @@ the sweep runs); ``matrix`` additionally takes ``--benchmarks`` /
                 run one scenario twice under the same seed and compare
                 schedule fingerprints
     profile     self-profile the engine: wall time per process, stage,
-                and generator callsite, plus queue depth and events/sec
+                and step callsite, plus queue depth and events/sec
     bench       run the smoke benchmark matrix into the run ledger (the
                 rows CI's compare-runs gate diffs against the baselines)
     runs        list the records in the run ledger, plus quarantined

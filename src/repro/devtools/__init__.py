@@ -4,8 +4,8 @@ Two complementary halves:
 
 :mod:`repro.devtools.analyzer`
     Static analysis — the whole-program analyzer: raw clocks and
-    entropy, set iteration, module state, engine process bodies and
-    timestamp equality, cache-key and schema drift, fork safety.
+    entropy, set iteration, module state, timestamp equality,
+    cache-key and schema drift, fork safety.
 
 :mod:`repro.devtools.determinism`
     Runtime verification — run a small scenario twice under the same

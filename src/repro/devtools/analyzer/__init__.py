@@ -3,8 +3,7 @@
 The repository's one static-analysis layer.  Per-module facts feed a
 call graph; a purity pass flags raw clocks and entropy in every file
 and environment reads and global writes reachable from the sim-pure
-boundary; simulation-correctness rules check engine process bodies and
-timestamp comparisons; contract passes cross-check structures that must
+boundary; a simulation-correctness rule checks timestamp comparisons; contract passes cross-check structures that must
 stay in sync (CellSpec fields vs the run-id hash, FaultSpec subclasses
 vs their registry and catalog, sweep-event kinds vs the schema and
 docs); and a fork-safety pass vets everything handed to worker pools.

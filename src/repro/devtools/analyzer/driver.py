@@ -8,7 +8,7 @@ The pipeline is strictly phased:
    disk, which is how the negative-drift tests prove the rules fire.
 2. **Extract** per-module facts, consulting the per-file-hash cache.
 3. **Link** everything into one :class:`ProgramGraph`.
-4. **Run passes**: purity (P1-P7), simulation correctness (D1-D2),
+4. **Run passes**: purity (P1-P7), simulation correctness (D2),
    contracts (C1-C5), fork safety (F1-F2).
 5. **Filter**: ``--select`` subset, line-scoped waivers (tracking which
    actually fired), suppression baseline, then W1 for waivers that

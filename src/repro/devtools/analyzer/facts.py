@@ -12,7 +12,7 @@ files straight from disk and only the whole-program passes
 
 Taint *events* recorded here are mechanical observations ("calls
 ``time.time``", "iterates a set expression", "writes a global",
-"registers ``loop(env)`` as an engine process"); the passes decide
+"compares a timestamp with ``==``"); the passes decide
 which of them are findings, for which rule, and in which scope.
 """
 
@@ -97,8 +97,7 @@ class TaintEvent:
 
     #: ``clock`` | ``entropy`` | ``env`` | ``global_write`` |
     #: ``set_iter`` | ``dumps_unsorted`` | ``hash_digest`` |
-    #: ``module_state`` | ``timestamp_eq`` | ``process`` (detail: the
-    #: registered callee as written)
+    #: ``module_state`` | ``timestamp_eq``
     kind: str
     line: int
     col: int
@@ -146,7 +145,6 @@ class FunctionFacts:
 
     qualname: str
     line: int
-    is_generator: bool
     taints: List[TaintEvent] = field(default_factory=list)
     #: Outgoing call references, as written: ``foo``, ``self.run``,
     #: ``time.sleep``, ``pkg.mod.fn``.
@@ -223,7 +221,6 @@ def facts_from_payload(payload: Mapping[str, Any]) -> ModuleFacts:
         facts.functions[name] = FunctionFacts(
             qualname=fn["qualname"],
             line=fn["line"],
-            is_generator=fn["is_generator"],
             taints=[TaintEvent(**t) for t in fn.get("taints", [])],
             calls=list(fn.get("calls", [])),
             refs=list(fn.get("refs", [])),
@@ -307,16 +304,6 @@ def _looks_like_timestamp(node: ast.expr) -> bool:
     return False
 
 
-def _is_generator(node: ast.AST) -> bool:
-    """True if the function's own body (not nested defs) contains a yield."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(child, (ast.Yield, ast.YieldFrom)) or _is_generator(child):
-            return True
-    return False
-
-
 def _parse_comments(source: str) -> Tuple[List[Waiver], Set[int]]:
     """Waiver comments and ``hash-exempt`` marker lines in ``source``.
 
@@ -354,14 +341,14 @@ class _Extractor(ast.NodeVisitor):
         self.hash_exempt = hash_exempt
         self._class_stack: List[ClassFacts] = []
         self._func_stack: List[FunctionFacts] = []
-        self._ensure_function(MODULE_BODY, 1, False)
+        self._ensure_function(MODULE_BODY, 1)
 
     # -- plumbing --------------------------------------------------------
 
-    def _ensure_function(self, qualname: str, line: int, is_gen: bool) -> FunctionFacts:
+    def _ensure_function(self, qualname: str, line: int) -> FunctionFacts:
         fn = self.facts.functions.get(qualname)
         if fn is None:
-            fn = FunctionFacts(qualname=qualname, line=line, is_generator=is_gen)
+            fn = FunctionFacts(qualname=qualname, line=line)
             self.facts.functions[qualname] = fn
         return fn
 
@@ -424,7 +411,7 @@ class _Extractor(ast.NodeVisitor):
 
     def _visit_function(self, node: Any) -> None:
         qualname = self._qualname(node.name)
-        fn = self._ensure_function(qualname, node.lineno, _is_generator(node))
+        fn = self._ensure_function(qualname, node.lineno)
         if self._class_stack:
             self._class_stack[-1].methods.append(node.name)
         # Parameter annotations seed local type inference.
@@ -622,15 +609,6 @@ class _Extractor(ast.NodeVisitor):
         if dotted:
             self._fn.calls.append(dotted)
         self._check_taint_call(node, resolved)
-        if (
-            dotted is not None
-            and dotted.rsplit(".", 1)[-1] == "process"
-            and node.args
-            and isinstance(node.args[0], ast.Call)
-        ):
-            body = _dotted(node.args[0].func)
-            if body is not None:
-                self._taint("process", node, body)
         self._check_emit(node, dotted, resolved)
         self._check_submit(node, dotted, resolved)
         self.generic_visit(node)

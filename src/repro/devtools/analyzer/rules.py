@@ -14,8 +14,8 @@ Families
     declared sim-pure boundary; set iteration, unsorted hash payloads
     and module-level mutable state wherever they occur.
 ``D*``
-    Discrete-event-simulation correctness: engine processes must be
-    generators, and float sim timestamps are never compared with ==.
+    Discrete-event-simulation correctness: float sim timestamps are
+    never compared with ==.
 ``C*``
     Contract drift: structures that must stay in sync — cache-key
     fields, the fault catalog, the sweep event schema, the docs tables.
@@ -50,7 +50,6 @@ RULES: Dict[str, str] = {
     "P5": "unsorted json.dumps feeding a content hash",
     "P6": "iteration over an unordered set expression",
     "P7": "module-level mutable state in pipeline/regulators/core",
-    "D1": "non-generator registered as an engine process",
     "D2": "==/!= comparison of float simulation timestamps",
     "C1": "CellSpec field missing from the content-address payload",
     "C2": "FaultSpec subclass not registered in the FAULT_TYPES catalog",
@@ -122,13 +121,6 @@ _EXPLANATIONS: Dict[str, str] = {
         "by every run in one process: run N's result can depend on whether\n"
         "run N-1 happened. Keep mutable state on per-run objects; tuples,\n"
         "frozensets and __all__ are fine."
-    ),
-    "D1": (
-        "env.process(f(...)) needs f to be a generator: a plain function\n"
-        "returns a value, not a process body, and the engine either raises\n"
-        "or silently runs nothing. The registered callee is resolved\n"
-        "through the whole-program call graph, so a non-generator imported\n"
-        "from another module is found too."
     ),
     "D2": (
         "Two code paths computing 'the same' simulation time can differ in\n"

@@ -31,6 +31,7 @@ figure-, table- and study-shaped demands live next to their renderers
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.experiments.config import (
@@ -166,9 +167,13 @@ class CellSpec:
         """This cell's fault plan, or ``None`` for a clean cell."""
         return FaultPlan(self.faults) if self.faults else None
 
-    @property
+    @cached_property
     def run_id(self) -> str:
-        """Content address of this cell (see :func:`~repro.obs.runmeta.run_id_for`)."""
+        """Content address of this cell (see :func:`~repro.obs.runmeta.run_id_for`).
+
+        Computed on first access and kept in the instance ``__dict__``:
+        the spec is frozen, so its address never changes.
+        """
         return run_id_for(self.config_payload(), self.seed)
 
     def experiment_config(self) -> ExperimentConfig:

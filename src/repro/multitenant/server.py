@@ -26,7 +26,7 @@ from repro.hardware.power import PowerModel
 from repro.metrics import FpsCounter, MtpLatencyTracker, qos_satisfaction
 from repro.metrics.stats import BoxStats, summarize
 from repro.pipeline.app import Application3D
-from repro.pipeline.client import Client
+from repro.pipeline.client import Client, FpsReporter
 from repro.pipeline.contention import ContentionTracker
 from repro.pipeline.inputs import InputGenerator
 from repro.pipeline.network import NetworkPath
@@ -111,20 +111,7 @@ class TenantSession:
         )
         regulator.attach(self)
         # Per-session client-FPS feedback (adaptive regulators' hook).
-        self.env.process(self._client_fps_reporter(), name=f"fps-reporter-{index}")
-
-    def _client_fps_reporter(self):
-        env = self.env
-        last_count = 0
-        while True:
-            yield env.timeout(1000.0)
-            count = self.counter.count("decode")
-            fps = float(count - last_count)
-            last_count = count
-            env.call_at(
-                env.now + self.platform.uplink_ms,
-                lambda f=fps: self.regulator.on_client_fps_report(f),
-            )
+        FpsReporter(self, f"fps-reporter-{index}")
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@
     ``ok`` / ``regressed`` / ``improved`` verdicts for CI gating.
 :class:`SimProfiler`
     The sim-engine self-profiler: host wall time per simulated process,
-    pipeline stage, and generator callsite, plus event-queue depth over
+    pipeline stage, and step callsite, plus event-queue depth over
     time and events/sec throughput.
 
 See ``docs/OBSERVABILITY.md`` for worked examples.

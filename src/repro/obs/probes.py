@@ -97,7 +97,7 @@ class EngineProbe:
             self.max_heap_depth = heap_depth
 
     def on_event_fired(self, now_ms: float, heap_depth: int) -> None:
-        """An event was popped and its callbacks are about to run."""
+        """An entry was popped and is about to run."""
         self.events_fired += 1
         second = int(now_ms // 1000.0)
         if second != self._current_sim_second:
@@ -113,7 +113,7 @@ class EngineProbe:
             self._second_wall_start = wall
 
     def on_process_started(self, name: str) -> None:
-        """A new Process was created on the environment."""
+        """An actor named ``name`` was started on the environment."""
         self.processes_started += 1
         self.process_names[name] = self.process_names.get(name, 0) + 1
 

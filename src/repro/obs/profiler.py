@@ -1,25 +1,24 @@
 """The sim-engine self-profiler: where does the *host's* time go?
 
 :class:`SimProfiler` is an :class:`~repro.obs.probes.EngineProbe`
-extended with the engine's optional resume hooks
+extended with the engine's optional step hooks
 (``on_resume_begin`` / ``on_resume_end`` — see
 :class:`repro.simcore.engine.Environment`'s ``probe=``): every time the
-engine resumes a generator process or runs a plain calendar entry, the
-profiler reads its injectable clock before and after, attributing host
-wall time to
+engine runs a calendar entry, the profiler reads its injectable clock
+before and after, attributing host wall time to
 
 * the **simulated process** that ran (``app``, ``client``, ``proxy``,
-  ``network``, ...): a generator process by its name, a plain entry by
-  the name of the :class:`~repro.simcore.engine.Actor` whose step it is
-  (plain entries of no actor, such as ``call_at`` callbacks, stay in the
-  ``engine`` remainder, as event callbacks do),
+  ``network``, ...): the name of the
+  :class:`~repro.simcore.engine.Actor` whose step the entry is (entries
+  of no actor, such as ``call_at`` callbacks, stay in the ``engine``
+  remainder),
 * its **pipeline stage** (a prefix mapping from process names —
   ``render``, ``encode``, ``transmit``, ``client``, ``inputs``,
   ``control``), with the un-attributed remainder reported as
   ``engine`` (heap operations, callback dispatch), so the per-stage
   table always sums to the profiled total,
-* its **callsite** (the generator function, or the actor step method:
-  name, file, line), giving a top-K "hottest callsites" view.
+* its **callsite** (the actor's step method: name, file, line), giving
+  a top-K "hottest callsites" view.
 
 It also samples the event-calendar depth over simulated time and
 derives events/sec throughput.  Like every probe, it is opt-in: a run
@@ -36,7 +35,7 @@ import os
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.probes import EngineProbe
-from repro.simcore.engine import Actor, Process
+from repro.simcore.engine import Actor
 
 __all__ = ["SimProfiler", "stage_for_process"]
 
@@ -82,16 +81,15 @@ class SimProfiler(EngineProbe):
         if depth_sample_ms <= 0:
             raise ValueError("depth_sample_ms must be positive")
         self.depth_sample_ms = float(depth_sample_ms)
-        #: Host seconds spent resuming each simulated process (generator
-        #: or actor), by name.
+        #: Host seconds spent in each simulated process's steps, by name.
         self.wall_by_process: Dict[str, float] = {}
-        #: Resume counts by process name.
+        #: Step counts by process name.
         self.resumes_by_process: Dict[str, int] = {}
         #: Host seconds by callsite ("name (file:line)").
         self.wall_by_callsite: Dict[str, float] = {}
         #: Peak calendar depth per simulated-time bucket.
         self._depth_buckets: Dict[int, int] = {}
-        #: (id(process or actor), id(code)) -> (name, callsite) cache.
+        #: (id(actor), id(code)) -> (name, callsite) cache.
         self._identities: Dict[Tuple[int, int], Tuple[str, str]] = {}
         self._resume_started: float = 0.0
         self._resume_key: Optional[Tuple[str, str]] = None
@@ -118,37 +116,29 @@ class SimProfiler(EngineProbe):
             self._depth_buckets[bucket] = heap_depth
 
     def _identity(self, target: Any) -> Optional[Tuple[str, str]]:
-        """(process name, callsite) of a resumed process or a plain entry;
-        None for a plain entry that is no actor's step."""
-        if isinstance(target, Process):
-            owner: Any = target
-            code = getattr(target._generator, "gi_code", None)
-        else:
-            func = getattr(target, "func", target)  # a functools.partial's callable
-            owner = getattr(func, "__self__", None)
-            if not isinstance(owner, Actor):
-                return None
-            code = func.__func__.__code__
+        """(process name, callsite) of an entry; None for an entry that
+        is no actor's step."""
+        func = getattr(target, "func", target)  # a functools.partial's callable
+        owner = getattr(func, "__self__", None)
+        if not isinstance(owner, Actor):
+            return None
+        code = func.__func__.__code__
         key = (id(owner), id(code))
         cached = self._identities.get(key)
         if cached is not None:
             return cached
-        name = str(owner.name)
-        callsite = name
-        if code is not None:
-            filename = os.path.basename(str(code.co_filename))
-            callsite = f"{code.co_name} ({filename}:{code.co_firstlineno})"
-        identity = (name, callsite)
+        filename = os.path.basename(str(code.co_filename))
+        identity = (str(owner.name), f"{code.co_name} ({filename}:{code.co_firstlineno})")
         self._identities[key] = identity
         return identity
 
     def on_resume_begin(self, target: Any) -> None:
-        """The engine is about to resume a process or run a plain entry."""
+        """The engine is about to run a calendar entry."""
         self._resume_key = self._identity(target)
         self._resume_started = self._perf_counter()
 
     def on_resume_end(self, target: Any) -> None:
-        """The process or entry returned control to the engine."""
+        """The entry returned control to the engine."""
         key = self._resume_key
         if key is None:
             return
@@ -172,7 +162,7 @@ class SimProfiler(EngineProbe):
 
     @property
     def attributed_wall_s(self) -> float:
-        """Wall seconds attributed to process resumes."""
+        """Wall seconds attributed to actor steps."""
         return sum(self.wall_by_process.values())
 
     def events_per_sec(self) -> Optional[float]:
@@ -186,8 +176,8 @@ class SimProfiler(EngineProbe):
         """Attributed wall seconds per pipeline stage, plus ``engine``.
 
         The ``engine`` row is the profiled total minus everything
-        attributed to processes and actors (heap churn, callback
-        dispatch, condition bookkeeping), so the rows sum to :attr:`total_wall_s` whenever
+        attributed to actors (heap churn, entries of no actor), so the
+        rows sum to :attr:`total_wall_s` whenever
         the run was framed with :meth:`start`/:meth:`finish`.
         """
         stages: Dict[str, float] = {}

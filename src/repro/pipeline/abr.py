@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Tuple
 
+from repro.simcore import Actor
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.system import CloudSystem
 
@@ -61,34 +63,44 @@ class AdaptiveBitrate:
         return controller
 
 
-class AbrController:
-    """Utilization-driven quality-scale controller."""
+class AbrController(Actor):
+    """Utilization-driven quality-scale controller.
+
+    An actor that decides once per ``period_ms`` window from the
+    transmitter's utilization over that window.
+    """
+
+    name = "abr"
 
     def __init__(self, config: AdaptiveBitrate, system: "CloudSystem"):
         self.config = config
         self.system = system
+        self.env = system.env
         self.scale = config.max_scale
         #: (time, scale) decision history for analysis.
         self.history: List[Tuple[float, float]] = [(0.0, self.scale)]
-        system.env.process(self._control_loop(), name="abr")
+        self._window_start = 0.0
+        self.env.start(self, self._open_window)
 
     def transmit_utilization(self, start: float, end: float) -> float:
         """Fraction of the window the transmitter spent serializing."""
         return self.system.trace.utilization("transmit", start, end)
 
-    def _control_loop(self):
-        env = self.system.env
+    def _open_window(self) -> None:
+        self._window_start = self.env.now
+        self.env.call_later(self.config.period_ms, self._decide)
+
+    def _decide(self) -> None:
+        env = self.env
         config = self.config
-        while True:
-            window_start = env.now
-            yield env.timeout(config.period_ms)
-            utilization = self.transmit_utilization(window_start, env.now)
-            if utilization > config.high_utilization:
-                self.scale *= config.decrease
-            elif utilization < config.low_utilization:
-                self.scale *= config.increase
-            self.scale = min(max(self.scale, config.min_scale), config.max_scale)
-            self.history.append((env.now, self.scale))
+        utilization = self.transmit_utilization(self._window_start, env.now)
+        if utilization > config.high_utilization:
+            self.scale *= config.decrease
+        elif utilization < config.low_utilization:
+            self.scale *= config.increase
+        self.scale = min(max(self.scale, config.min_scale), config.max_scale)
+        self.history.append((env.now, self.scale))
+        self._open_window()
 
     def mean_scale(self, start: float, end: float) -> float:
         """Time-weighted mean quality scale over a window."""

@@ -9,8 +9,9 @@ The client also owns the display's **vblank clock**.  The display
 refreshes at ``refresh_hz``; Remote VSync uses the time from a frame's
 decode completion to the next vblank as its feedback signal (Sec. 2).
 The regulator's :meth:`on_client_display` hook is invoked for every
-displayed frame, which is where RVS computes and ships that feedback
-and where IntMax's client-FPS reports originate.
+displayed frame, which is where RVS computes and ships that feedback.
+:class:`FpsReporter` sends the client's decode FPS to the cloud once a
+second, the report IntMax adapts its interval from.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.simcore import Actor, Store
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.system import CloudSystem
 
-__all__ = ["Client"]
+__all__ = ["Client", "FpsReporter"]
 
 
 class Client(Actor):
@@ -148,3 +149,39 @@ class Client(Actor):
                     else None,
                 ),
             )
+
+
+class FpsReporter(Actor):
+    """Reports the client's decode FPS to the regulator once per second.
+
+    Each report counts the frames decoded since the previous one and
+    reaches the cloud one uplink later
+    (:meth:`~repro.regulators.base.Regulator.on_client_fps_report`).
+    ``system`` is a :class:`~repro.pipeline.system.CloudSystem` or a
+    session duck-compatible with one; ``name`` is the process name the
+    reporter counts and profiles under.
+    """
+
+    #: Report period (ms): counted frames over one second are the FPS.
+    PERIOD_MS = 1000.0
+
+    def __init__(self, system: "CloudSystem", name: str) -> None:
+        self.system = system
+        self.env = system.env
+        self.name = name
+        self._last_count = 0
+        self.env.start(self, self._wait)
+
+    def _wait(self) -> None:
+        self.env.call_later(self.PERIOD_MS, self._report)
+
+    def _report(self) -> None:
+        system, env = self.system, self.env
+        count = system.counter.count("decode")
+        fps = float(count - self._last_count)
+        self._last_count = count
+        env.call_at(
+            env.now + system.platform.uplink_ms,
+            lambda f=fps: system.regulator.on_client_fps_report(f),
+        )
+        self._wait()

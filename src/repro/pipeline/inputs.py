@@ -19,10 +19,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.metrics import MtpLatencyTracker
-from repro.simcore import Environment, SeededRng
+from repro.simcore import Actor, Environment, SeededRng
 
 __all__ = ["InputEvent", "InputGenerator", "InputKind"]
 
@@ -84,7 +84,6 @@ class InputGenerator:
         if uplink_ms < 0:
             raise ValueError("uplink latency must be non-negative")
         self.env = env
-        self._rng = rng
         self.actions_per_second = actions_per_second
         self.uplink_ms = uplink_ms
         self._deliver = deliver
@@ -93,9 +92,10 @@ class InputGenerator:
         self._ids = itertools.count(1)
         self.issued_actions = 0
         if actions_per_second > 0:
-            env.process(self._action_loop(), name="input-actions")
+            gaps = rng.poisson_interarrivals(actions_per_second / 1000.0)
+            _InputStream(self, InputKind.ACTION, gaps, "input-actions")
         if poll_hz > 0:
-            env.process(self._poll_loop(), name="input-polling")
+            _InputStream(self, InputKind.POLL, itertools.repeat(1000.0 / poll_hz), "input-polling")
 
     def _issue(self, kind: InputKind) -> None:
         event = InputEvent(next(self._ids), kind, self.env.now)
@@ -106,14 +106,26 @@ class InputGenerator:
         # Arrives at the server proxy one uplink later (paper steps 1-2).
         self.env.call_at(self.env.now + self.uplink_ms, lambda e=event: self._deliver(e))
 
-    def _action_loop(self):
-        gaps = self._rng.poisson_interarrivals(self.actions_per_second / 1000.0)
-        for gap in gaps:
-            yield self.env.timeout(gap)
-            self._issue(InputKind.ACTION)
 
-    def _poll_loop(self):
-        period = 1000.0 / self.poll_hz
-        while True:
-            yield self.env.timeout(period)
-            self._issue(InputKind.POLL)
+class _InputStream(Actor):
+    """One input stream: waits its next gap, issues an input, repeats.
+
+    Each gap is drawn from ``gaps`` in the step that waits it.
+    """
+
+    def __init__(
+        self, source: InputGenerator, kind: InputKind, gaps: Iterator[float], name: str
+    ) -> None:
+        self.env = source.env
+        self.name = name
+        self._source = source
+        self._kind = kind
+        self._gaps = gaps
+        self.env.start(self, self._wait)
+
+    def _wait(self) -> None:
+        self.env.call_later(next(self._gaps), self._issue)
+
+    def _issue(self) -> None:
+        self._source._issue(self._kind)
+        self._wait()

@@ -26,19 +26,13 @@ from repro.metrics import (
     qos_satisfaction,
 )
 from repro.pipeline.app import Application3D
-from repro.pipeline.client import Client
+from repro.pipeline.client import Client, FpsReporter
 from repro.pipeline.contention import ContentionTracker
 from repro.pipeline.frames import DropReason, Frame
 from repro.pipeline.inputs import InputGenerator
 from repro.pipeline.network import NetworkPath
 from repro.pipeline.proxy import ServerProxy
-from repro.simcore import (
-    Environment,
-    IntervalTrace,
-    ProcessGenerator,
-    Resource,
-    SeededRng,
-)
+from repro.simcore import Environment, IntervalTrace, Resource, SeededRng
 from repro.workloads import (
     BenchmarkProfile,
     PlatformProfile,
@@ -173,7 +167,7 @@ class CloudSystem:
 
         # Client-FPS feedback reports (used by adaptive regulators such as
         # IntMax; a no-op hook for the others).
-        self.env.process(self._client_fps_reporter(), name="fps-reporter")
+        FpsReporter(self, "fps-reporter")
 
         # Declarative fault injection (imported lazily: repro.faults
         # pulls pipeline modules, like the abr import above).
@@ -181,21 +175,6 @@ class CloudSystem:
             from repro.faults.injectors import apply_fault_plan
 
             self.faults = apply_fault_plan(self, fault_plan)
-
-    def _client_fps_reporter(self) -> ProcessGenerator:
-        """Report the client's decode FPS to the cloud once per second."""
-        env = self.env
-        report_period = 1000.0
-        last_count = 0
-        while True:
-            yield env.timeout(report_period)
-            count = self.counter.count("decode")
-            fps = (count - last_count) * 1000.0 / report_period
-            last_count = count
-            env.call_at(
-                env.now + self.platform.uplink_ms,
-                lambda f=fps: self.regulator.on_client_fps_report(f),
-            )
 
     def run(self) -> "RunResult":
         """Execute the simulation and collect results."""

@@ -27,7 +27,7 @@ import math
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.regulators.base import Regulator
-from repro.simcore import Event, Step
+from repro.simcore import Environment, Step
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.app import Application3D
@@ -35,6 +35,28 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.frames import Frame
 
 __all__ = ["RemoteVsync"]
+
+
+class _FeedbackWindow:
+    """One wait for an acknowledgement, bounded by the stall deadline.
+
+    :meth:`close` runs as the ack's entry and as the deadline's; the
+    first of them to fire schedules ``reopen`` as a zero-delay entry of
+    its own, and the one that fires later does nothing.
+    """
+
+    __slots__ = ("_env", "_reopen", "_closed")
+
+    def __init__(self, env: Environment, reopen: Step) -> None:
+        self._env = env
+        self._reopen = reopen
+        self._closed = False
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        self._env.call_later(0.0, self._reopen)
 
 
 class RemoteVsync(Regulator):
@@ -83,7 +105,8 @@ class RemoteVsync(Regulator):
         self.feedback_count = 0
         self._last_rendered_id = 0
         self._last_acked_id = 0
-        self._ack_events: List[Event] = []
+        #: Each open or stale window's ack entry, scheduled on the next ack.
+        self._pending_acks: List[Step] = []
         # The app's wait in progress: its stall deadline and continuation.
         self._stall_deadline = 0.0
         self._gate_passed: Optional[Step] = None
@@ -108,11 +131,9 @@ class RemoteVsync(Regulator):
         """Re-check the window on every ack or deadline, then pace."""
         env = app.env
         if self.frames_in_flight >= self.WINDOW and env.now < self._stall_deadline:
-            ack = env.event()
-            self._ack_events.append(ack)
-            window = env.any_of([ack, env.timeout(self._stall_deadline - env.now)])
-            assert window.callbacks is not None  # fresh: fires no earlier than now
-            window.callbacks.append(lambda _event: self._await_window(app))
+            window = _FeedbackWindow(env, lambda: self._await_window(app))
+            self._pending_acks.append(window.close)
+            env.call_later(self._stall_deadline - env.now, window.close)
             return
         then = self._gate_passed
         assert then is not None
@@ -145,8 +166,8 @@ class RemoteVsync(Regulator):
             self.latest_slack_ms = s
             self.feedback_count += 1
             self._last_acked_id = max(self._last_acked_id, fid)
-            acks, self._ack_events = self._ack_events, []
+            acks, self._pending_acks = self._pending_acks, []
             for ack in acks:
-                ack.succeed()
+                env.call_later(0.0, ack)
 
         env.call_at(env.now + client.system.platform.uplink_ms, _deliver)

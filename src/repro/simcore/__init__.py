@@ -1,29 +1,26 @@
 """Discrete-event simulation core.
 
 ``repro.simcore`` is a small, self-contained discrete-event simulation
-(DES) engine in the style of SimPy.  Simulation logic is written either
-as Python generator functions ("processes") that ``yield`` events
-(timeouts, conditions, other processes, ...) and are resumed by the
-environment when those events fire, or as callback actors whose steps
-are plain calendar entries (the pipeline's per-frame stage loops).
+(DES) engine: one heap of timestamped callables.  Simulation logic is
+written as callback actors whose steps are calendar entries, each of
+which does its work and schedules the next.
 
 The engine is the substrate for every experiment in this repository: the
 cloud-3D pipeline (:mod:`repro.pipeline`), the FPS regulators
 (:mod:`repro.regulators`), and ODR itself (:mod:`repro.core`) all run
-as simcore processes and actors.
+as simcore actors.
 
 Public API
 ----------
 :class:`Environment`
-    The event loop: clock, scheduler, process factory.
-:class:`Event`, :class:`Timeout`, :class:`Process`
-    Event primitives.
+    The event loop: clock and calendar (``call_later``, ``call_at``,
+    ``start``, ``run``, ``step``, ``peek``, ``stats``).
 :class:`Actor`
-    Base of callback actors (processes written as plain entries).
-:class:`Interrupt`
-    Exception thrown into a process by :meth:`Process.interrupt`.
-:class:`AllOf`, :class:`AnyOf`
-    Composite events.
+    Base of simulated processes, written as callbacks.
+:data:`Step`
+    The type of a calendar entry: a zero-argument callable.
+:class:`SimulationError`
+    Raised for illegal engine operations.
 :class:`Store`, :class:`Resource`, :class:`Gate`
     Shared-state synchronization primitives.
 :class:`SeededRng`
@@ -32,39 +29,20 @@ Public API
     Busy-interval recorder used by the hardware models.
 """
 
-from repro.simcore.engine import (
-    Actor,
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    ProcessGenerator,
-    SimulationError,
-    Step,
-    Timeout,
-)
+from repro.simcore.engine import Actor, Environment, SimulationError, Step
 from repro.simcore.resources import Gate, Resource, Store
 from repro.simcore.rng import SeededRng
 from repro.simcore.tracing import IntervalTrace, TraceRecord
 
 __all__ = [
     "Actor",
-    "AllOf",
-    "AnyOf",
     "Environment",
-    "Event",
     "Gate",
-    "Interrupt",
     "IntervalTrace",
-    "Process",
-    "ProcessGenerator",
     "Resource",
     "SeededRng",
     "SimulationError",
     "Step",
     "Store",
-    "Timeout",
     "TraceRecord",
 ]

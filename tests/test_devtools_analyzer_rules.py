@@ -210,86 +210,6 @@ class TestP6SetIteration:
         assert rules_of(findings) == ["P6"]
 
 
-class TestD1EngineProcesses:
-    def test_non_generator_process_fires(self):
-        findings = lint(
-            """
-            def loop(env):
-                return None
-
-            def build(env):
-                env.process(loop(env))
-            """
-        )
-        assert "D1" in rules_of(findings)
-
-    def test_generator_process_is_silent(self):
-        findings = lint(
-            """
-            def loop(env):
-                yield env.timeout(1.0)
-
-            def build(env):
-                env.process(loop(env))
-            """
-        )
-        assert "D1" not in rules_of(findings)
-
-    def test_method_generator_resolved_across_class(self):
-        findings = lint(
-            """
-            class Stage:
-                def run(self, env):
-                    yield env.timeout(1.0)
-
-                def build(self, env):
-                    env.process(self.run(env))
-            """
-        )
-        assert "D1" not in rules_of(findings)
-
-    def test_method_non_generator_fires(self):
-        findings = lint(
-            """
-            class Stage:
-                def run(self, env):
-                    return 1
-
-                def build(self, env):
-                    env.process(self.run(env))
-            """
-        )
-        assert "D1" in rules_of(findings)
-
-    def test_non_generator_imported_from_another_module_fires(self):
-        overlay = {
-            "src/repro/obs/loops.py": "def loop(env):\n    return None\n",
-            "src/repro/obs/builder.py": (
-                "from repro.obs.loops import loop\n\n\n"
-                "def build(env):\n"
-                "    env.process(loop(env))\n"
-            ),
-        }
-        report = analyze([], overlay=overlay, docs={})
-        d1 = [f for f in report.findings if f.rule == "D1"]
-        assert [(f.path, f.line) for f in d1] == [("src/repro/obs/builder.py", 5)]
-        assert "repro.obs.loops:loop" in d1[0].message
-
-    def test_nested_generator_does_not_make_outer_a_generator(self):
-        findings = lint(
-            """
-            def loop(env):
-                def inner():
-                    yield env.timeout(1.0)
-                return inner
-
-            def build(env):
-                env.process(loop(env))
-            """
-        )
-        assert "D1" in rules_of(findings)
-
-
 class TestD2TimestampEquality:
     def test_eq_on_timestamps_fires(self):
         findings = lint(
@@ -499,7 +419,7 @@ class TestHarness:
     def test_rules_catalogue_complete(self):
         assert sorted(RULES) == sorted(
             [f"P{i}" for i in range(1, 8)]
-            + ["D1", "D2"]
+            + ["D2"]
             + [f"C{i}" for i in range(1, 6)]
             + ["F1", "F2", "W1"]
         )

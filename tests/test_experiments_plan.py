@@ -1,6 +1,11 @@
 """Tests for the planning layer: CellSpec identity, Plan dedup, demands."""
 
+import dataclasses
+import pickle
+
 import pytest
+
+import repro.experiments.plan as plan_module
 
 from repro.experiments import (
     CellSpec,
@@ -14,6 +19,7 @@ from repro.experiments import (
 )
 from repro.experiments.figures import figure_demands, summary_demands
 from repro.experiments.tables import table2_demands
+from repro.faults import StageStall
 from repro.obs.runmeta import run_id_for
 from repro.workloads import BENCHMARKS, PRIVATE_CLOUD, Resolution
 
@@ -65,6 +71,36 @@ class TestCellSpec:
         assert s.resolution == "720p"
         assert s.experiment_config() == ExperimentConfig(COMBO, "ODR60")
         assert s.label == "IM/Priv720p/ODR60"
+
+    def test_run_id_computed_once_per_spec(self, monkeypatch):
+        calls = []
+
+        def counting_run_id_for(payload, seed):
+            calls.append(seed)
+            return run_id_for(payload, seed)
+
+        monkeypatch.setattr(plan_module, "run_id_for", counting_run_id_for)
+        first, second = spec(seed=1), spec(seed=2)
+        for _ in range(9):
+            assert first.run_id == run_id_for(first.config_payload(), 1)
+            assert second.run_id == run_id_for(second.config_payload(), 2)
+        assert calls == [1, 2]
+
+    @pytest.mark.parametrize("faults", [(), (StageStall("encode", 500.0, 30.0),)])
+    def test_run_id_survives_copies(self, faults):
+        original = spec(faults=faults, fault_class="stall" if faults else "")
+        address = original.run_id  # cached before every copy
+        copies = [
+            CellSpec.from_dict(original.to_dict()),
+            pickle.loads(pickle.dumps(original)),
+            dataclasses.replace(original),
+        ]
+        for copy in copies:
+            assert copy == original
+            assert copy.run_id == address
+        # A replaced field gets its own address, not the cached one.
+        moved = dataclasses.replace(original, seed=9)
+        assert moved.run_id == run_id_for(original.config_payload(), 9) != address
 
     def test_payload_matches_runner_ledger_payload(self):
         """The spec's payload must hash to the same run_id the ledger

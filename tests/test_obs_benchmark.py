@@ -21,7 +21,7 @@ import time
 
 from repro.pipeline import CloudSystem, SystemConfig
 from repro.regulators import make_regulator
-from repro.simcore import Actor, Environment, Event
+from repro.simcore import Actor, Environment
 from repro.simcore.engine import NORMAL, URGENT
 from repro.workloads import PLATFORMS, Resolution
 
@@ -44,21 +44,13 @@ def run_disabled():
 
 
 class BaselineEnvironment(Environment):
-    """The engine's hot path without probe branches: schedule/call_later/
-    step/run/process/start keep the environment's own statistics but
-    never test for a probe."""
-
-    def schedule(self, event, delay=0.0, priority=NORMAL):
-        self._eid += 1
-        queue = self._queue
-        heapq.heappush(queue, (self.now + delay, priority, self._eid, event))
-        depth = len(queue)
-        if depth > self._peak_depth:
-            self._peak_depth = depth
+    """The engine's hot path without probe branches: call_later/step/
+    run/start keep the environment's own statistics but never test for
+    a probe."""
 
     def call_later(self, delay, func, priority=NORMAL):
         if not delay >= 0:
-            raise ValueError(f"invalid timeout delay {delay!r}")
+            raise ValueError(f"invalid delay {delay!r}")
         self._eid += 1
         queue = self._queue
         heapq.heappush(queue, (self.now + delay, priority, self._eid, func))
@@ -71,44 +63,19 @@ class BaselineEnvironment(Environment):
         if not queue:
             raise RuntimeError("no more events")
         self.now, _, _, entry = heapq.heappop(queue)
-        if not isinstance(entry, Event):
-            entry()
-            return
-        callbacks, entry.callbacks = entry.callbacks, None
-        for callback in callbacks:
-            callback(entry)
-        if not entry._ok and not entry._defused:
-            exc = entry._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise RuntimeError(repr(exc))
+        entry()
 
     def run(self, until=None):
-        # Environment.run's inline loop for until=None or a number.
-        if isinstance(until, Event):
-            return super().run(until)
+        # Environment.run's inline loop.
         horizon = float("inf") if until is None else float(until)
         queue = self._queue
         pop = heapq.heappop
-        fire = self._fire
         while queue and queue[0][0] <= horizon:
             now, _, _, entry = pop(queue)
             self.now = now
-            if isinstance(entry, Event):
-                fire(entry)
-            else:
-                entry()
+            entry()
         if until is not None:
             self.now = horizon
-        return None
-
-    def process(self, generator, name=""):
-        from repro.simcore.engine import Process
-
-        started = Process(self, generator, name=name)
-        names = self._process_names
-        names[started.name] = names.get(started.name, 0) + 1
-        return started
 
     def start(self, actor, first):
         self.call_later(0.0, first, URGENT)
@@ -116,13 +83,8 @@ class BaselineEnvironment(Environment):
         names[actor.name] = names.get(actor.name, 0) + 1
 
 
-def churn(env, events):
-    for _ in range(events):
-        yield env.timeout(0.25)
-
-
 class Ticker(Actor):
-    """The actor counterpart of :func:`churn`: one plain entry per step."""
+    """One entry per step, every 0.25 time units, ``events`` times."""
 
     name = "ticker"
 
@@ -138,9 +100,9 @@ class Ticker(Actor):
 
 
 def drive(env_cls, events=20_000):
-    # Half generator resumes on events, half actor steps on plain entries.
+    # Two interleaved actors, so the calendar holds more than one entry.
     env = env_cls()
-    env.process(churn(env, events // 2))
+    Ticker(env, events // 2)
     Ticker(env, events // 2)
     start = time.perf_counter()  # analyzer: allow=P1 -- benchmark harness times the host run on purpose
     env.run()

@@ -1,19 +1,30 @@
 """Engine probes: opt-in introspection, zero-overhead when disabled."""
 
 from repro.obs import EngineProbe, Telemetry
-from repro.simcore import Environment
+from repro.simcore import Actor, Environment
 
 
-def drip(env, n, step=1.0):
-    for _ in range(n):
-        yield env.timeout(step)
+class Drip(Actor):
+    """``n`` steps ``step`` apart after its start step."""
+
+    def __init__(self, env, n, step=1.0, name="drip"):
+        self.env = env
+        self.name = name
+        self.left = n
+        self.step = step
+        env.start(self, self._tick)
+
+    def _tick(self):
+        if self.left:
+            self.left -= 1
+            self.env.call_later(self.step, self._tick)
 
 
 class TestEngineProbe:
     def test_counts_scheduled_and_fired_events(self):
         probe = EngineProbe()
         env = Environment(probe=probe)
-        env.process(drip(env, 5))
+        Drip(env, 5)
         env.run()
         assert probe.events_fired == probe.events_scheduled > 5
         assert probe.pending_events == 0
@@ -22,9 +33,9 @@ class TestEngineProbe:
     def test_counts_processes_by_name(self):
         probe = EngineProbe()
         env = Environment(probe=probe)
-        env.process(drip(env, 1), name="app")
-        env.process(drip(env, 1), name="app")
-        env.process(drip(env, 1), name="client")
+        Drip(env, 1, name="app")
+        Drip(env, 1, name="app")
+        Drip(env, 1, name="client")
         env.run()
         assert probe.processes_started == 3
         assert probe.process_names == {"app": 2, "client": 1}
@@ -34,7 +45,7 @@ class TestEngineProbe:
         ticks = iter(x * 0.01 for x in range(1000))
         probe = EngineProbe(wallclock=lambda: next(ticks))
         env = Environment(probe=probe)
-        env.process(drip(env, 50, step=100.0))  # crosses 5 sim-second marks
+        Drip(env, 50, step=100.0)  # crosses 5 sim-second marks
         env.run()
         assert len(probe.wall_per_sim_second) >= 4
         mean = probe.mean_wall_per_sim_second()
@@ -45,7 +56,7 @@ class TestEngineProbe:
 
         probe = EngineProbe()
         env = Environment(probe=probe)
-        env.process(drip(env, 3))
+        Drip(env, 3)
         env.run()
         summary = json.loads(json.dumps(probe.summary()))
         assert summary["events_fired"] == probe.events_fired
@@ -62,7 +73,7 @@ class TestDisabledZeroOverheadPath:
         # counts its own statistics and calls no observer.
         for env in (Environment(), Environment(probe=None)):
             assert env._probe is None and env._resume_hooks is None
-            env.process(drip(env, 10))
+            Drip(env, 10)
             env.run()
             assert env.stats()["events_fired"] > 0
 
@@ -73,16 +84,20 @@ class TestDisabledZeroOverheadPath:
     def test_disabled_run_produces_identical_schedule(self):
         # The probe must be observation-only: with and without one, the
         # event timeline is identical.
-        def workload(env, log):
-            for i in range(20):
-                yield env.timeout(1.5)
+        def workload(env, log, left=20):
+            def tick():
                 log.append(env.now)
+                workload(env, log, left - 1)
+
+            if left:
+                env.call_later(1.5, tick)
 
         log_a, log_b = [], []
         env_a = Environment()
-        env_a.process(workload(env_a, log_a))
+        workload(env_a, log_a)
         env_a.run()
         env_b = Environment(probe=EngineProbe())
-        env_b.process(workload(env_b, log_b))
+        workload(env_b, log_b)
         env_b.run()
+        assert len(log_a) == 20
         assert log_a == log_b

@@ -7,7 +7,7 @@ import pytest
 from repro.obs import SimProfiler, Telemetry, chrome_trace, stage_for_process
 from repro.pipeline import CloudSystem, SystemConfig
 from repro.regulators import make_regulator
-from repro.simcore import Environment
+from repro.simcore import Actor, Environment
 from repro.workloads import PLATFORMS, Resolution
 
 
@@ -23,14 +23,8 @@ class FakeClock:
         return self.now
 
 
-def spin(env, period, count):
-    for _ in range(count):
-        yield env.timeout(period)
-
-
 def start_spinner(env, period, count, name):
-    """Start the actor form of :func:`spin`: ``count`` steps ``period`` apart."""
-    from repro.simcore import Actor
+    """Start an actor named ``name``: ``count`` steps ``period`` apart."""
 
     class Spinner(Actor):
         def __init__(self):
@@ -72,9 +66,9 @@ class TestFakeClockAccounting:
         clock = FakeClock()
         profiler = SimProfiler(wallclock=clock, depth_sample_ms=100.0)
         env = Environment(probe=profiler)
-        env.process(spin(env, 10.0, 20), name="app")
-        env.process(spin(env, 25.0, 8), name="client")
-        env.process(spin(env, 50.0, 4), name="mystery")
+        start_spinner(env, 10.0, 20, name="app")
+        start_spinner(env, 25.0, 8, name="client")
+        start_spinner(env, 50.0, 4, name="mystery")
         profiler.start()
         env.run(until=1000.0)
         profiler.finish()
@@ -83,7 +77,7 @@ class TestFakeClockAccounting:
     def test_every_process_attributed(self):
         profiler = self.run_profiled()
         assert set(profiler.wall_by_process) == {"app", "client", "mystery"}
-        # one resume per timeout plus the priming resume
+        # one step per delay plus the start step
         assert profiler.resumes_by_process["app"] == 21
         assert profiler.resumes_by_process["client"] == 9
         assert profiler.resumes_by_process["mystery"] == 5
@@ -103,12 +97,12 @@ class TestFakeClockAccounting:
         assert stages["other"] == pytest.approx(profiler.wall_by_process["mystery"])
         assert sum(stages.values()) == pytest.approx(profiler.total_wall_s)
 
-    def test_callsites_resolve_to_generator_code(self):
+    def test_callsites_resolve_to_step_code(self):
         profiler = self.run_profiled()
         callsites = dict(profiler.top_callsites())
-        assert len(callsites) == 1  # all three processes share spin()
+        assert len(callsites) == 1  # all three actors share Spinner.step
         (callsite,) = callsites
-        assert callsite.startswith("spin (")
+        assert callsite.startswith("step (")
         assert "test_obs_profiler.py" in callsite
 
     def test_depth_timeline_is_bucketed_and_ordered(self):
@@ -143,16 +137,16 @@ class TestActorAttribution:
         profiler = SimProfiler(wallclock=clock)
         env = Environment(probe=profiler)
         start_spinner(env, 10.0, 20, name="app")
-        env.process(spin(env, 25.0, 8), name="client")
-        # A plain entry that is no actor's step stays unattributed.
+        start_spinner(env, 25.0, 8, name="client")
+        # An entry that is no actor's step stays unattributed.
         env.call_at(5.0, lambda: None)
         profiler.start()
         env.run(until=1000.0)
         profiler.finish()
-        # one entry per step plus the start entry, as for a generator
+        # one entry per step plus the start entry
         assert profiler.resumes_by_process == {"app": 21, "client": 9}
         callsites = [c for c, _ in profiler.top_callsites()]
-        assert sorted(c.split(" (")[0] for c in callsites) == ["spin", "step"]
+        assert [c.split(" (")[0] for c in callsites] == ["step"]
         assert all("test_obs_profiler.py" in c for c in callsites)
         stages = profiler.wall_by_stage()
         assert sum(stages.values()) == pytest.approx(profiler.total_wall_s)

@@ -37,11 +37,7 @@ class TestMailbox:
         got = []
         box.get(lambda f: got.append((f.frame_id, env.now)))
 
-        def producer():
-            yield env.timeout(5)
-            box.offer(frame(7))
-
-        env.process(producer())
+        env.call_later(5, lambda: box.offer(frame(7)))
         env.run()
         assert got == [(7, 5.0)]
 
@@ -74,13 +70,8 @@ class TestMailbox:
 
         box.get(consume)
 
-        def producer():
-            yield env.timeout(1)
-            box.offer(frame(1))
-            yield env.timeout(1)
-            box.offer(frame(2))
-
-        env.process(producer())
+        env.call_later(1, lambda: box.offer(frame(1)))
+        env.call_later(2, lambda: box.offer(frame(2)))
         env.run()
         assert results == [1, 2]
         assert box.drop_count == 0
@@ -197,12 +188,11 @@ class TestMultiBuffer:
         producer = Producer(buf, [frame(1, inputs=(5,)), frame(2)])
         producer.put()
 
-        def flusher():
-            yield env.timeout(3)
+        def flush():
             dropped = buf.flush_back()
             log.append(("flushed", dropped.frame_id, dropped.input_ids))
 
-        env.process(flusher())
+        env.call_later(3, flush)
         env.run()
         assert log == [("flushed", 1, {5})]
         # the second put went through when the flush freed the buffer
@@ -227,15 +217,16 @@ class TestMultiBuffer:
 
         consume()
 
-        def producer():
-            yield env.timeout(1)
+        def put_then_flush():
             assert buf.put_when_free(frame(1), lambda: None)
             # flush at the same timestamp the gate opened
             buf.flush_back()
-            yield env.timeout(1)
+            env.call_later(1, put_again)
+
+        def put_again():
             assert buf.put_when_free(frame(2), lambda: None)
 
-        env.process(producer())
+        env.call_later(1, put_then_flush)
         env.run()
         assert consumed == [2]
 

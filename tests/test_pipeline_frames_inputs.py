@@ -173,6 +173,22 @@ class TestInputGenerator:
         ids = [e.input_id for e in delivered]
         assert len(ids) == len(set(ids))
 
+    def test_streams_are_actors_drawing_each_gap_when_waited(self):
+        env = Environment()
+        gen, delivered = self.make(env, rate=5.0, uplink=0.0, poll_hz=10.0)
+        assert env.stats()["process_names"] == {"input-actions": 1, "input-polling": 1}
+        env.run(until=3000)
+        # The action gaps are the stream SeededRng(1) draws, one per wait.
+        draws = SeededRng(1).poisson_interarrivals(5.0 / 1000.0)
+        expected, t = [], next(draws)
+        while t <= 3000:
+            expected.append(t)
+            t += next(draws)
+        actions = [e.t_issued for e in delivered if e.is_action]
+        assert actions == expected
+        polls = [e.t_issued for e in delivered if not e.is_action]
+        assert polls == [100.0 * k for k in range(1, 31)]
+
     def test_validation(self):
         env = Environment()
         with pytest.raises(ValueError):

@@ -2,9 +2,12 @@
 
 import pytest
 
+from types import SimpleNamespace
+
 from repro import CloudSystem, SystemConfig, make_regulator
+from repro.pipeline.client import FpsReporter
 from repro.pipeline.frames import DropReason
-from repro.simcore import Event, Timeout
+from repro.simcore import Environment
 from repro.workloads import GCE, PRIVATE_CLOUD, Resolution
 
 
@@ -87,9 +90,9 @@ class TestDeterminism:
 
 
 class TestNoDeadEvents:
-    """Every event the pipeline fires, other than a timeout, is waited on:
-    an event nobody listens to is a heap round trip that changes nothing.
-    (Plain entries are steps: they always run code of their own.)"""
+    """The calendar holds only ``(time, priority, sequence, step)``
+    entries, each step a plain callable.  The run is driven one
+    ``step()`` at a time, so every fired entry is inspected."""
 
     @pytest.mark.parametrize("spec", ["NoReg", "ODR60", "RVS60"])
     def test_fired_events_have_callbacks(self, spec):
@@ -97,19 +100,37 @@ class TestNoDeadEvents:
                               duration_ms=3000.0, warmup_ms=500.0)
         system = CloudSystem(config, make_regulator(spec))
         env = system.env
-        step = env.step
-        dead = []
-
-        def checked_step():
-            event = env._queue[0][3]
-            if isinstance(event, Event) and not isinstance(event, Timeout) and not event.callbacks:
-                dead.append(type(event).__name__)
-            step()
-
-        env.step = checked_step
-        system.run()
-        assert dead == []
+        end = config.warmup_ms + config.duration_ms
+        shapes = set()
+        while env.peek() <= end:
+            when, priority, seq, step = env._queue[0]
+            shapes.add((type(when), type(priority), type(seq), callable(step)))
+            env.step()
+        assert shapes == {(float, int, int, True)}
         assert env.stats()["events_fired"] > 1000
+
+
+class TestFpsReporter:
+    """One reporter actor serves the single-session system and every
+    consolidated session: decoded frames per second, one uplink later."""
+
+    def test_reports_decoded_frames_per_second_one_uplink_later(self):
+        env = Environment()
+        decoded = iter([3, 10, 10])
+        reports = []
+        system = SimpleNamespace(
+            env=env,
+            counter=SimpleNamespace(count=lambda stage: next(decoded)),
+            platform=SimpleNamespace(uplink_ms=7.5),
+            regulator=SimpleNamespace(
+                on_client_fps_report=lambda fps: reports.append((env.now, fps))
+            ),
+        )
+        FpsReporter(system, "fps-reporter-2")
+        env.run(until=3500.0)
+        assert reports == [(1007.5, 3.0), (2007.5, 7.0), (3007.5, 0.0)]
+        assert all(type(fps) is float for _, fps in reports)
+        assert env.stats()["process_names"] == {"fps-reporter-2": 1}
 
 
 class _ConstantSampler:
@@ -121,8 +142,8 @@ class _ConstantSampler:
 
 
 class TestStageDurationGuards:
-    """A stage actor rejects a NaN or negative duration as a Timeout does,
-    instead of corrupting the calendar."""
+    """A stage actor rejects a NaN or negative duration, as
+    ``Environment.call_later`` does, instead of corrupting the calendar."""
 
     @pytest.mark.parametrize("duration", [float("nan"), -1.0])
     @pytest.mark.parametrize(
@@ -135,7 +156,7 @@ class TestStageDurationGuards:
                               duration_ms=500.0, warmup_ms=100.0)
         system = CloudSystem(config, make_regulator("NoReg"))
         setattr(getattr(system, owner), attr, _ConstantSampler(duration))
-        with pytest.raises(ValueError, match="invalid timeout delay"):
+        with pytest.raises(ValueError, match="invalid delay"):
             system.run()
 
     @pytest.mark.parametrize("duration", [float("nan"), -1.0])
@@ -144,7 +165,7 @@ class TestStageDurationGuards:
                               duration_ms=500.0, warmup_ms=100.0)
         system = CloudSystem(config, make_regulator("ODR60"))
         system.network.serialize_ms = lambda size_bytes: duration
-        with pytest.raises(ValueError, match="invalid timeout delay"):
+        with pytest.raises(ValueError, match="invalid delay"):
             system.run()
 
 

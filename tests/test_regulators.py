@@ -1,5 +1,7 @@
 """Tests for the baseline regulators and the factory."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import CloudSystem, SystemConfig, make_regulator
@@ -10,6 +12,7 @@ from repro.regulators import (
     NoRegulation,
     RemoteVsync,
 )
+from repro.simcore import Environment
 from repro.workloads import PRIVATE_CLOUD, Resolution
 
 
@@ -187,6 +190,61 @@ class TestRemoteVsync:
         slow = run(RemoteVsync(refresh_hz=240, cc=1.5), seed=3)
         fast = run(RemoteVsync(refresh_hz=240, cc=0.05), seed=3)
         assert slow.client_fps < fast.client_fps
+
+
+class TestRemoteVsyncFeedbackWindow:
+    """A full window waits for an ack, bounded by the stall deadline.
+
+    Its entries: the ack's own fire, the deadline, the zero-delay entry
+    in which the first of them reopens the window, and the loser, which
+    fires later and does nothing.
+    """
+
+    def wait_in_full_window(self, env):
+        regulator = RemoteVsync(refresh_hz=60, fps_target=60, cc=0.0)
+        regulator._last_rendered_id = regulator.WINDOW  # none acknowledged
+        passed = []
+        regulator.app_wait(SimpleNamespace(env=env), lambda: passed.append(env.now))
+        return regulator, passed
+
+    def ack_at(self, env, regulator, when):
+        # A client whose display lands on a vblank, one zero-ms uplink away.
+        client = SimpleNamespace(
+            env=env,
+            next_vblank=lambda t: t,
+            system=SimpleNamespace(platform=SimpleNamespace(uplink_ms=0.0)),
+        )
+        frame = SimpleNamespace(frame_id=regulator.WINDOW)
+        env.call_at(when, lambda: regulator.on_client_display(client, frame))
+
+    def test_ack_closes_the_window_and_the_deadline_fires_late(self):
+        env = Environment()
+        regulator, passed = self.wait_in_full_window(env)
+        deadline = regulator._stall_deadline
+        self.ack_at(env, regulator, 10.0)
+        env.run()
+        # Reopened at the ack, the gate waits for the next vblank.
+        assert passed == [regulator.vblank_period_ms]
+        # The deadline still fired, last and without effect.
+        assert env.now == deadline
+        # display, its delivery, the ack, the reopen, the gate, the deadline
+        assert env.stats()["events_fired"] == 6
+
+    def test_deadline_closes_the_window_and_the_ack_fires_late(self):
+        env = Environment()
+        regulator, passed = self.wait_in_full_window(env)
+        deadline = regulator._stall_deadline
+        self.ack_at(env, regulator, 100.0)
+        env.run(until=99.0)
+        assert passed == [deadline]
+        # The ack token of the closed window is still pending ...
+        assert len(regulator._pending_acks) == 1
+        env.run()
+        # ... and its fire after the late ack changes nothing.
+        assert passed == [deadline]
+        assert regulator._pending_acks == []
+        # deadline, reopen, display, its delivery, the stale ack
+        assert env.stats()["events_fired"] == 5
 
 
 class TestLatencyOrdering:

@@ -39,11 +39,7 @@ class TestStore:
         times = []
         store.get(lambda item: times.append((env.now, item)))
 
-        def producer():
-            yield env.timeout(8)
-            store.put("late", lambda: None)
-
-        env.process(producer())
+        env.call_later(8, lambda: store.put("late", lambda: None))
         env.run()
         assert times == [(8.0, "late")]
 
@@ -177,11 +173,7 @@ class TestGate:
         woken = []
         gate.wait(lambda: woken.append(env.now))
 
-        def opener():
-            yield env.timeout(12)
-            gate.open()
-
-        env.process(opener())
+        env.call_later(12, gate.open)
         env.run()
         assert woken == [12.0]
 
@@ -192,11 +184,7 @@ class TestGate:
         for tag in range(3):
             gate.wait(lambda tag=tag: woken.append(tag))
 
-        def opener():
-            yield env.timeout(1)
-            gate.open()
-
-        env.process(opener())
+        env.call_later(1, gate.open)
         env.run()
         assert woken == [0, 1, 2]
 
@@ -211,10 +199,6 @@ class TestGate:
 
         gate.wait(first)
 
-        def opener():
-            yield env.timeout(20)
-            gate.open()
-
-        env.process(opener())
+        env.call_later(20, gate.open)
         env.run()
         assert log == [0.0, 20.0]
