@@ -1,45 +1,56 @@
 """A persistent, reusable process-pool for cell execution.
 
 :class:`WorkerPool` wraps a stdlib
-:class:`~concurrent.futures.ProcessPoolExecutor` so the expensive parts
-of parallel execution — spawning worker processes, and (with the events
-plane on) spawning the ``multiprocessing.Manager`` that carries
-worker-side telemetry — are paid **once per pool**, not once per sweep.
-The one-shot executors (:class:`~repro.experiments.executor.ParallelExecutor`)
-create a pool per run, exactly as before; the service layer
-(:mod:`repro.service`) creates one pool per server and runs every job's
-cells through it, which is what turns pool warmup from a per-sweep tax
-into a per-server constant.
+:class:`~concurrent.futures.ProcessPoolExecutor` so the expensive part
+of parallel execution — spawning worker processes — is paid **once per
+pool**, not once per sweep.  The one-shot executors
+(:class:`~repro.experiments.executor.ParallelExecutor`) create a pool
+per run; the service layer (:mod:`repro.service`) creates one pool per
+server and runs every job's cells through it, which is what turns pool
+warmup from a per-sweep tax into a per-server constant.
 
-The pool also owns the worker→parent event plumbing that used to live
-inside the executor: with ``events=True`` it creates a manager-hosted
-queue (SIGKILL-safe — a dying worker cannot corrupt it mid-``put``),
-initializes every worker to route its
-:func:`repro.obs.sweep.emit_cell_event` calls into that queue, and
-drains the queue on a parent thread into whatever ``sink`` is currently
-attached.  Because the sink is attached *per run* (not baked in at
-worker spawn), one warm pool can serve many sweeps — or many concurrent
-service jobs, whose router fans events out to per-job buses.
+The pool also owns the worker→parent event plane.  With
+``events=True`` it opens one one-way pipe
+(``multiprocessing.Pipe(duplex=False)``), initializes every worker to
+route its :func:`repro.obs.sweep.emit_cell_event` calls into the pipe's
+write end, and drains the read end on a parent thread into whatever
+``sink`` is currently attached.  Each event is one pickled
+``send_bytes`` frame of at most :data:`MAX_EVENT_BYTES`, so the length
+header and payload go out in a single ``write(2)`` of at most
+``PIPE_BUF`` bytes, which POSIX makes atomic (the stdlib's
+``multiprocessing.resource_tracker`` relies on the same guarantee).
+Concurrent workers therefore never interleave their frames, a
+SIGKILLed worker leaves a whole frame or none, and no worker holds a
+lock that its death could leave taken.  A larger event is dropped, like
+any other failed emit, rather than split.  Emitting costs one pipe
+write; there is no server process and no round trip.
+
+Because the sink is attached *per run* (not baked in at worker spawn),
+one warm pool can serve many sweeps — or many concurrent service jobs,
+whose router fans events out to per-job buses.
 
 A pool survives its own failures: :meth:`respawn` replaces a broken or
 hung :class:`~concurrent.futures.ProcessPoolExecutor` with a fresh one
 (the scheduling core calls it after ``BrokenExecutor`` / a cell
-timeout) while the manager, queue, drain thread, and attached sink all
-keep working.
+timeout) while the pipe, drain thread, and attached sink all keep
+working.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
+import select
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
+from multiprocessing.connection import Connection
 from typing import Any, Callable, Dict, Optional
 
 from repro.obs import sweep as sweepbus
 from repro.obs.probes import host_epoch
 
-__all__ = ["PoolUnavailableError", "WorkerPool"]
+__all__ = ["MAX_EVENT_BYTES", "PoolUnavailableError", "WorkerPool"]
 
 
 class PoolUnavailableError(RuntimeError):
@@ -57,18 +68,30 @@ class PoolUnavailableError(RuntimeError):
 EventSink = Callable[[str, Dict[str, Any]], None]
 
 
-def _queue_sink(queue: Any) -> EventSink:
-    """A worker sink that ships (kind, fields) tuples over ``queue``."""
+#: Largest pickled event a worker sends: ``send_bytes`` writes a 4-byte
+#: length header and the payload in one ``write(2)``, and a pipe write
+#: of at most ``PIPE_BUF`` bytes is atomic.
+MAX_EVENT_BYTES = select.PIPE_BUF - 4
+
+
+def _pipe_sink(writer: Connection) -> EventSink:
+    """A worker sink that writes each (kind, fields) event as one frame."""
 
     def sink(kind: str, fields: Dict[str, Any]) -> None:
-        queue.put((kind, fields))
+        frame = pickle.dumps((kind, fields), pickle.HIGHEST_PROTOCOL)
+        if len(frame) > MAX_EVENT_BYTES:
+            # Split frames could interleave with other workers' frames.
+            raise ValueError(
+                f"{kind} event is {len(frame)} bytes (limit {MAX_EVENT_BYTES})"
+            )
+        writer.send_bytes(frame)
 
     return sink
 
 
-def _worker_init(queue: Any) -> None:
-    """Pool-worker initializer: route cell events into the parent's queue."""
-    sweepbus.attach_worker_sink(_queue_sink(queue))
+def _worker_init(writer: Connection) -> None:
+    """Pool-worker initializer: route cell events into the parent's pipe."""
+    sweepbus.attach_worker_sink(_pipe_sink(writer))
     sweepbus.emit_cell_event(
         sweepbus.WORKER_SPAWNED, pid=os.getpid(), epoch_s=host_epoch()
     )
@@ -80,8 +103,8 @@ class WorkerPool:
     ``workers`` is the pool width.  With ``events=True`` the pool
     carries worker-side sweep events (``worker_spawned``,
     ``cell_started``, per-cell resources) to the attached ``sink``;
-    with ``events=False`` workers run bare and no manager process is
-    spawned — the zero-overhead default for unobserved sweeps.
+    with ``events=False`` workers run bare and no pipe or drain thread
+    exists — the zero-overhead default for unobserved sweeps.
 
     Thread-safe for concurrent :meth:`submit` calls (the service's
     concurrent jobs share one pool); :meth:`respawn` and :meth:`close`
@@ -99,8 +122,8 @@ class WorkerPool:
         #: Pools replaced by :meth:`respawn` over this pool's lifetime.
         self.respawns = 0
         self._sink: Optional[EventSink] = None
-        self._manager: Optional[Any] = None
-        self._queue: Optional[Any] = None
+        self._reader: Optional[Connection] = None
+        self._writer: Optional[Connection] = None
         self._drain: Optional[threading.Thread] = None
 
     # -- the event plane ---------------------------------------------------
@@ -110,38 +133,36 @@ class WorkerPool:
 
         Attach/detach happens per run (or per service job router), so a
         warm pool serves sweeps with and without observation — workers
-        always emit into the queue; unrouted events are dropped here.
+        always emit into the pipe; unrouted events are dropped here.
         """
         previous = self._sink
         self._sink = sink
         return previous
 
     def _pump(self) -> None:
-        queue = self._queue
-        assert queue is not None
+        reader = self._reader
+        assert reader is not None
         while True:
             try:
-                item = queue.get()
-            except (EOFError, OSError):  # manager went away
+                frame = reader.recv_bytes()
+            except (EOFError, OSError):
                 return
-            if item is None:
+            if not frame:  # close()'s stop frame
                 return
-            kind, fields = item
             sink = self._sink
             if sink is None:
                 continue
             try:
-                sink(kind, fields)
+                sink(*pickle.loads(frame))
             except Exception:
                 # Telemetry must never break execution: a failing sink
                 # degrades to a gap in the event log, nothing more.
                 continue
 
     def _ensure_plane(self) -> None:
-        if not self.events or self._manager is not None:
+        if not self.events or self._reader is not None:
             return
-        self._manager = multiprocessing.Manager()
-        self._queue = self._manager.Queue()
+        self._reader, self._writer = multiprocessing.Pipe(duplex=False)
         self._drain = threading.Thread(
             target=self._pump, name="worker-pool-drain", daemon=True
         )
@@ -155,17 +176,17 @@ class WorkerPool:
         if self._executor is None:
             try:
                 self._ensure_plane()
-                if self._queue is not None:
+                if self._writer is not None:
                     self._executor = ProcessPoolExecutor(
                         max_workers=self.workers,
                         initializer=_worker_init,
-                        initargs=(self._queue,),
+                        initargs=(self._writer,),
                     )
                 else:
                     self._executor = ProcessPoolExecutor(max_workers=self.workers)
             except OSError as exc:
-                # The host refused to give us workers (process/fd
-                # limits, a dead manager): respawning cannot help.
+                # The host refused to give us workers (process or
+                # fd limits): respawning cannot help.
                 raise PoolUnavailableError(
                     f"cannot spawn worker processes: {exc}"
                 ) from exc
@@ -177,7 +198,7 @@ class WorkerPool:
             return self._ensure_executor().submit(fn, *args, **kwargs)
 
     def warm(self) -> None:
-        """Force worker (and manager) spawn now, so runs do not pay it.
+        """Force worker spawn now, so runs do not pay it.
 
         Submits one no-op per worker and waits for all of them — after
         this, every worker process exists and the first real submission
@@ -194,8 +215,8 @@ class WorkerPool:
         a cell timeout (a hung worker would poison its slot forever in
         a persistent pool).  ``wait=False`` abandons hung workers, the
         same policy the one-shot executor always had.  The event plane
-        is preserved — freshly spawned workers route into the same
-        queue.
+        is preserved — freshly spawned workers write into the same
+        pipe.
         """
         with self._lock:
             old, self._executor = self._executor, None
@@ -204,7 +225,7 @@ class WorkerPool:
                 old.shutdown(wait=wait, cancel_futures=True)
 
     def close(self) -> None:
-        """Shut everything down: executor, drain thread, manager."""
+        """Shut everything down: executor, drain thread, pipe."""
         with self._lock:
             if self._closed:
                 return
@@ -212,21 +233,16 @@ class WorkerPool:
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
-        if self._queue is not None:
-            try:
-                self._queue.put(None)
-            except Exception:
-                pass
         if self._drain is not None:
+            if self._drain.is_alive():
+                assert self._writer is not None
+                self._writer.send_bytes(b"")
             self._drain.join(timeout=10.0)
             self._drain = None
-        if self._manager is not None:
-            try:
-                self._manager.shutdown()
-            except Exception:
-                pass
-            self._manager = None
-            self._queue = None
+        for end in (self._reader, self._writer):
+            if end is not None:
+                end.close()
+        self._reader = self._writer = None
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -273,8 +273,11 @@ class InflightRegistry:
     The first claimer of a ``run_id`` owns its execution; later
     claimers join and :meth:`wait` for the owner to resolve.  A cell
     resolved with an error is re-claimable (the next job to demand it
-    retries); a cell resolved clean stays joined forever — its record
-    is in the store.  Deadlock-free by construction: a job resolves
+    retries); a cell resolved clean leaves the registry — its record is
+    in the store, published before the resolve, so a later claim wins
+    only after the record is readable (:meth:`SweepLoop.run` re-reads
+    the store after each won claim), and a :meth:`wait` that finds no
+    entry reads as clean.  Deadlock-free by construction: a job resolves
     every cell it owns (success, failure, or owner-abort) *before* it
     waits on any cell it joined, so cross-job waits only ever point at
     execution phases, never at other waits.
@@ -294,19 +297,23 @@ class InflightRegistry:
             return False
 
     def resolve(self, run_id: str, error: Optional[str] = None) -> None:
-        """Owner's completion signal: clean, or with a failure cause."""
+        """Owner's completion signal: clean (the entry leaves), or with
+        a failure cause (the entry stays, re-claimable)."""
         with self._lock:
             entry = self._entries.get(run_id)
-        if entry is not None and not entry.done.is_set():
-            entry.error = error
-            entry.done.set()
+            if entry is None or entry.done.is_set():
+                return
+            if error is None:
+                del self._entries[run_id]
+        entry.error = error
+        entry.done.set()
 
     def wait(self, run_id: str, timeout_s: Optional[float] = None) -> Optional[str]:
         """Block until the owner resolves; returns its error (None = clean)."""
         with self._lock:
             entry = self._entries.get(run_id)
         if entry is None:
-            return "in-flight entry vanished before resolution"
+            return None  # resolved clean, and gone
         if not entry.done.wait(timeout_s):
             return f"timed out waiting for in-flight owner ({entry.owner})"
         return entry.error
@@ -436,7 +443,9 @@ class SweepLoop:
        row short for good;
     2. **claim** — each missing cell is claimed through the
        :class:`InflightRegistry`; a cell another sweep already runs is
-       joined, not executed twice;
+       joined, not executed twice, and a won claim re-reads the store,
+       since the cell's owner may have published and left the registry
+       since the store pass;
     3. **execute** — on the pool via :func:`schedule_cells`, else
        in-process cell by cell.  A run with no ``pool``, ``workers > 1``
        and more than one cell spins up (and closes) its own pool; a pool
@@ -489,28 +498,40 @@ class SweepLoop:
         owned: List[CellSpec] = []
         joined: List[CellSpec] = []
         for spec in plan:
-            record = self.store.get(spec.run_id)
-            if (
-                record is not None
-                and self.ledger is not None
-                and spec.run_id not in self.ledger
-            ):
-                record = None
+            record = self._stored(spec.run_id)
             if record is not None:
                 tally.outcomes[spec.run_id] = _recalled(spec, record)
                 if bus is not None:
                     bus.emit(sweepbus.CELL_CACHED, **cell_event_fields(spec))
-            elif self.inflight.claim(spec.run_id, owner):
-                owned.append(spec)
-                if bus is not None:
-                    bus.emit(sweepbus.CELL_SCHEDULED, **cell_event_fields(spec))
-            else:
+                continue
+            if not self.inflight.claim(spec.run_id, owner):
                 joined.append(spec)
+                continue
+            # The owner of a cell publishes it before it resolves (and
+            # leaves the registry), so a claim can win just after
+            # another sweep ran the cell: look again before executing.
+            if spec.run_id in self.store:
+                record = self._stored(spec.run_id)
+            if record is not None:
+                self.inflight.resolve(spec.run_id)
+                self._deduped(spec, record, bus, tally)
+                continue
+            owned.append(spec)
+            if bus is not None:
+                bus.emit(sweepbus.CELL_SCHEDULED, **cell_event_fields(spec))
         if owned:
             self._execute_owned(owned, owner, bus, tally)
         for spec in joined:
             self._await_joined(spec, bus, tally)
         return tally.report(plan)
+
+    def _stored(self, run_id: str) -> Optional[ExperimentRecord]:
+        """The record of a cell that counts as done: the store holds it
+        *and* the ledger (if any) holds its ``run_id``."""
+        record = self.store.get(run_id)
+        if record is not None and self.ledger is not None and run_id not in self.ledger:
+            return None
+        return record
 
     def _execute_owned(
         self,
@@ -617,6 +638,15 @@ class SweepLoop:
         if record is None:
             self._fail(CellFailure(spec, f"deduped execution failed: {error}"), bus, tally)
             return
+        self._deduped(spec, record, bus, tally)
+
+    @staticmethod
+    def _deduped(
+        spec: CellSpec,
+        record: ExperimentRecord,
+        bus: Optional[SweepEventBus],
+        tally: SweepTally,
+    ) -> None:
         tally.outcomes[spec.run_id] = _recalled(spec, record, deduped=True)
         if bus is not None:
             bus.emit(sweepbus.CELL_DEDUPED, **cell_event_fields(spec))

@@ -22,9 +22,9 @@ events** the executors (:mod:`repro.experiments.executor`) emit into:
 Worker processes attach per-cell **resource telemetry**
 (:class:`CellResources`: wall time, CPU user/sys via
 ``resource.getrusage``, peak RSS, engine events/sec) and ship their
-live events back over a multiprocessing queue
+live events back over the pool's event pipe, one atomic write per event
 (:func:`attach_worker_sink` / :func:`emit_cell_event`); the parent
-drains the queue into the bus.  With a ``path`` the bus appends each
+drains the pipe into the bus.  With a ``path`` the bus appends each
 event to ``<ledger>/events.jsonl`` as one row of a
 :mod:`repro.obs.jsonl` log, keyed by ``run_id`` and grouped by
 ``sweep_id`` — the artifact
@@ -379,10 +379,12 @@ class SweepEventBus:
 # -- the worker-side sink --------------------------------------------------
 #
 # ``execute_cell`` runs in whatever process the sweep loop chose.  A
-# pool worker emits through a process-global sink pointed at a
-# multiprocessing queue the parent drains into the bus; in-process
-# execution passes a ``sink`` per call, so concurrent in-process sweeps
-# never share one.  With no sink, emitting is one ``is None`` branch.
+# pool worker emits through a process-global sink that writes each
+# event to a pipe the parent drains into the bus
+# (:mod:`repro.experiments.pool`); in-process execution passes a
+# ``sink`` per call, so concurrent in-process sweeps never share one.
+# With no sink, emitting is one ``is None`` branch.  A sink refuses an
+# event it cannot deliver whole by raising; the event is then dropped.
 
 _WORKER_SINK: Optional[Callable[[str, Dict[str, Any]], None]] = None
 
@@ -407,8 +409,9 @@ def emit_cell_event(
     try:
         sink(kind, fields)
     except Exception:
-        # Telemetry must never fail the cell it observes: a full or
-        # broken queue degrades to a gap in the event log, nothing more.
+        # Telemetry must never fail the cell it observes: a broken
+        # pipe or an oversized event degrades to a gap in the event
+        # log, nothing more.
         pass
 
 

@@ -81,7 +81,7 @@ class Client(Actor):
         """A frame arrives from the network (called by NetworkPath)."""
         frame.t_received = self.env.now
         # The receive queue is unbounded, so the frame always fits.
-        self.receive_queue.try_put(frame)
+        self.receive_queue.put(frame)
 
     def _next(self) -> None:
         """Take the next received frame (waits while the queue is empty)."""

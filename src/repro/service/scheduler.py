@@ -172,6 +172,9 @@ class SweepScheduler:
         self._jobs: Dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
         self._job_counter = 0
+        #: Jobs in ``_jobs`` not yet published terminal: the admission
+        #: count, kept so a submit does not scan every job ever held.
+        self._active = 0
         #: Idempotency-token → job id (the resubmit-joins-job table).
         self._tokens: Dict[str, str] = {}
         self._threads = ThreadPoolExecutor(
@@ -203,10 +206,6 @@ class SweepScheduler:
         return "job-" + config_fingerprint(
             {"epoch": host_epoch(), "pid": os.getpid(), "job": nonce}
         )[:12]
-
-    def _active_jobs(self) -> int:
-        with self._jobs_lock:
-            return sum(1 for job in self._jobs.values() if not job.state.terminal)
 
     def submit(
         self,
@@ -246,7 +245,8 @@ class SweepScheduler:
                     job_id=existing.job_id,
                 )
                 return existing
-        active = self._active_jobs()
+        with self._jobs_lock:
+            active = self._active
         if not recovered and active >= self.max_queued_jobs:
             self.server_bus.emit(
                 sweepbus.LOAD_SHED,
@@ -271,6 +271,7 @@ class SweepScheduler:
         )
         with self._jobs_lock:
             self._jobs[job_id] = job
+            self._active += 1
             if spec.token:
                 self._tokens[spec.token] = job_id
         if self.journal is not None and not recovered:
@@ -395,7 +396,9 @@ class SweepScheduler:
                     pass
             # Published only once journaled: a client that sees the job
             # terminal never finds it pending in the journal.
-            job.state = state
+            with self._jobs_lock:
+                job.state = state
+                self._active -= 1
             try:
                 # The stream's terminal frame: watchers key end-of-job
                 # off it, so it is emitted on every exit path.

@@ -1,7 +1,7 @@
 """Synchronization primitives built on the event engine.
 
 These are the shared-state building blocks the cloud-3D pipeline is made
-of: bounded FIFO stores model queues between pipeline stages, resources
+of: FIFO stores model queues between pipeline stages, resources
 model exclusive devices (the GPU, the encoder), and gates model binary
 conditions processes can block on (ODR's buffer-swap waits).
 
@@ -17,7 +17,7 @@ with the item.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, List
 
 from repro.simcore.engine import Environment, SimulationError, Step
 
@@ -25,28 +25,26 @@ __all__ = ["Gate", "Resource", "Store"]
 
 
 class Store:
-    """A bounded FIFO store of items.
+    """An unbounded FIFO store of items.
 
-    ``put`` waits when the store is full; ``get`` waits when it is
-    empty.  With ``capacity=1`` this is a classic single-slot hand-off
-    buffer.
+    ``put`` never waits; ``get`` waits when the store is empty.
     """
 
-    def __init__(self, env: Environment, capacity: float = float("inf")) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.capacity = capacity
         self.items: List[Any] = []
-        self._put_waiters: List[Tuple[Any, Step]] = []
         self._get_waiters: List[Callable[[Any], None]] = []
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any, stored: Step) -> None:
-        """Store ``item``; ``stored()`` runs once it is stored."""
-        self._put_waiters.append((item, stored))
+    def put(self, item: Any) -> None:
+        """Store ``item`` now.
+
+        The put schedules no entry of its own; a waiting getter is
+        served from one zero-delay entry.
+        """
+        self.items.append(item)
         self._dispatch()
 
     def get(self, got: Callable[[Any], None]) -> None:
@@ -54,37 +52,13 @@ class Store:
         self._get_waiters.append(got)
         self._dispatch()
 
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put: store ``item`` now and return True, or return
-        False when the store is full or blocked putters are queued ahead.
-
-        Unlike :meth:`put` it schedules no entry of its own, so a caller
-        that would never wait on the put costs the calendar nothing; a
-        waiting getter is served as :meth:`put` would serve it.
-        """
-        if self._put_waiters or len(self.items) >= self.capacity:
-            return False
-        self.items.append(item)
-        self._dispatch()
-        return True
-
     # -- internals -----------------------------------------------------
 
     def _dispatch(self) -> None:
-        """Match waiting puts with free slots and waiting gets with items."""
-        env = self.env
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._put_waiters and len(self.items) < self.capacity:
-                item, stored = self._put_waiters.pop(0)
-                self.items.append(item)
-                env.call_later(0.0, stored)
-                progressed = True
-            while self._get_waiters and self.items:
-                got = self._get_waiters.pop(0)
-                env.call_later(0.0, partial(got, self.items.pop(0)))
-                progressed = True
+        """Hand the oldest items to the oldest waiting getters."""
+        while self._get_waiters and self.items:
+            got = self._get_waiters.pop(0)
+            self.env.call_later(0.0, partial(got, self.items.pop(0)))
 
 
 class ResourceRequest:

@@ -2,9 +2,16 @@
 
 The refactor's guarantees: a caller-owned :class:`WorkerPool` survives
 across runs (warmup paid once), chunked submissions stay bit-identical
-to serial execution, and :func:`resolve_chunk` implements the dispatch
-policy the executor and service both inherit.
+to serial execution, :func:`resolve_chunk` implements the dispatch
+policy the executor and service both inherit, the event plane is one
+pipe whose frames arrive whole, and the in-flight registry holds only
+cells still running or failed.
 """
+
+import multiprocessing
+import os
+import time
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +25,18 @@ from repro.experiments import (
     execute_cells,
     resolve_chunk,
 )
+from repro.experiments.pool import MAX_EVENT_BYTES
+from repro.experiments.scheduling import InflightRegistry, SweepLoop
+from repro.obs import sweep as sweepbus
 from repro.obs.ledger import RunLedger
 from repro.obs.runmeta import metrics_digest
-from repro.obs.sweep import CELL_FINISHED, POOL_OPENED, SweepEventBus
+from repro.obs.sweep import (
+    CELL_DEDUPED,
+    CELL_FINISHED,
+    CELL_STARTED,
+    POOL_OPENED,
+    SweepEventBus,
+)
 
 DURATION_MS = 2000.0
 WARMUP_MS = 500.0
@@ -141,3 +157,138 @@ class TestPoolReuse:
             before = len(seen)
             pool.submit(execute_cells, [spec("STK", "NoReg")]).result(timeout=60)
             assert len(seen) > before  # worker events flow to our sink again
+
+
+# -- pool tasks for the event-plane tests (module-level: they are pickled) --
+
+
+def _emit_oversized_then_execute(specs):
+    sweepbus.emit_cell_event(
+        CELL_STARTED, run_id="oversized", blob="x" * MAX_EVENT_BYTES
+    )
+    return execute_cells(specs)
+
+
+def _emit_burst(tag, meet_dir, tasks, count, size):
+    """Emit ``count`` near-limit events once all ``tasks`` burst tasks
+    are running, so several workers write into the pipe at once."""
+    meet = Path(meet_dir)
+    (meet / tag).touch()
+    for _ in range(30000):
+        if len(list(meet.iterdir())) >= tasks:
+            break
+        time.sleep(0.001)
+    else:
+        raise TimeoutError("the other burst tasks never started")
+    for i in range(count):
+        sweepbus.emit_cell_event("burst", tag=tag, i=i, blob=tag * size)
+    return os.getpid()
+
+
+def _wait_for(predicate):
+    for _ in range(6000):
+        if predicate():
+            return
+        time.sleep(0.005)
+    raise AssertionError("the drain thread fell behind")
+
+
+class TestEventPlane:
+    def test_events_add_no_process_beyond_the_workers(self):
+        before = {child.pid for child in multiprocessing.active_children()}
+        with WorkerPool(workers=2, events=True) as pool:
+            pool.warm()
+            spawned = {
+                child.pid for child in multiprocessing.active_children()
+            } - before
+            assert len(spawned) == 2
+
+    def test_oversized_event_is_dropped_and_cell_succeeds(self):
+        seen = []
+        cell = spec("STK", "NoReg")
+        with WorkerPool(workers=1, events=True) as pool:
+            pool.attach_sink(lambda kind, fields: seen.append(fields))
+            results = pool.submit(_emit_oversized_then_execute, [cell]).result(
+                timeout=60
+            )
+            # The pipe is FIFO: once the cell's own cell_started is
+            # drained, the oversized event would have been too.
+            _wait_for(lambda: any(f.get("run_id") == cell.run_id for f in seen))
+        serial = SerialExecutor().run(Plan([cell]), store=ResultStore())
+        assert results[0].record == serial.outcomes[0].record
+        assert not any(f.get("run_id") == "oversized" for f in seen)
+
+    def test_events_from_concurrent_workers_arrive_whole(self, tmp_path):
+        # More writers than a small host has cores, each frame near the
+        # atomic-write limit and many pipe buffers' worth in total.
+        tags, count, size = ("a", "b", "c"), 200, MAX_EVENT_BYTES - 200
+        seen = []
+        with WorkerPool(workers=len(tags), events=True) as pool:
+            pool.attach_sink(
+                lambda kind, fields: seen.append(fields) if kind == "burst" else None
+            )
+            futures = [
+                pool.submit(_emit_burst, tag, str(tmp_path), len(tags), count, size)
+                for tag in tags
+            ]
+            pids = {future.result(timeout=60) for future in futures}
+            _wait_for(lambda: len(seen) >= len(tags) * count)
+        assert len(pids) == len(tags)
+        assert len(seen) == len(tags) * count
+        for tag in tags:
+            mine = [f for f in seen if f["tag"] == tag]
+            assert [f["i"] for f in mine] == list(range(count))
+            assert all(f["blob"] == tag * size for f in mine)
+
+
+class TestInflightRegistry:
+    def test_clean_resolve_leaves_and_reads_clean(self):
+        registry = InflightRegistry()
+        assert registry.claim("x", "owner")
+        assert not registry.claim("x", "joiner")
+        registry.resolve("x")
+        # The joiner reaches wait() only after the entry has gone.
+        assert registry.wait("x", timeout_s=0.0) is None
+        assert registry._entries == {}
+
+    def test_failed_cell_stays_for_joiners_and_is_reclaimable(self):
+        registry = InflightRegistry()
+        assert registry.claim("x", "owner")
+        registry.resolve("x", error="boom")
+        assert registry.wait("x", timeout_s=0.0) == "boom"
+        assert registry.claim("x", "retrier")
+
+    def test_registry_is_empty_after_a_job(self, tmp_path):
+        loop = SweepLoop(
+            ResultStore(), RunLedger(tmp_path / "ledger"), execute_cells
+        )
+        report = loop.run(Plan([spec("IM"), spec("STK", "NoReg")]))
+        assert report.ok and report.executed == 2
+        assert loop.inflight._entries == {}
+
+    def test_claim_won_after_the_owner_resolved_runs_the_cell_once(self):
+        """Job b runs the cell start to finish between job a's store pass
+        and job a's claim; a must join b's result, not execute again."""
+        executed = []
+
+        def run_chunk(specs, sink=None):
+            executed.extend(s.run_id for s in specs)
+            return execute_cells(specs, sink=sink)
+
+        loop = SweepLoop(ResultStore(), None, run_chunk)
+        cell = spec("IM")
+        claim = loop.inflight.claim
+
+        def claim_after_b_ran(run_id, owner):
+            if owner == "a":
+                loop.inflight.claim = claim
+                assert loop.run(Plan([cell]), owner="b").executed == 1
+            return claim(run_id, owner)
+
+        loop.inflight.claim = claim_after_b_ran
+        bus = SweepEventBus()
+        report = loop.run(Plan([cell]), owner="a", bus=bus)
+        assert executed == [cell.run_id]
+        assert report.ok and report.outcomes[0].deduped
+        assert [e.kind for e in bus.events] == [CELL_DEDUPED]
+        assert loop.inflight._entries == {}

@@ -377,9 +377,10 @@ class TestEdgeCases:
         assert events[-1].get("cached") == 2
 
     def test_bus_drains_cleanly_after_worker_sigkill(self, tmp_path, monkeypatch):
-        """A SIGKILLed worker breaks the pool mid-sweep; the event queue
-        (manager-hosted) survives, the drain stops cleanly, and the log
-        stays schema-valid with the crash visible."""
+        """A SIGKILLed worker breaks the pool mid-sweep; the event pipe
+        survives (each event is one atomic write, so the dead worker
+        left whole frames or none), the drain stops cleanly, and the
+        log stays schema-valid with the crash visible."""
         plan = four_cell_plan()
         victim = plan.specs[2]
         marker = tmp_path / "kills.txt"

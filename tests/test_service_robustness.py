@@ -246,6 +246,70 @@ class TestAdmissionControl:
             assert third["job_id"] != first["job_id"]
 
 
+def _bare_scheduler(**kwargs):
+    """A scheduler whose pool is closed, so its cells run in-process."""
+    pool = WorkerPool(1)
+    pool.close()
+    return SweepScheduler(ResultStore(), pool=pool, **kwargs)
+
+
+def _wait_terminal(job):
+    for _ in range(1200):
+        if job.state.terminal:
+            return job
+        time.sleep(0.01)
+    raise AssertionError(f"{job.job_id} never finished")
+
+
+class TestAdmissionCount:
+    def test_bound_sheds_while_many_finished_jobs_are_held(self, monkeypatch):
+        scheduler = _bare_scheduler(max_queued_jobs=2)
+        params = {"cells": [spec("IM").to_dict()]}
+        try:
+            for _ in range(40):
+                _wait_terminal(scheduler.submit(JobSpec(params=params)))
+            release = threading.Event()
+            run = scheduler.loop.run
+
+            def held_run(plan, **kwargs):
+                assert release.wait(30)
+                return run(plan, **kwargs)
+
+            monkeypatch.setattr(scheduler.loop, "run", held_run)
+            held = [scheduler.submit(JobSpec(params=params)) for _ in range(2)]
+            with pytest.raises(ServerBusy):
+                scheduler.submit(JobSpec(params=params))
+            release.set()
+            for job in held:
+                assert _wait_terminal(job).state.value == "done"
+            _wait_terminal(scheduler.submit(JobSpec(params=params)))
+            assert len(scheduler.jobs()) == 43
+        finally:
+            scheduler.close()
+
+    def test_count_returns_to_zero_after_done_and_failed_jobs(self, monkeypatch):
+        scheduler = _bare_scheduler(max_queued_jobs=1)
+        run = scheduler.loop.run
+
+        def failing_run(plan, **kwargs):
+            if plan.specs[0].benchmark == "STK":
+                raise RuntimeError("injected infrastructure failure")
+            return run(plan, **kwargs)
+
+        monkeypatch.setattr(scheduler.loop, "run", failing_run)
+        try:
+            states = []
+            for benchmark in ("IM", "STK", "IM", "STK"):
+                params = {"cells": [spec(benchmark).to_dict()]}
+                states.append(
+                    _wait_terminal(scheduler.submit(JobSpec(params=params))).state.value
+                )
+            assert states == ["done", "failed", "done", "failed"]
+            assert scheduler._active == 0
+        finally:
+            scheduler.close()
+
+
 class TestDegradedSerial:
     def test_broken_pool_falls_back_to_serial_in_process(self, tmp_path):
         pool = WorkerPool(1, events=False)

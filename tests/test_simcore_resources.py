@@ -1,7 +1,7 @@
 """Unit tests for Store / Resource / Gate.
 
 Waiters are callbacks, run from a calendar entry once their wait is
-served; generator processes only drive the clock.
+served.
 """
 
 import pytest
@@ -18,18 +18,14 @@ class TestStore:
     def test_put_then_get_fifo(self, env):
         store = Store(env)
         results = []
-        pending = ["a", "b", "c"]
-
-        def produce():
-            if pending:
-                store.put(pending.pop(0), produce)
+        for item in ["a", "b", "c"]:
+            store.put(item)
 
         def consume(item):
             results.append(item)
             if len(results) < 3:
                 store.get(consume)
 
-        produce()
         store.get(consume)
         env.run()
         assert results == ["a", "b", "c"]
@@ -39,61 +35,26 @@ class TestStore:
         times = []
         store.get(lambda item: times.append((env.now, item)))
 
-        env.call_later(8, lambda: store.put("late", lambda: None))
+        env.call_later(8, lambda: store.put("late"))
         env.run()
         assert times == [(8.0, "late")]
 
-    def test_put_blocks_when_full(self, env):
-        store = Store(env, capacity=1)
-        log = []
-
-        def stored_first():
-            log.append(("p1", env.now))
-            store.put(2, lambda: log.append(("p2", env.now)))
-
-        store.put(1, stored_first)
-        env.call_later(5, lambda: store.get(lambda _item: None))
-        env.run()
-        assert log == [("p1", 0.0), ("p2", 5.0)]
-
-    def test_capacity_validation(self, env):
-        with pytest.raises(ValueError):
-            Store(env, capacity=0)
-
-    def test_try_put_serves_a_waiting_getter(self, env):
+    def test_put_serves_a_waiting_getter(self, env):
         store = Store(env)
         got = []
         store.get(lambda item: got.extend([item, env.now]))
         env.run()
-        assert store.try_put("x") is True
+        store.put("x")
+        assert env.peek() == 0.0  # one zero-delay entry hands it over
         env.run()
         assert got == ["x", 0.0]
         assert len(store) == 0
 
-    def test_try_put_schedules_no_event_of_its_own(self, env):
+    def test_put_schedules_no_entry_of_its_own(self, env):
         store = Store(env)
-        assert store.try_put("x") is True
+        store.put("x")
         assert env.peek() == float("inf")
         assert store.items == ["x"]
-
-    def test_try_put_refuses_when_full(self, env):
-        store = Store(env, capacity=1)
-        assert store.try_put(1) is True
-        assert store.try_put(2) is False
-        assert store.items == [1]
-
-    def test_try_put_refuses_when_putters_are_queued_ahead(self, env):
-        store = Store(env, capacity=1)
-        stored = []
-        store.put(1, lambda: stored.append(1))
-        store.put(2, lambda: stored.append(2))
-        # Room appears without a dispatch: the blocked putter is still
-        # first in line, so try_put may not overtake it.
-        store.capacity = 2
-        assert store.try_put(3) is False
-        assert store.items == [1]
-        env.run()
-        assert stored == [1]
 
 
 class TestResource:
