@@ -73,6 +73,8 @@ class OnDemandRendering(Regulator):
         self.mulbuf1: Optional[MultiBuffer] = None
         self.mulbuf2: Optional[MultiBuffer] = None
         self._proxy: Optional[OdrProxy] = None
+        self.pacing_sleeps: List[float] = []
+        self.pacing_interrupts = 0
 
     # -- wiring ------------------------------------------------------------
 
@@ -136,10 +138,10 @@ class OdrProxy(EncodeLoop):
         self.mulbuf1 = odr.mulbuf1
         self.mulbuf2 = odr.mulbuf2
         self._loop_start = 0.0
-        #: Serial number of the current pacing sleep; 0 while not pacing.
-        #: A sleep cut short stays on the calendar and wakes as a no-op.
+        #: Serial number of the current pacing sleep (its 1-based index in
+        #: ``odr.pacing_sleeps``); 0 while not pacing.  A sleep cut short
+        #: stays on the calendar and wakes as a no-op.
         self._pacing = 0
-        self._sleeps = 0
         self.env.start(self, self._next)
 
     def _next(self) -> None:
@@ -189,12 +191,8 @@ class OdrProxy(EncodeLoop):
             odr.clock.cancel_debt()
             self._next()
             return
-        telemetry = self.system.telemetry
-        if telemetry is not None:
-            telemetry.count("pacing_sleeps_total")
-            telemetry.observe("pacing_sleep_ms", sleep_ms)
-        self._sleeps += 1
-        self._pacing = self._sleeps
+        odr.pacing_sleeps.append(sleep_ms)
+        self._pacing = len(odr.pacing_sleeps)
         env.call_later(sleep_ms, partial(self._paced, self._pacing))
 
     def _paced(self, sleep: int) -> None:
@@ -211,9 +209,7 @@ class OdrProxy(EncodeLoop):
 
     def _interrupted(self) -> None:
         self.odr.clock.cancel_debt()
-        telemetry = self.system.telemetry
-        if telemetry is not None:
-            telemetry.count("pacing_interrupts_total")
+        self.odr.pacing_interrupts += 1
         self._next()
 
 

@@ -52,7 +52,6 @@ class PriorityFrameController:
 
         # Drop obsolete frames: the unencoded frame waiting in Mul-Buf1's
         # back buffer and the unsent encoded frame in Mul-Buf2's.
-        telemetry = app.system.telemetry
         for buf in (self.odr.mulbuf1, self.odr.mulbuf2):
             if buf is None:
                 continue
@@ -60,8 +59,6 @@ class PriorityFrameController:
             if dropped is not None:
                 self.frames_flushed += 1
                 app.inherited_ids |= dropped.input_ids
-                if telemetry is not None:
-                    telemetry.frame_dropped(dropped, app.env.now, dropped.dropped.value)
 
         # If the proxy is sitting in its pacing sleep, cut it short.
         self.odr.interrupt_pacing()

@@ -17,10 +17,9 @@ constructed (not yet run) :class:`~repro.pipeline.system.CloudSystem`:
 All randomness (storm arrival times, loss draws) comes from the
 system's seeded ``("faults", ...)`` RNG children, so a faulted run is
 still a pure function of ``(config, seed)``.  Every fault window is
-recorded on the controller — and, when telemetry is attached, via
-:meth:`~repro.obs.telemetry.Telemetry.fault_window` — and the
-regulator is notified at the window edges through its
-``on_fault_begin`` / ``on_fault_end`` hooks.
+recorded on the controller, where run telemetry and recovery analytics
+read it after the run, and the regulator is notified at the window
+edges through its ``on_fault_begin`` / ``on_fault_end`` hooks.
 """
 
 from __future__ import annotations
@@ -184,6 +183,8 @@ class FaultController:
         self._carried_inputs: Set[int] = set()
         #: Frames lost to packet-loss bursts.
         self.frames_lost = 0
+        #: Number of faults in the applied plan.
+        self.applied = 0
 
     # -- transmit-time queries (called by NetworkPath) -------------------
 
@@ -218,13 +219,10 @@ class FaultController:
         """Account a frame the network dropped: mark, carry its inputs."""
         from repro.pipeline.frames import DropReason
 
-        frame.dropped = DropReason.NETWORK_LOSS
+        frame.drop(DropReason.NETWORK_LOSS, self.env.now)
         self.frames_lost += 1
         if frame.input_ids:
             self._carried_inputs |= frame.input_ids
-        telemetry = self.system.telemetry
-        if telemetry is not None:
-            telemetry.frame_dropped(frame, self.env.now, DropReason.NETWORK_LOSS.value)
 
     def claim_carried_inputs(self) -> Set[int]:
         """Input ids of lost frames, to graft onto the next delivery."""
@@ -236,9 +234,6 @@ class FaultController:
 
     def _record_window(self, kind: str, label: str, start_ms: float, end_ms: float) -> None:
         self.windows.append(FaultWindow(kind, label, start_ms, end_ms))
-        telemetry = self.system.telemetry
-        if telemetry is not None:
-            telemetry.fault_window(kind, label, start_ms, end_ms)
         regulator = self.system.regulator
         self.env.call_at(start_ms, lambda: regulator.on_fault_begin(kind, start_ms))
         self.env.call_at(end_ms, lambda: regulator.on_fault_end(kind, end_ms))
@@ -274,6 +269,7 @@ def _window_dip(start_ms: float, end_ms: float, factor: float) -> BandwidthSched
 def apply_fault_plan(system: "CloudSystem", plan: FaultPlan) -> FaultController:
     """Wire every fault of ``plan`` into a constructed, un-run system."""
     controller = FaultController(system)
+    controller.applied = len(plan)
     samplers = cast(Dict[str, StageSampler], system.samplers)
     stalls: Dict[str, List[Tuple[float, float]]] = {}
     dips: List[BandwidthSchedule] = []
@@ -326,8 +322,4 @@ def apply_fault_plan(system: "CloudSystem", plan: FaultPlan) -> FaultController:
         existing = system.network.bandwidth_schedule
         schedules = ([existing] if existing is not None else []) + dips
         system.network.bandwidth_schedule = compose(schedules)
-
-    telemetry = system.telemetry
-    if telemetry is not None and controller.windows:
-        telemetry.count("faults_applied_total", float(len(plan)))
     return controller

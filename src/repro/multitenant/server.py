@@ -19,8 +19,9 @@ power is computed from the merged activity.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.hardware.power import PowerModel
 from repro.metrics import FpsCounter, MtpLatencyTracker, qos_satisfaction
@@ -28,6 +29,7 @@ from repro.metrics.stats import BoxStats, summarize
 from repro.pipeline.app import Application3D
 from repro.pipeline.client import Client, FpsReporter
 from repro.pipeline.contention import ContentionTracker
+from repro.pipeline.frames import Frame
 from repro.pipeline.inputs import InputGenerator
 from repro.pipeline.network import NetworkPath
 from repro.pipeline.proxy import ServerProxy
@@ -40,7 +42,24 @@ from repro.workloads import (
     get_benchmark,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs import Telemetry
+
 __all__ = ["SessionResult", "SharedServer", "TenantSession"]
+
+
+class SessionApp(Application3D):
+    """A session's application; it also logs, server-wide, that its
+    session opened a frame (the order run telemetry stores spans in)."""
+
+    def __init__(self, session: "TenantSession") -> None:
+        self._open_order = session.server.open_order
+        self._index = session.index
+        super().__init__(session)
+
+    def _begin_frame(self) -> Frame:
+        self._open_order.append(self._index)
+        return super()._begin_frame()
 
 
 class TenantSession:
@@ -71,13 +90,6 @@ class TenantSession:
         self.counter = FpsCounter()
         self.tracker = MtpLatencyTracker()
         self.trace = IntervalTrace()
-        # A labeled view on the server's shared telemetry: this session's
-        # spans and metric series carry a session="s<index>" label.
-        self.telemetry = (
-            server.telemetry.for_session(f"s{index}")
-            if server.telemetry is not None
-            else None
-        )
 
         # shared server state
         self.contention = server.contention
@@ -100,7 +112,7 @@ class TenantSession:
         self.proxy = ServerProxy(self)
         self.network = NetworkPath(self)
         self.client = Client(self, refresh_hz=regulator.client_refresh_hz)
-        self.app = Application3D(self)
+        self.app = SessionApp(self)
         self.inputs = InputGenerator(
             env=self.env,
             rng=self.rng.child("inputs"),
@@ -144,8 +156,9 @@ class SharedServer:
         default; a 16-core server comfortably runs a few encoder
         threads.
     telemetry:
-        Optional shared :class:`repro.obs.Telemetry`; each session
-        publishes into it under a ``session="s<index>"`` label.
+        Optional :class:`repro.obs.Telemetry`; :meth:`run` reads each
+        session's spans and series into it under a ``session="s<index>"``
+        label.
     """
 
     def __init__(
@@ -161,7 +174,7 @@ class SharedServer:
         encode_slots: int = 4,
         contention_beta: float = 0.25,
         qos_target_fps: Optional[float] = None,
-        telemetry=None,
+        telemetry: Optional["Telemetry"] = None,
     ):
         if not benchmarks:
             raise ValueError("need at least one session")
@@ -176,7 +189,9 @@ class SharedServer:
             if qos_target_fps is not None
             else float(resolution.default_fps_target)
         )
-        self.telemetry = telemetry
+        self._telemetry = telemetry
+        #: The session index of every frame opened on the server, in order.
+        self.open_order = array("q")
 
         self.env = Environment(probe=telemetry.probe if telemetry is not None else None)
         self.rng = SeededRng(seed, name="server")
@@ -202,6 +217,8 @@ class SharedServer:
     def run(self) -> List[SessionResult]:
         """Execute the shared simulation; return per-session results."""
         self.env.run(until=self.t_end)
+        if self._telemetry is not None:
+            self._telemetry.read_sessions(self.sessions, self.open_order)
         results = []
         for session in self.sessions:
             counter = session.counter

@@ -1,13 +1,12 @@
 """End-to-end run observability.
 
-``repro.obs`` threads telemetry through every layer of the simulator:
+``repro.obs`` observes every layer of the simulator:
 
 :class:`Telemetry`
-    The facade a run publishes into — pass one to
+    Spans and metrics read from a finished run — pass one to
     :class:`~repro.pipeline.system.CloudSystem` (or
-    :class:`~repro.multitenant.server.SharedServer`) to enable
-    collection.  Without one, every hook site is a single ``is None``
-    branch: observability is zero-overhead by default.
+    :class:`~repro.multitenant.server.SharedServer`) and ``run()`` fills
+    it once the engine stops.  The simulation itself never sees it.
 :class:`FrameSpan` / :class:`SpanStore`
     Per-frame causal traces: enter/exit times of every pipeline stage
     plus regulator gate delays and drop events, queryable by frame id.

@@ -5,9 +5,9 @@ style of Prometheus client libraries: a *series* is identified by a
 metric name plus a frozen set of ``label=value`` pairs, e.g.
 ``frames_dropped_total{reason="mailbox_overwrite", session="s1"}``.
 
-Pipeline stages, regulators, and the multi-tenant server publish into
-the registry through their :class:`~repro.obs.telemetry.Telemetry`
-handle; analysis code reads back via :meth:`MetricsRegistry.snapshot`.
+:class:`~repro.obs.telemetry.Telemetry` fills the registry from a
+finished run, one instrument lookup per series; analysis code reads
+back via :meth:`MetricsRegistry.snapshot`.
 """
 
 from __future__ import annotations
@@ -148,10 +148,10 @@ class HistogramStats:
 class MetricsRegistry:
     """Registry of labeled counters, gauges, and histograms.
 
-    Instrument handles are cached per series, so hot paths can either
-    hold a handle or call ``registry.counter(name, **labels)`` each
-    time; both hit the same underlying series.  A name registered as
-    one instrument kind cannot be reused as another.
+    Instruments are kept per series: ``registry.counter(name, **labels)``
+    returns the same counter each time it is called with the same name
+    and labels.  A name registered as one instrument kind cannot be
+    reused as another.
     """
 
     def __init__(self) -> None:

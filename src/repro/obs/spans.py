@@ -5,8 +5,8 @@ journey through the pipeline (paper Fig. 2, steps 3-7): the busy
 interval of each stage it passed through (render → copy → encode →
 transmit → decode), the regulator gate delay that preceded its render,
 and — if the frame never reached the screen — the drop event that
-ended it.  Spans are assembled live by the pipeline's telemetry hooks
-(:mod:`repro.obs.telemetry`) and collected in a :class:`SpanStore`
+ended it.  Spans are read from a finished run by
+:mod:`repro.obs.telemetry` and collected in a :class:`SpanStore`
 queryable by frame id, so a regulator regression can be debugged from
 one run's trace instead of re-running with print statements.
 
@@ -148,8 +148,7 @@ class SpanStore:
     def stage(self, frame_id: int, stage: str, start: float, end: float, session: str = "") -> None:
         """Record one completed stage interval on an open span.
 
-        Unknown frame ids are ignored (a stage may complete for a frame
-        created before telemetry was attached mid-run).
+        Unknown frame ids are ignored.
         """
         span = self._spans.get((session, frame_id))
         if span is not None:

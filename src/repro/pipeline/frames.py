@@ -65,6 +65,14 @@ class Frame:
     size_bytes: int = 0
     #: Set when the frame is discarded.
     dropped: Optional[DropReason] = None
+    #: When the frame was discarded: set with ``dropped``, or alone for a
+    #: decoded frame the client's display model never showed.
+    t_dropped: Optional[float] = None
+
+    def drop(self, reason: DropReason, at: float) -> None:
+        """Discard the frame at time ``at`` for ``reason``."""
+        self.dropped = reason
+        self.t_dropped = at
 
     def inherit_inputs(self, predecessor: "Frame") -> None:
         """Absorb a dropped predecessor's input ids (see module docs)."""

@@ -85,11 +85,11 @@ class CloudSystem:
     (:mod:`repro.pipeline.abr`), and ``bandwidth_schedule`` makes the
     network path's capacity time-varying (:mod:`repro.pipeline.netdyn`).
     ``telemetry`` opts into run observability (:mod:`repro.obs`):
-    per-frame spans, labeled metrics, and — when the telemetry object
-    carries a probe — engine introspection.  Left as ``None``, every
-    telemetry hook in the pipeline is a single ``is None`` branch.
-    Engine statistics need neither: the environment counts them itself
-    (``system.env.stats()``).
+    :meth:`run` reads per-frame spans, labeled metrics and fault windows
+    into it from the finished run, and a probe the telemetry object
+    carries watches the engine while it runs.  The pipeline never sees
+    the telemetry object.  Engine statistics need neither: the
+    environment counts them itself (``system.env.stats()``).
     ``fault_plan`` injects declarative adverse events
     (:mod:`repro.faults`) — stalls, outages, loss bursts, preemption —
     deterministically seeded from the run's RNG tree.
@@ -110,7 +110,7 @@ class CloudSystem:
         self.platform = config.platform
         self.resolution = config.resolution
         self.regulator = regulator
-        self.telemetry = telemetry
+        self._telemetry = telemetry
 
         self.env = Environment(probe=telemetry.probe if telemetry is not None else None)
         self.rng = SeededRng(config.seed, name="system")
@@ -181,6 +181,8 @@ class CloudSystem:
         config = self.config
         end = config.warmup_ms + config.duration_ms
         self.env.run(until=end)
+        if self._telemetry is not None:
+            self._telemetry.read_run(self)
         return RunResult(system=self)
 
 

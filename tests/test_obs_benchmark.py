@@ -1,6 +1,8 @@
-"""Telemetry overhead guard: disabled telemetry must stay within 5%.
+"""Engine probe-branch guard: a run without a probe must stay within 5%.
 
-Two complementary checks:
+Telemetry is read from the finished run, so the only observability code
+on the simulation's path is the engine's probe branches.  Two
+complementary checks:
 
 * a pytest-benchmark case timing the standard 20 s run with telemetry
   disabled (the configuration every experiment uses by default), kept
@@ -131,7 +133,6 @@ def paired_ratios(baseline_fn, current_fn, pairs=61):
 def test_standard_run_benchmark_telemetry_disabled(benchmark):
     result = benchmark.pedantic(run_disabled, rounds=3, warmup_rounds=1)
     assert result.client_fps > 0
-    assert result.system.telemetry is None
 
 
 def test_disabled_probe_overhead_under_five_percent():
@@ -152,7 +153,7 @@ def test_disabled_probe_overhead_under_five_percent():
 
 def test_disabled_pipeline_run_matches_baseline_results():
     # Telemetry-off runs must be numerically identical to the seed
-    # behaviour: the hooks may observe, never perturb.
+    # behaviour.
     a = run_disabled()
     b = CloudSystem(standard_config(), make_regulator("ODR60")).run()
     assert a.client_fps == b.client_fps

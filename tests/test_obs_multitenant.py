@@ -1,28 +1,24 @@
-"""Telemetry under multi-tenant runs: isolation, fidelity, overhead.
+"""Telemetry under multi-tenant runs: isolation and fidelity.
 
-Three guarantees when several sessions share one server and one
+Two guarantees when several sessions share one server and one
 telemetry object:
 
 * per-session spans and metric series never collide — every span and
   series carries its ``s<index>`` label and stays separately queryable;
 * observation never perturbs: a telemetry-on run is numerically
-  identical to the same seed run telemetry-off;
-* the disabled path stays cheap: a shared-server run without telemetry
-  must be within 5% of a baseline environment with no probe branches
-  at all (same A/B scheme as ``test_obs_benchmark``).
-"""
+  identical to the same seed run telemetry-off.
 
-import time
+A run without telemetry executes no telemetry code at all; the engine's
+probe branches, the only observability left on its path, are guarded
+in ``test_obs_benchmark``.
+"""
 
 import pytest
 
-import repro.multitenant.server as server_mod
 from repro.multitenant import SharedServer
 from repro.obs import Telemetry
 from repro.regulators import make_regulator
 from repro.workloads import PRIVATE_CLOUD, Resolution
-
-from tests.test_obs_benchmark import OVERHEAD_LIMIT, BaselineEnvironment, paired_ratios
 
 
 def make_server(n=2, telemetry=None, duration=6000.0, seed=1):
@@ -111,28 +107,3 @@ class TestObservationFidelity:
             # every counted client frame left a closed span behind
             assert len(displayed) > 0
             assert len(spans) >= len(displayed)
-
-
-class TestDisabledOverhead:
-    def test_disabled_multitenant_overhead_under_five_percent(self, monkeypatch):
-        def run_server():
-            server = make_server(duration=3000.0)
-            start = time.perf_counter()  # analyzer: allow=P1 -- overhead test times host-side work on purpose
-            server.run()
-            return time.perf_counter() - start  # analyzer: allow=P1 -- overhead test times host-side work on purpose
-
-        def run_baseline():
-            monkeypatch.setattr(server_mod, "Environment", BaselineEnvironment)
-            try:
-                return run_server()
-            finally:
-                monkeypatch.undo()
-
-        run_server()  # warm caches on the current engine
-        run_baseline()  # and on the baseline
-        ratios = sorted(paired_ratios(run_baseline, run_server, pairs=21))
-        ratio = ratios[len(ratios) // 2]
-        assert ratio < OVERHEAD_LIMIT, (
-            f"disabled-telemetry shared server is {ratio:.3f}x the "
-            f"no-probe baseline (median of {len(ratios)} pairs, limit {OVERHEAD_LIMIT}x)"
-        )

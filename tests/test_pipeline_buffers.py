@@ -76,12 +76,14 @@ class TestMailbox:
         assert results == [1, 2]
         assert box.drop_count == 0
 
-    def test_drop_callback_invoked(self, env):
-        seen = []
-        box = Mailbox(env, on_drop=lambda f: seen.append(f.frame_id))
-        box.offer(frame(1))
-        box.offer(frame(2))
-        assert seen == [1]
+    def test_overwrite_stamps_drop_time(self, env):
+        first, second = frame(1), frame(2)
+        box = Mailbox(env)
+        box.offer(first)
+        env.call_later(3.0, lambda: box.offer(second))
+        env.run()
+        assert (first.dropped, first.t_dropped) == (DropReason.MAILBOX_OVERWRITE, 3.0)
+        assert (second.dropped, second.t_dropped) == (None, None)
 
     def test_occupied_flag(self, env):
         box = Mailbox(env)
