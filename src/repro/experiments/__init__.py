@@ -45,11 +45,10 @@ from repro.experiments.executor import (
     ParallelExecutor,
     SerialExecutor,
     execute_cell,
-    execute_cells,
     make_executor,
 )
 from repro.experiments.pool import WorkerPool
-from repro.experiments.scheduling import resolve_chunk, schedule_cells
+from repro.experiments.scheduling import schedule_cells
 from repro.experiments.plan import (
     CellSpec,
     Plan,
@@ -82,12 +81,10 @@ __all__ = [
     "bench_demands",
     "chaos_demands",
     "execute_cell",
-    "execute_cells",
     "format_table",
     "group_demands",
     "make_executor",
     "matrix_demands",
-    "resolve_chunk",
     "schedule_cells",
     "paper_configuration_matrix",
     "platform_res_combos",

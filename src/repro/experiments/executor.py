@@ -1,9 +1,8 @@
 """The execution layer: the cell body, and the CLI's executors.
 
 :func:`execute_cell` is the single place a cell turns into numbers:
-it is what pool workers run (via the chunk runner
-:func:`execute_cells`) and what in-process execution runs, for every
-plan ``Runner.run_plan`` is given.  Everything it needs is derived
+it is what pool workers run and what in-process execution runs, for
+every plan ``Runner.run_plan`` is given.  Everything it needs is derived
 from the plain-data :class:`~repro.experiments.plan.CellSpec`, so a
 cell computes the same bits in any process.
 
@@ -14,8 +13,8 @@ service gateway runs its jobs through:
 * :class:`SerialExecutor` — every missing cell in-process, one after
   another;
 * :class:`ParallelExecutor` — a fan-out over a
-  :class:`~repro.experiments.pool.WorkerPool` (``--workers N``), with
-  chunked submissions, a per-cell timeout (``cell_timeout_s``) and
+  :class:`~repro.experiments.pool.WorkerPool` (``--workers N``), one
+  cell per submission, with a per-cell timeout (``cell_timeout_s``) and
   bounded retry of cells lost to a worker crash (``max_attempts``).  A
   caller that already owns a warm pool passes it as ``pool=``.
   Records are **bit-identical** to a serial run — cells share no
@@ -33,7 +32,7 @@ from __future__ import annotations
 import os
 import signal
 from functools import partial
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.experiments.plan import CellSpec, Plan
 from repro.experiments.pool import EventSink, WorkerPool
@@ -64,7 +63,6 @@ __all__ = [
     "ParallelExecutor",
     "SerialExecutor",
     "execute_cell",
-    "execute_cells",
     "make_executor",
 ]
 
@@ -118,7 +116,9 @@ def execute_cell(
     run record) is likewise plain data.  ``git_rev`` is resolved by the
     caller once per plan, not per cell (workers may not even be inside
     the repo).  ``sink`` routes the cell's events in-process; without
-    it they go to the process's worker sink.
+    it they go to the process's worker sink.  A cell that cannot run
+    raises; the sweep loop turns that into a
+    :class:`~repro.experiments.results.CellFailure`.
     """
     sweepbus.emit_cell_event(
         sweepbus.CELL_STARTED,
@@ -196,40 +196,6 @@ def execute_cell(
     )
 
 
-def execute_cells(
-    specs: List[CellSpec],
-    collect_ledger: bool = False,
-    telemetry_dir: Optional[str] = None,
-    git_rev: Optional[str] = None,
-    sink: Optional[EventSink] = None,
-) -> List[Union[CellOutcome, CellFailure]]:
-    """The chunk runner, in a pool worker or in-process: one result per
-    cell, in order.
-
-    A cell that raises becomes a :class:`CellFailure` *inside* the
-    runner, so one bad cell cannot poison its chunk-mates — a chunk
-    future only raises when the worker itself dies (crash) or the
-    caller times the chunk out.
-    """
-    results: List[Union[CellOutcome, CellFailure]] = []
-    for spec in specs:
-        try:
-            results.append(
-                execute_cell(
-                    spec,
-                    collect_ledger=collect_ledger,
-                    telemetry_dir=telemetry_dir,
-                    git_rev=git_rev,
-                    sink=sink,
-                )
-            )
-        except Exception as exc:
-            results.append(
-                CellFailure(spec, f"{type(exc).__name__}: {exc}", attempts=1)
-            )
-    return results
-
-
 def _persist_telemetry(telemetry: Any, spec: CellSpec, telemetry_dir: str) -> None:
     """Write one cell's Chrome trace + JSONL dump to ``telemetry_dir``."""
     from repro.obs import write_chrome_trace, write_jsonl
@@ -253,7 +219,6 @@ class SerialExecutor:
     workers = 1
     cell_timeout_s: Optional[float] = None
     max_attempts = 2
-    chunk: Optional[int] = None
     pool: Optional[WorkerPool] = None
 
     def run(
@@ -280,14 +245,13 @@ class SerialExecutor:
             store,
             ledger,
             partial(
-                execute_cells,
+                execute_cell,
                 collect_ledger=ledger is not None,
                 telemetry_dir=telemetry_dir,
                 git_rev=git_rev,
             ),
             pool=self.pool,
             workers=self.workers,
-            chunk=self.chunk,
             cell_timeout_s=self.cell_timeout_s,
             max_attempts=self.max_attempts,
         )
@@ -319,19 +283,17 @@ class SerialExecutor:
 class ParallelExecutor(SerialExecutor):
     """Fan a plan's missing cells out over a worker pool.
 
-    Workers execute :func:`execute_cells` on chunks of plain
-    :class:`CellSpec` payloads; results are harvested in submission
-    order, so store writes and ledger appends happen incrementally
-    (retried cells append after their retry completes).  Output is
+    Workers execute :func:`execute_cell`, one plain :class:`CellSpec`
+    per submission; results are harvested in submission order, each as
+    soon as its own cell and those before it have finished, so store
+    writes and ledger appends happen incrementally (retried cells
+    append after their retry completes).  Output is
     bit-identical to :class:`SerialExecutor` — the DES is
     deterministic in the spec.
 
     ``cell_timeout_s`` bounds the wait for any single cell's result
     (a cell that exceeds it is reported failed; its worker is
-    abandoned at pool respawn) and forces one cell per submission.
-    ``chunk`` sets cells-per-submission explicitly (default: auto —
-    see :func:`~repro.experiments.scheduling.resolve_chunk`).  A
-    worker crash breaks the pool
+    abandoned at pool respawn).  A worker crash breaks the pool
     (:class:`~concurrent.futures.BrokenExecutor`): finished results
     are harvested, and the lost cells re-run individually in a
     respawned pool until each has had ``max_attempts`` executions.
@@ -349,7 +311,6 @@ class ParallelExecutor(SerialExecutor):
         workers: int,
         cell_timeout_s: Optional[float] = None,
         max_attempts: int = 2,
-        chunk: Optional[int] = None,
         pool: Optional[WorkerPool] = None,
     ) -> None:
         if workers < 1:
@@ -358,12 +319,9 @@ class ParallelExecutor(SerialExecutor):
             raise ValueError("cell timeout must be positive")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if chunk is not None and chunk < 1:
-            raise ValueError("chunk must be >= 1")
         self.workers = workers
         self.cell_timeout_s = cell_timeout_s
         self.max_attempts = max_attempts
-        self.chunk = chunk
         #: A caller-owned pool to run against (``None`` → per-run pool).
         self.pool = pool
 
@@ -371,9 +329,8 @@ class ParallelExecutor(SerialExecutor):
 def make_executor(
     workers: int = 1,
     cell_timeout_s: Optional[float] = None,
-    chunk: Optional[int] = None,
 ) -> SerialExecutor:
     """``workers <= 1`` → serial; otherwise a pool of ``workers``."""
     if workers > 1:
-        return ParallelExecutor(workers, cell_timeout_s=cell_timeout_s, chunk=chunk)
+        return ParallelExecutor(workers, cell_timeout_s=cell_timeout_s)
     return SerialExecutor()

@@ -4,10 +4,10 @@
 ``SerialExecutor``/``ParallelExecutor`` (one loop per run) and the
 service's ``SweepScheduler`` (one loop per server).  Below it,
 :func:`schedule_cells` pushes cells through a
-:class:`~repro.experiments.pool.WorkerPool` in chunks sized by
-:func:`resolve_chunk`, with per-chunk timeout, pool respawn and bounded
-per-cell retry.  With a ``bus`` everything narrates itself as sweep
-events; without one nothing is emitted and the schedule is identical.
+:class:`~repro.experiments.pool.WorkerPool`, one cell per submission,
+with per-cell timeout, pool respawn and bounded per-cell retry.  With a
+``bus`` everything narrates itself as sweep events; without one nothing
+is emitted and the schedule is identical.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -50,15 +50,12 @@ __all__ = [
     "SweepLoop",
     "SweepTally",
     "cell_event_fields",
-    "resolve_chunk",
     "schedule_cells",
 ]
 
-#: A chunk runner: executes a list of cells, returning one result per
-#: cell *in order* (per-cell exceptions become failures inside the
-#: runner — a raising chunk future means crash or timeout).  It also
-#: takes ``sink=``, the in-process route for its cells' events.
-ChunkRunner = Callable[..., List[Union[CellOutcome, CellFailure]]]
+#: A cell runner: executes one cell and returns its outcome, or raises.
+#: It also takes ``sink=``, the in-process route for the cell's events.
+CellRunner = Callable[..., CellOutcome]
 
 
 def cell_event_fields(spec: CellSpec) -> Dict[str, Any]:
@@ -71,131 +68,85 @@ def cell_event_fields(spec: CellSpec) -> Dict[str, Any]:
     }
 
 
-def resolve_chunk(
-    cells: int,
-    workers: int,
-    chunk: Optional[int] = None,
-    cell_timeout_s: Optional[float] = None,
-) -> int:
-    """Pick the cells-per-submission for a run of ``cells`` cells.
-
-    A per-cell timeout forces ``1``: ``future.result(timeout=...)``
-    bounds one submission, and a chunk must therefore be one cell for
-    the bound to mean what the flag says.  Otherwise an explicit
-    ``chunk`` wins, and the default splits the run into roughly two
-    submissions per worker — enough rounds that one slow chunk cannot
-    idle the rest of the pool for long, while small cells share a
-    pickle instead of paying one dispatch round-trip each (per-cell
-    dispatch once made small parallel sweeps slower than serial ones).
-    Plans smaller than twice the worker count stay at one cell per
-    submission, which also keeps crash blast radius (a dead worker
-    fails its whole chunk) at one cell for the small chaos plans.
-    """
-    if cell_timeout_s is not None:
-        return 1
-    if chunk is not None:
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        return chunk
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return max(1, cells // (workers * 2))
+def _raised(spec: CellSpec, exc: Exception, attempts: int = 1) -> CellFailure:
+    """The failure of a cell whose runner raised, in a worker or in-process."""
+    return CellFailure(spec, f"{type(exc).__name__}: {exc}", attempts=attempts)
 
 
 def schedule_cells(
     pool: WorkerPool,
     specs: Sequence[CellSpec],
-    run_chunk: ChunkRunner,
-    chunk: int = 1,
+    run_cell: CellRunner,
     cell_timeout_s: Optional[float] = None,
     max_attempts: int = 2,
     bus: Optional[SweepEventBus] = None,
 ) -> Iterator[Union[CellOutcome, CellFailure]]:
     """Run ``specs`` through ``pool`` and yield one result per cell.
 
-    ``run_chunk`` must be picklable (module-level, or a
-    :func:`functools.partial` of a module-level function — the fork
-    lint enforces this at its call sites) and return one
-    outcome/failure per cell in chunk order.
+    Each cell is its own submission.  ``run_cell`` must be picklable
+    (module-level, or a :func:`functools.partial` of a module-level
+    function — the fork lint enforces this at its call sites).
 
-    Policy, identical to the historical ``ParallelExecutor`` loop:
+    Policy:
 
-    * results are harvested in submission order and yielded as they
-      complete, so the caller persists incrementally;
-    * a chunk that exceeds ``cell_timeout_s`` fails its cells and marks
-      the pool hung — the pool is respawned (workers abandoned) before
-      the next round;
+    * results are harvested in submission order, each as soon as its
+      own future returns, so the caller publishes a cell the moment it
+      and every cell before it have finished;
+    * a cell whose runner raises fails with ``"<Type>: <message>"``;
+    * a cell that exceeds ``cell_timeout_s`` fails and marks the pool
+      hung — the pool is respawned (workers abandoned) before the next
+      round;
     * a worker crash (:class:`~concurrent.futures.BrokenExecutor`)
-      breaks the pool: chunks that finished before the crash still
-      yield results, every cell of every unfinished chunk is re-queued
-      *individually* (chunk size 1 — the crasher must not take
-      innocent neighbours down with it again), and the pool respawns;
+      breaks the pool: cells whose futures returned before the crash
+      still yield results, every other cell of the round is re-queued,
+      and the pool respawns;
     * a cell is retried until it has had ``max_attempts`` executions,
       then fails with a crash diagnosis.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
     attempts: Dict[str, int] = {spec.run_id: 0 for spec in specs}
-    queue: List[List[CellSpec]] = [
-        list(specs[i : i + chunk]) for i in range(0, len(specs), chunk)
-    ]
+    queue: List[CellSpec] = list(specs)
     while queue:
         batch, queue = queue, []
-        for group in batch:
-            for spec in group:
-                attempts[spec.run_id] += 1
+        for spec in batch:
+            attempts[spec.run_id] += 1
         if bus is not None:
-            bus.emit(
-                sweepbus.POOL_OPENED,
-                workers=pool.workers,
-                batch=sum(len(group) for group in batch),
-            )
-        futures: List[Tuple[List[CellSpec], "Future[Any]"]] = [
-            (group, pool.submit(run_chunk, group)) for group in batch
+            bus.emit(sweepbus.POOL_OPENED, workers=pool.workers, batch=len(batch))
+        futures: List[Tuple[CellSpec, "Future[CellOutcome]"]] = [
+            (spec, pool.submit(run_cell, spec)) for spec in batch
         ]
         hung = False
         pool_broken = False
-        for group, future in futures:
-            if pool_broken:
-                # The pool already broke: chunks that finished before
-                # the crash still hold results; the rest re-queue.
-                if future.done() and future.exception() is None:
-                    yield from _chunk_results(group, future.result(), attempts)
-                else:
-                    yield from _requeue(group, attempts, queue, max_attempts, bus)
+        for spec, future in futures:
+            attempt = attempts[spec.run_id]
+            if pool_broken and not future.done():
+                # Lost with the broken pool: run it again in a fresh one.
+                yield from _requeue(spec, attempt, queue, max_attempts, bus)
                 continue
             try:
-                results = future.result(timeout=cell_timeout_s)
+                outcome = future.result(timeout=cell_timeout_s)
             except FuturesTimeoutError:
                 hung = True
-                for spec in group:
-                    if bus is not None:
-                        bus.emit(
-                            sweepbus.CELL_TIMED_OUT,
-                            timeout_s=cell_timeout_s,
-                            **cell_event_fields(spec),
-                        )
-                    yield CellFailure(
-                        spec,
-                        f"timed out after {cell_timeout_s:g} s",
-                        attempts=attempts[spec.run_id],
-                    )
-            except BrokenExecutor:
-                pool_broken = True
                 if bus is not None:
-                    bus.emit(sweepbus.POOL_BROKEN)
-                yield from _requeue(group, attempts, queue, max_attempts, bus)
-            except Exception as exc:
-                for spec in group:
-                    yield CellFailure(
-                        spec,
-                        f"{type(exc).__name__}: {exc}",
-                        attempts=attempts[spec.run_id],
+                    bus.emit(
+                        sweepbus.CELL_TIMED_OUT,
+                        timeout_s=cell_timeout_s,
+                        **cell_event_fields(spec),
                     )
+                yield CellFailure(
+                    spec, f"timed out after {cell_timeout_s:g} s", attempts=attempt
+                )
+            except BrokenExecutor:
+                if not pool_broken:
+                    pool_broken = True
+                    if bus is not None:
+                        bus.emit(sweepbus.POOL_BROKEN)
+                yield from _requeue(spec, attempt, queue, max_attempts, bus)
+            except Exception as exc:
+                yield _raised(spec, exc, attempt)
             else:
-                yield from _chunk_results(group, results, attempts)
+                yield outcome
         # A hung worker poisons its slot in a persistent pool, and a
         # broken pool is dead: either way the next round needs fresh
         # workers.  ``wait=False`` abandons hung workers, the policy
@@ -206,51 +157,24 @@ def schedule_cells(
             pool.respawn(wait=True)
 
 
-def _chunk_results(
-    group: List[CellSpec],
-    results: List[Union[CellOutcome, CellFailure]],
-    attempts: Dict[str, int],
-) -> Iterator[Union[CellOutcome, CellFailure]]:
-    """Yield a finished chunk's results, stamping attempt counts."""
-    for item in results:
-        if isinstance(item, CellFailure):
-            yield replace(item, attempts=attempts.get(item.spec.run_id, 1))
-        else:
-            yield item
-    # A chunk runner that returned short (it must not) would silently
-    # drop cells; surface that as explicit failures instead.
-    returned = {item.spec.run_id for item in results}
-    for spec in group:
-        if spec.run_id not in returned:
-            yield CellFailure(
-                spec,
-                "chunk runner returned no result for this cell",
-                attempts=attempts[spec.run_id],
-            )
-
-
 def _requeue(
-    group: List[CellSpec],
-    attempts: Dict[str, int],
-    queue: List[List[CellSpec]],
+    spec: CellSpec,
+    attempted: int,
+    queue: List[CellSpec],
     max_attempts: int,
     bus: Optional[SweepEventBus],
 ) -> Iterator[CellFailure]:
-    """Re-queue a crashed chunk's cells individually, or fail them."""
-    for spec in group:
-        attempted = attempts[spec.run_id]
-        if attempted < max_attempts:
-            queue.append([spec])
-            if bus is not None:
-                bus.emit(
-                    sweepbus.CELL_RETRIED, attempt=attempted, **cell_event_fields(spec)
-                )
-        else:
-            yield CellFailure(
-                spec,
-                f"worker crashed (gave up after {attempted} attempt(s))",
-                attempts=attempted,
-            )
+    """Re-queue a cell lost to a worker crash, or fail it."""
+    if attempted < max_attempts:
+        queue.append(spec)
+        if bus is not None:
+            bus.emit(sweepbus.CELL_RETRIED, attempt=attempted, **cell_event_fields(spec))
+    else:
+        yield CellFailure(
+            spec,
+            f"worker crashed (gave up after {attempted} attempt(s))",
+            attempts=attempted,
+        )
 
 
 # -- the sweep loop --------------------------------------------------------
@@ -456,8 +380,8 @@ class SweepLoop:
     5. **join and report** — wait on joined cells, then report in plan
        order.
 
-    ``run_chunk`` is a :func:`functools.partial` of
-    :func:`~repro.experiments.executor.execute_cells` carrying the
+    ``run_cell`` is a :func:`functools.partial` of
+    :func:`~repro.experiments.executor.execute_cell` carrying the
     ledger/telemetry/git-rev settings.  Concurrent sweeps on one loop
     (the gateway's jobs) share its :attr:`inflight`, :attr:`publisher`
     and :attr:`router`, and are told apart by ``owner``.
@@ -467,19 +391,17 @@ class SweepLoop:
         self,
         store: ResultStore,
         ledger: Optional[RunLedger],
-        run_chunk: ChunkRunner,
+        run_cell: CellRunner,
         pool: Optional[WorkerPool] = None,
         workers: int = 1,
-        chunk: Optional[int] = None,
         cell_timeout_s: Optional[float] = None,
         max_attempts: int = 2,
     ) -> None:
         self.store = store
         self.ledger = ledger
-        self.run_chunk = run_chunk
+        self.run_cell = run_cell
         self.pool = pool
         self.workers = workers
-        self.chunk = chunk
         self.cell_timeout_s = cell_timeout_s
         self.max_attempts = max_attempts
         self.inflight = InflightRegistry()
@@ -586,10 +508,7 @@ class SweepLoop:
             for item in schedule_cells(
                 pool,
                 specs,
-                self.run_chunk,
-                chunk=resolve_chunk(
-                    len(specs), workers, self.chunk, self.cell_timeout_s
-                ),
+                self.run_cell,
                 cell_timeout_s=self.cell_timeout_s,
                 max_attempts=self.max_attempts,
                 bus=bus,
@@ -600,7 +519,7 @@ class SweepLoop:
             # The pool cannot provide workers at all (closed, or the
             # host refuses to spawn processes) — respawning cannot
             # help.  Degrade to in-process execution of the remaining
-            # cells through the same chunk runner: slower,
+            # cells through the same cell runner: slower,
             # bit-identical, never silently dropped.
             remaining = [spec for spec in specs if spec.run_id not in done]
             if bus is not None:
@@ -625,7 +544,13 @@ class SweepLoop:
         # process-global worker sink is left alone, so concurrent
         # in-process sweeps cannot steal each other's events.
         for spec in specs:
-            yield from self.run_chunk([spec], sink=self.router.dispatch)
+            try:
+                item: Union[CellOutcome, CellFailure] = self.run_cell(
+                    spec, sink=self.router.dispatch
+                )
+            except Exception as exc:
+                item = _raised(spec, exc)
+            yield item
 
     def _await_joined(
         self, spec: CellSpec, bus: Optional[SweepEventBus], tally: SweepTally

@@ -145,28 +145,6 @@ class SpanStore:
         self._order.append(span)
         return span
 
-    def stage(self, frame_id: int, stage: str, start: float, end: float, session: str = "") -> None:
-        """Record one completed stage interval on an open span.
-
-        Unknown frame ids are ignored.
-        """
-        span = self._spans.get((session, frame_id))
-        if span is not None:
-            span.intervals.append(StageInterval(stage, start, end))
-
-    def drop(self, frame_id: int, at: float, reason: str, session: str = "") -> None:
-        """Close a span with a drop reason (frame never reached the screen)."""
-        span = self._spans.get((session, frame_id))
-        if span is not None and span.closed_at is None:
-            span.drop_reason = reason
-            span.closed_at = at
-
-    def close(self, frame_id: int, at: float, session: str = "") -> None:
-        """Close a span normally (frame displayed at the client)."""
-        span = self._spans.get((session, frame_id))
-        if span is not None and span.closed_at is None:
-            span.closed_at = at
-
     # -- queries ---------------------------------------------------------
 
     def get(self, frame_id: int, session: str = "") -> Optional[FrameSpan]:

@@ -103,10 +103,6 @@ def add_service_parsers(
              "directory's events.jsonl",
     )
     serve.add_argument(
-        "--chunk", type=int, default=None, metavar="N",
-        help="cells per pool submission (default: auto-sized per plan)",
-    )
-    serve.add_argument(
         "--cell-timeout", type=float, default=None, metavar="S",
         help="fail any cell whose result takes longer than S seconds",
     )
@@ -217,7 +213,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ledger=ledger,
         workers=args.workers,
         max_parallel_jobs=args.max_jobs,
-        chunk=args.chunk,
         cell_timeout_s=args.cell_timeout,
         git_rev=git_revision(),
         events_path=events_path_for(args.ledger) if args.events else None,

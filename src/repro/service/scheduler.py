@@ -39,7 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, Dict, List, Optional
 
-from repro.experiments.executor import execute_cells
+from repro.experiments.executor import execute_cell
 from repro.experiments.pool import WorkerPool
 from repro.experiments.scheduling import SweepLoop, SweepTally
 from repro.experiments.store import ResultStore
@@ -135,7 +135,6 @@ class SweepScheduler:
         pool: Optional[WorkerPool] = None,
         workers: int = 2,
         max_parallel_jobs: int = 4,
-        chunk: Optional[int] = None,
         cell_timeout_s: Optional[float] = None,
         max_attempts: int = 2,
         git_rev: Optional[str] = None,
@@ -161,10 +160,9 @@ class SweepScheduler:
         self.loop = SweepLoop(
             store,
             ledger,
-            partial(execute_cells, collect_ledger=ledger is not None, git_rev=git_rev),
+            partial(execute_cell, collect_ledger=ledger is not None, git_rev=git_rev),
             pool=self.pool,
             workers=self.pool.workers,
-            chunk=chunk,
             cell_timeout_s=cell_timeout_s,
             max_attempts=max_attempts,
         )

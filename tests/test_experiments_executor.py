@@ -73,7 +73,7 @@ class TestSerialParallelEquivalence:
         serial = SerialExecutor().run(
             four_cell_plan(), store=ResultStore(), ledger=serial_ledger
         )
-        parallel = ParallelExecutor(workers=4).run(
+        parallel = ParallelExecutor(workers=2).run(
             four_cell_plan(), store=ResultStore(), ledger=parallel_ledger
         )
         return serial, parallel, serial_ledger, parallel_ledger

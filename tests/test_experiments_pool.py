@@ -1,11 +1,10 @@
-"""Tests for the reusable scheduling core: pool reuse and chunking.
+"""Tests for the reusable scheduling core: dispatch and pool reuse.
 
-The refactor's guarantees: a caller-owned :class:`WorkerPool` survives
-across runs (warmup paid once), chunked submissions stay bit-identical
-to serial execution, :func:`resolve_chunk` implements the dispatch
-policy the executor and service both inherit, the event plane is one
-pipe whose frames arrive whole, and the in-flight registry holds only
-cells still running or failed.
+The guarantees: every pool submission is one cell, published as soon
+as its own future returns and re-run alone after a worker crash; a
+caller-owned :class:`WorkerPool` survives across runs (warmup paid
+once); the event plane is one pipe whose frames arrive whole; and the
+in-flight registry holds only cells still running or failed.
 """
 
 import multiprocessing
@@ -22,8 +21,7 @@ from repro.experiments import (
     ResultStore,
     SerialExecutor,
     WorkerPool,
-    execute_cells,
-    resolve_chunk,
+    execute_cell,
 )
 from repro.experiments.pool import MAX_EVENT_BYTES
 from repro.experiments.scheduling import InflightRegistry, SweepLoop
@@ -65,53 +63,52 @@ def four_cell_plan() -> Plan:
     )
 
 
-class TestResolveChunk:
-    def test_timeout_forces_one(self):
-        assert resolve_chunk(100, 4, chunk=8, cell_timeout_s=1.0) == 1
+class TestOneCellPerSubmission:
+    """Four cells on a one-worker pool: each cell is its own submission."""
 
-    def test_explicit_chunk_wins(self):
-        assert resolve_chunk(100, 4, chunk=8) == 8
-        with pytest.raises(ValueError):
-            resolve_chunk(100, 4, chunk=0)
-
-    def test_default_two_submissions_per_worker(self):
-        assert resolve_chunk(8, 2) == 2
-        assert resolve_chunk(28, 2) == 7
-        # Plans smaller than 2x workers stay per-cell (chaos blast radius).
-        assert resolve_chunk(4, 2) == 1
-        assert resolve_chunk(1, 8) == 1
-        with pytest.raises(ValueError):
-            resolve_chunk(8, 0)
-
-
-class TestChunkedEquivalence:
-    def test_chunked_run_bit_identical_to_serial(self, tmp_path):
-        serial_ledger = RunLedger(tmp_path / "serial")
-        chunked_ledger = RunLedger(tmp_path / "chunked")
-        serial = SerialExecutor().run(
-            four_cell_plan(), store=ResultStore(), ledger=serial_ledger
-        )
-        chunked = ParallelExecutor(workers=2, chunk=2).run(
-            four_cell_plan(), store=ResultStore(), ledger=chunked_ledger
-        )
-        assert chunked.ok and chunked.executed == 4
-        for a, b in zip(serial.outcomes, chunked.outcomes):
-            assert a.spec == b.spec
-            assert a.record == b.record
-            assert metrics_digest(a.ledger_record) == metrics_digest(
-                b.ledger_record
-            )
-
-    def test_chunk_groups_submissions(self):
+    def test_a_finished_cell_does_not_wait_for_the_next(self, monkeypatch):
+        plan = four_cell_plan()
+        first, second = plan.specs[:2]
+        monkeypatch.setenv("ODR_EXECUTOR_SIMULATED_STALL", f"{second.run_id}:0.5")
         bus = SweepEventBus()
-        report = ParallelExecutor(workers=2, chunk=2).run(
-            four_cell_plan(), store=ResultStore(), bus=bus
+        with WorkerPool(workers=1, events=True) as pool:
+            report = ParallelExecutor(workers=1, pool=pool).run(
+                plan, store=ResultStore(), bus=bus
+            )
+        assert report.ok and report.executed == 4
+        finished = {
+            e.fields["run_id"]: e.t_s for e in bus.events if e.kind == CELL_FINISHED
+        }
+        assert finished[second.run_id] - finished[first.run_id] >= 0.4
+        opened = [e.fields["batch"] for e in bus.events if e.kind == POOL_OPENED]
+        assert opened == [4]
+
+    def test_a_crash_reruns_only_the_cells_it_lost(self, tmp_path, monkeypatch):
+        plan = four_cell_plan()
+        first, second = plan.specs[:2]
+        marker = tmp_path / "kills.txt"
+        monkeypatch.setenv(
+            "ODR_EXECUTOR_SIMULATED_CRASH", f"{second.run_id}:{marker}:1"
         )
-        assert report.ok
-        finished = [e for e in bus.events if e.kind == CELL_FINISHED]
-        assert len(finished) == 4
-        opened = [e for e in bus.events if e.kind == POOL_OPENED]
-        assert opened and opened[0].fields["batch"] == 4
+        bus = SweepEventBus()
+        with WorkerPool(workers=1, events=True) as pool:
+            report = ParallelExecutor(workers=1, pool=pool).run(
+                plan, store=ResultStore(), bus=bus
+            )
+        assert report.ok and report.executed == 4
+        assert marker.read_text().split() == [second.run_id]
+        started = [e.fields["run_id"] for e in bus.events if e.kind == CELL_STARTED]
+        assert started.count(first.run_id) == 1
+        assert started.count(second.run_id) == 2
+
+    def test_a_raising_cell_fails_alike_in_a_worker_and_in_process(self):
+        plan = Plan([spec("IM"), spec(regulator="NotARegulator")])
+        serial = SerialExecutor().run(plan, store=ResultStore())
+        with WorkerPool(workers=1) as pool:
+            pooled = ParallelExecutor(workers=1, pool=pool).run(plan, store=ResultStore())
+        assert [o.spec for o in pooled.outcomes] == [plan.specs[0]]
+        assert pooled.failures == serial.failures
+        assert pooled.failures[0].error.startswith("ValueError: ")
 
 
 class TestPoolReuse:
@@ -137,9 +134,8 @@ class TestPoolReuse:
                 Plan([spec()]), store=ResultStore()
             )
             # The run must not close a pool it does not own.
-            future = pool.submit(execute_cells, [spec("STK", "NoReg")])
-            results = future.result(timeout=60)
-            assert len(results) == 1 and results[0].record is not None
+            future = pool.submit(execute_cell, spec("STK", "NoReg"))
+            assert future.result(timeout=60).record is not None
 
     def test_event_plane_routes_to_attached_sink(self):
         seen = []
@@ -155,18 +151,18 @@ class TestPoolReuse:
             kinds = [e.kind for e in bus.events]
             assert CELL_FINISHED in kinds
             before = len(seen)
-            pool.submit(execute_cells, [spec("STK", "NoReg")]).result(timeout=60)
+            pool.submit(execute_cell, spec("STK", "NoReg")).result(timeout=60)
             assert len(seen) > before  # worker events flow to our sink again
 
 
 # -- pool tasks for the event-plane tests (module-level: they are pickled) --
 
 
-def _emit_oversized_then_execute(specs):
+def _emit_oversized_then_execute(cell):
     sweepbus.emit_cell_event(
         CELL_STARTED, run_id="oversized", blob="x" * MAX_EVENT_BYTES
     )
-    return execute_cells(specs)
+    return execute_cell(cell)
 
 
 def _emit_burst(tag, meet_dir, tasks, count, size):
@@ -208,14 +204,14 @@ class TestEventPlane:
         cell = spec("STK", "NoReg")
         with WorkerPool(workers=1, events=True) as pool:
             pool.attach_sink(lambda kind, fields: seen.append(fields))
-            results = pool.submit(_emit_oversized_then_execute, [cell]).result(
+            outcome = pool.submit(_emit_oversized_then_execute, cell).result(
                 timeout=60
             )
             # The pipe is FIFO: once the cell's own cell_started is
             # drained, the oversized event would have been too.
             _wait_for(lambda: any(f.get("run_id") == cell.run_id for f in seen))
         serial = SerialExecutor().run(Plan([cell]), store=ResultStore())
-        assert results[0].record == serial.outcomes[0].record
+        assert outcome.record == serial.outcomes[0].record
         assert not any(f.get("run_id") == "oversized" for f in seen)
 
     def test_events_from_concurrent_workers_arrive_whole(self, tmp_path):
@@ -259,9 +255,7 @@ class TestInflightRegistry:
         assert registry.claim("x", "retrier")
 
     def test_registry_is_empty_after_a_job(self, tmp_path):
-        loop = SweepLoop(
-            ResultStore(), RunLedger(tmp_path / "ledger"), execute_cells
-        )
+        loop = SweepLoop(ResultStore(), RunLedger(tmp_path / "ledger"), execute_cell)
         report = loop.run(Plan([spec("IM"), spec("STK", "NoReg")]))
         assert report.ok and report.executed == 2
         assert loop.inflight._entries == {}
@@ -271,11 +265,11 @@ class TestInflightRegistry:
         and job a's claim; a must join b's result, not execute again."""
         executed = []
 
-        def run_chunk(specs, sink=None):
-            executed.extend(s.run_id for s in specs)
-            return execute_cells(specs, sink=sink)
+        def run_cell(cell, sink=None):
+            executed.append(cell.run_id)
+            return execute_cell(cell, sink=sink)
 
-        loop = SweepLoop(ResultStore(), None, run_chunk)
+        loop = SweepLoop(ResultStore(), None, run_cell)
         cell = spec("IM")
         claim = loop.inflight.claim
 

@@ -1,5 +1,5 @@
-"""Span lifecycle: open → stage intervals → close (display or drop), and
-spans read from a finished run."""
+"""Span lifecycle, read from a finished run: open → stage intervals →
+close (display or drop)."""
 
 from types import SimpleNamespace
 
@@ -14,76 +14,6 @@ from repro.simcore import Environment, IntervalTrace
 
 def make_frame(frame_id=1, **kwargs):
     return Frame(frame_id=frame_id, **kwargs)
-
-
-class TestSpanStore:
-    def test_open_stage_close_lifecycle(self):
-        store = SpanStore()
-        span = store.open(1, at=10.0, gate_delay_ms=2.0)
-        assert span.open and not span.displayed and not span.dropped
-        store.stage(1, "render", 10.0, 15.0)
-        store.stage(1, "copy", 15.0, 16.0)
-        store.close(1, at=30.0)
-        assert span.displayed
-        assert span.closed_at == 30.0
-        assert span.stages() == ["render", "copy"]
-        assert span.intervals[0].duration_ms == pytest.approx(5.0)
-
-    def test_drop_closes_span_with_reason(self):
-        store = SpanStore()
-        span = store.open(7, at=0.0)
-        store.stage(7, "render", 0.0, 4.0)
-        store.drop(7, at=5.0, reason="mailbox_overwrite")
-        assert span.dropped and not span.displayed
-        assert span.drop_reason == "mailbox_overwrite"
-        assert span.closed_at == 5.0
-
-    def test_close_after_drop_keeps_drop(self):
-        store = SpanStore()
-        span = store.open(1, at=0.0)
-        store.drop(1, at=3.0, reason="obsolete_flush")
-        store.close(1, at=9.0)
-        assert span.drop_reason == "obsolete_flush"
-        assert span.closed_at == 3.0
-
-    def test_double_open_same_frame_raises(self):
-        store = SpanStore()
-        store.open(1, at=0.0)
-        with pytest.raises(ValueError):
-            store.open(1, at=1.0)
-
-    def test_same_frame_id_different_sessions_coexist(self):
-        store = SpanStore()
-        a = store.open(1, at=0.0, session="s0")
-        b = store.open(1, at=0.0, session="s1")
-        store.drop(1, at=2.0, reason="x", session="s1")
-        assert not a.dropped and b.dropped
-        assert store.get(1, session="s0") is a
-        assert store.sessions() == ["s0", "s1"]
-
-    def test_unknown_frame_events_ignored(self):
-        store = SpanStore()
-        store.stage(99, "render", 0.0, 1.0)
-        store.drop(99, at=1.0, reason="x")
-        store.close(99, at=1.0)
-        assert len(store) == 0
-
-    def test_spans_filtering(self):
-        store = SpanStore()
-        store.open(1, at=0.0)
-        store.open(2, at=1.0)
-        store.drop(2, at=2.0, reason="x")
-        assert [s.frame_id for s in store.spans(dropped=True)] == [2]
-        assert [s.frame_id for s in store.spans(dropped=False)] == [1]
-        assert [s.frame_id for s in store.spans()] == [1, 2]
-
-    def test_open_interval_has_no_duration(self):
-        from repro.obs import StageInterval
-
-        iv = StageInterval("render", 1.0)
-        assert iv.end is None
-        with pytest.raises(ValueError):
-            _ = iv.duration_ms
 
 
 def finished_run(frames, gate_delays=None, intervals=(), now=100.0, **regulator):
@@ -102,6 +32,85 @@ def finished_run(frames, gate_delays=None, intervals=(), now=100.0, **regulator)
         ),
         faults=None,
     )
+
+
+class TestSpanStore:
+    def test_open_stage_close_lifecycle(self):
+        span = SpanStore().open(1, at=10.0, gate_delay_ms=2.0)
+        assert span.open and not span.displayed and not span.dropped
+        tel = Telemetry()
+        frame = make_frame(
+            1, t_created=10.0, t_render_end=15.0, t_copy_end=16.0, t_displayed=30.0
+        )
+        stages = [("render", 10.0, 15.0), ("copy", 15.0, 16.0), ("decode", 28.0, 30.0)]
+        tel.read_run(finished_run([frame], gate_delays=[2.0], intervals=stages))
+        span = tel.spans.get(1)
+        assert span.displayed and span.gate_delay_ms == 2.0
+        assert span.closed_at == 30.0
+        assert span.stages() == ["render", "copy", "decode"]
+        assert span.intervals[0].duration_ms == pytest.approx(5.0)
+
+    def test_drop_closes_span_with_reason(self):
+        # Dropped after encoding: the stages it passed stay on the span.
+        tel = Telemetry()
+        frame = make_frame(
+            7, t_created=0.0, t_render_end=4.0, t_copy_end=5.0, t_encode_end=7.0
+        )
+        frame.drop(DropReason.OBSOLETE_FLUSH, 8.0)
+        stages = [("render", 0.0, 4.0), ("copy", 4.0, 5.0), ("encode", 5.0, 7.0)]
+        tel.read_run(finished_run([frame], intervals=stages))
+        span = tel.spans.get(7)
+        assert span.dropped and not span.displayed
+        assert span.drop_reason == "obsolete_flush"
+        assert span.closed_at == 8.0
+        assert span.stages() == ["render", "copy", "encode"]
+
+    def test_close_after_drop_keeps_drop(self):
+        # A frame with a drop time counts as dropped even if it also
+        # carries a display time.
+        tel = Telemetry()
+        frame = make_frame(1, t_created=0.0, t_displayed=9.0)
+        frame.drop(DropReason.OBSOLETE_FLUSH, 3.0)
+        tel.read_run(finished_run([frame], intervals=[("decode", 8.0, 9.0)]))
+        span = tel.spans.get(1)
+        assert span.drop_reason == "obsolete_flush"
+        assert span.closed_at == 3.0
+
+    def test_double_open_same_frame_raises(self):
+        store = SpanStore()
+        store.open(1, at=0.0)
+        with pytest.raises(ValueError):
+            store.open(1, at=1.0)
+
+    def test_same_frame_id_different_sessions_coexist(self):
+        tel = Telemetry()
+        dropped = make_frame(1, t_created=0.0)
+        dropped.drop(DropReason.MAILBOX_OVERWRITE, 2.0)
+        tel.read_sessions(
+            [finished_run([make_frame(1, t_created=0.0)]), finished_run([dropped])],
+            open_order=[0, 1],
+        )
+        a, b = tel.spans.get(1, session="s0"), tel.spans.get(1, session="s1")
+        assert not a.dropped and b.dropped
+        assert tel.spans.sessions() == ["s0", "s1"]
+
+    def test_spans_filtering(self):
+        tel = Telemetry()
+        dropped = make_frame(2, t_created=1.0)
+        dropped.drop(DropReason.MAILBOX_OVERWRITE, 2.0)
+        tel.read_run(finished_run([make_frame(1, t_created=0.0), dropped]))
+        store = tel.spans
+        assert [s.frame_id for s in store.spans(dropped=True)] == [2]
+        assert [s.frame_id for s in store.spans(dropped=False)] == [1]
+        assert [s.frame_id for s in store.spans()] == [1, 2]
+
+    def test_open_interval_has_no_duration(self):
+        from repro.obs import StageInterval
+
+        iv = StageInterval("render", 1.0)
+        assert iv.end is None
+        with pytest.raises(ValueError):
+            _ = iv.duration_ms
 
 
 class TestTelemetrySpanHooks:

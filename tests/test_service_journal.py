@@ -254,7 +254,7 @@ class TestKillDashNineRecovery:
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
-                "--port", "0", "--workers", "1", "--chunk", "1",
+                "--port", "0", "--workers", "1",
                 "--ledger", str(ledger_dir), "--resume", "--no-warm",
             ],
             stdout=subprocess.PIPE,
