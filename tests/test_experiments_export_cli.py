@@ -108,6 +108,17 @@ class TestCliConsolidate:
         assert "1 session(s)" in out and "2 session(s)" in out
         assert "GPU" in out
 
+    def test_consolidate_stdout_is_pinned(self, capsys):
+        out = run_cli(
+            capsys, "--duration", "2000", "--warmup", "500",
+            "consolidate", "ODR60", "--max-sessions", "3",
+        )
+        assert out == (
+            "  1 session(s): [0AD:62]  GPU  58%   151.7 W  MEETS TARGET\n"
+            "  2 session(s): [0AD:46, D2:45]  GPU  99%   174.2 W  degraded\n"
+            "  3 session(s): [0AD:36, D2:36, IM:38]  GPU 100%   184.6 W  degraded\n"
+        )
+
 
 class TestCliBreakdown:
     def test_breakdown_output(self, capsys):
