@@ -17,7 +17,7 @@ SESSIONS = ["ITP", "IM", "RE", "STK"]
 
 
 def host(spec: str, n: int) -> SharedServer:
-    server = SharedServer(
+    return SharedServer(
         benchmarks=SESSIONS[:n],
         platform=PRIVATE_CLOUD,
         resolution=Resolution.R720P,
@@ -26,8 +26,6 @@ def host(spec: str, n: int) -> SharedServer:
         duration_ms=15000.0,
         warmup_ms=2500.0,
     )
-    server.results = server.run()
-    return server
 
 
 def main() -> None:
@@ -40,10 +38,11 @@ def main() -> None:
         densities[spec] = 0
         for n in (1, 2, 3, 4):
             server = host(spec, n)
+            results = server.run()
             per_session = ", ".join(
-                f"{r.benchmark}:{r.client_fps:.0f}fps" for r in server.results
+                f"{r.system.benchmark.name}:{r.client_fps:.0f}fps" for r in results
             )
-            ok = all(r.client_fps >= 59.0 for r in server.results)
+            ok = all(r.client_fps >= 59.0 for r in results)
             if ok:
                 densities[spec] = n
             print(

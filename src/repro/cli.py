@@ -1317,7 +1317,7 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
             )
             results = server.run()
             ok = all(r.client_fps >= target - 1.0 for r in results)
-            fps = ", ".join(f"{r.benchmark}:{r.client_fps:.0f}" for r in results)
+            fps = ", ".join(f"{r.system.benchmark.name}:{r.client_fps:.0f}" for r in results)
             print(
                 f"  {n} session(s): [{fps}]  GPU {server.gpu_utilization():4.0%}  "
                 f"{server.server_power_w():6.1f} W  "

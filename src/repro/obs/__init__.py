@@ -5,7 +5,8 @@
 :class:`Telemetry`
     Spans and metrics read from a finished run — pass one to
     :class:`~repro.pipeline.system.CloudSystem` (or
-    :class:`~repro.multitenant.server.SharedServer`) and ``run()`` fills
+    :class:`~repro.multitenant.server.SharedServer`, whose sessions are
+    ``CloudSystem`` objects over one environment) and ``run()`` fills
     it once the engine stops.  The simulation itself never sees it.
 :class:`FrameSpan` / :class:`SpanStore`
     Per-frame causal traces: enter/exit times of every pipeline stage

@@ -23,9 +23,10 @@ gauges never appear under ODR (which has no send queue), and the
 ``pacing_*`` series only if ODR paced.
 
 **Multi-tenant labeling.**  :meth:`Telemetry.read_sessions` reads each
-session of a :class:`~repro.multitenant.server.SharedServer` and stamps
-its spans and series with a ``session="s<index>"`` label; the spans
-keep the server-wide order in which the sessions opened frames.
+session of a :class:`~repro.multitenant.server.SharedServer` — a
+``CloudSystem`` built over the server's environment — and stamps its
+spans and series with a ``session="s<index>"`` label; the spans keep
+the server-wide order in which the sessions opened frames.
 """
 
 from __future__ import annotations
@@ -98,7 +99,9 @@ class Telemetry:
         self._read(system, "", spans)
 
     def read_sessions(self, sessions: Sequence[Any], open_order: Iterable[int]) -> None:
-        """Read every session of a finished shared server.
+        """Read every session of a finished shared server, each a
+        :class:`~repro.pipeline.system.CloudSystem` read as :meth:`read_run`
+        reads one.
 
         ``open_order`` holds, for each frame the server opened, the index
         of the session that opened it, in server-wide order; spans are

@@ -147,9 +147,8 @@ class FpsReporter(Actor):
     Each report counts the frames decoded since the previous one and
     reaches the cloud one uplink later
     (:meth:`~repro.regulators.base.Regulator.on_client_fps_report`).
-    ``system`` is a :class:`~repro.pipeline.system.CloudSystem` or a
-    session duck-compatible with one; ``name`` is the process name the
-    reporter counts and profiles under.
+    ``name`` is the process name the reporter counts and profiles under
+    (one per session on a consolidated server).
     """
 
     #: Report period (ms): counted frames over one second are the FPS.

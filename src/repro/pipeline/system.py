@@ -93,6 +93,11 @@ class CloudSystem:
     ``fault_plan`` injects declarative adverse events
     (:mod:`repro.faults`) — stalls, outages, loss bursts, preemption —
     deterministically seeded from the run's RNG tree.
+
+    A system built this way owns its environment, RNG tree and
+    DRAM-contention domain, and its devices outright (no queueing).  A
+    consolidated server (:mod:`repro.multitenant`) builds each of its
+    sessions with :meth:`hosted` instead, over the server's shared ones.
     """
 
     def __init__(
@@ -105,36 +110,104 @@ class CloudSystem:
         telemetry: Optional["Telemetry"] = None,
         fault_plan: Optional["FaultPlan"] = None,
     ) -> None:
+        self._telemetry = telemetry
+        self._wire(
+            config,
+            regulator,
+            Environment(probe=telemetry.probe if telemetry is not None else None),
+            SeededRng(config.seed, name="system"),
+            ContentionTracker(beta=config.contention_beta),
+            display_model=display_model,
+            abr=abr,
+            bandwidth_schedule=bandwidth_schedule,
+            fault_plan=fault_plan,
+        )
+
+    @classmethod
+    def hosted(
+        cls,
+        config: SystemConfig,
+        regulator: "Regulator",
+        env: Environment,
+        rng: SeededRng,
+        contention: ContentionTracker,
+        gpu: Resource,
+        encoder_pool: Resource,
+        uplink: Resource,
+        app: Callable[["CloudSystem"], Application3D],
+        reporter: str,
+    ) -> "CloudSystem":
+        """One session of a host that owns the environment, the RNG
+        stream ``rng``, the DRAM-contention domain and the shared devices.
+
+        ``app`` builds the session's application and ``reporter`` names
+        its FPS reporter.  The host runs the environment and reads the
+        session's :class:`RunResult` itself; the session takes no
+        telemetry, display model, ABR, bandwidth schedule or faults.
+        """
+        system = cls.__new__(cls)
+        system._telemetry = None
+        system._wire(
+            config,
+            regulator,
+            env,
+            rng,
+            contention,
+            gpu=gpu,
+            encoder_pool=encoder_pool,
+            uplink=uplink,
+            app=app,
+            reporter=reporter,
+        )
+        return system
+
+    def _wire(
+        self,
+        config: SystemConfig,
+        regulator: "Regulator",
+        env: Environment,
+        rng: SeededRng,
+        contention: ContentionTracker,
+        gpu: Optional[Resource] = None,
+        encoder_pool: Optional[Resource] = None,
+        uplink: Optional[Resource] = None,
+        app: Callable[["CloudSystem"], Application3D] = Application3D,
+        reporter: str = "fps-reporter",
+        display_model: Optional["DisplayModel"] = None,
+        abr: Optional["AdaptiveBitrate"] = None,
+        bandwidth_schedule: Optional[Callable[[float], float]] = None,
+        fault_plan: Optional["FaultPlan"] = None,
+    ) -> None:
+        """Build the pipeline over ``env``, ``rng`` and ``contention``.
+        The build order fixes the order in which actors start."""
         self.config = config
         self.benchmark = config.resolve_benchmark()
         self.platform = config.platform
         self.resolution = config.resolution
         self.regulator = regulator
-        self._telemetry = telemetry
 
-        self.env = Environment(probe=telemetry.probe if telemetry is not None else None)
-        self.rng = SeededRng(config.seed, name="system")
-        # Shared-device hooks; single-session systems own their devices
-        # outright (no queueing), multi-tenant sessions share Resources
-        # (see repro.multitenant).
-        self.gpu_resource: Optional[Resource] = None
-        self.encode_resource: Optional[Resource] = None
-        self.link_resource: Optional[Resource] = None
+        self.env = env
+        self.rng = rng
+        # Shared-device hooks: None when the system owns its devices,
+        # otherwise the host's Resources, on which sessions queue.
+        self.gpu_resource = gpu
+        self.encode_resource = encoder_pool
+        self.link_resource = uplink
         #: Fault-injection state; set below when a fault plan is given.
         self.faults: Optional["FaultController"] = None
         self.counter = FpsCounter()
         self.tracker = MtpLatencyTracker()
         self.trace = IntervalTrace()
-        self.contention = ContentionTracker(beta=config.contention_beta)
+        self.contention = contention
 
         # Per-stage service-time samplers, scaled for platform/resolution.
         models = self.benchmark.stage_models(self.platform, self.resolution)
         self.samplers = {
-            stage: model.sampler(self.rng.child("stage", stage))
+            stage: model.sampler(rng.child("stage", stage))
             for stage, model in models.items()
         }
         self.size_sampler = self.benchmark.frame_size_model(self.resolution).sampler(
-            self.rng.child("frame_size")
+            rng.child("frame_size")
         )
 
         # Stage components.  The regulator may override the client refresh
@@ -146,10 +219,10 @@ class CloudSystem:
             refresh_hz=regulator.client_refresh_hz,
             display_model=display_model,
         )
-        self.app = Application3D(self)
+        self.app = app(self)
         self.inputs = InputGenerator(
-            env=self.env,
-            rng=self.rng.child("inputs"),
+            env=env,
+            rng=rng.child("inputs"),
             actions_per_second=self.benchmark.actions_per_second,
             uplink_ms=self.platform.uplink_ms,
             deliver=self.app.deliver_input,
@@ -167,7 +240,7 @@ class CloudSystem:
 
         # Client-FPS feedback reports (used by adaptive regulators such as
         # IntMax; a no-op hook for the others).
-        FpsReporter(self, "fps-reporter")
+        FpsReporter(self, reporter)
 
         # Declarative fault injection (imported lazily: repro.faults
         # pulls pipeline modules, like the abr import above).
@@ -333,8 +406,12 @@ class RunResult:
         total_ms = self.t_end
         return self.system.network.sent_bytes * 8.0 / (total_ms / 1000.0) / 1e6
 
-    def stage_utilization(self, stage: str) -> float:
+    def busy_ms(self, stage: str) -> float:
+        """Busy time of ``stage`` inside the measurement window."""
         return self._memo(
-            ("utilization", stage),
-            lambda: self.trace.utilization(stage, self.t_start, self.t_end),
+            ("busy_ms", stage),
+            lambda: self.trace.busy_time(stage, self.t_start, self.t_end),
         )
+
+    def stage_utilization(self, stage: str) -> float:
+        return self.busy_ms(stage) / (self.t_end - self.t_start)

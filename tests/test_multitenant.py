@@ -41,9 +41,6 @@ class TestConstruction:
         assert a.contention is b.contention  # shared DRAM domain
         assert a.gpu_resource is b.gpu_resource
 
-    def test_qos_target_defaults_to_resolution(self):
-        assert make_server(1).qos_target_fps == 60.0
-
 
 class TestSingleSessionEquivalence:
     def test_one_tenant_matches_standalone_shape(self):
@@ -51,8 +48,8 @@ class TestSingleSessionEquivalence:
         server = make_server(1, spec="ODR60", benches=("IM",))
         [result] = server.run()
         assert 59.0 <= result.client_fps <= 66.0
-        assert result.fps_gap_mean < 5
-        assert result.mtp_mean_ms < 50
+        assert result.fps_gap().mean_gap < 5
+        assert result.mean_mtp_ms() < 50
 
 
 class TestSharing:
@@ -76,7 +73,7 @@ class TestSharing:
         results = server.run()
         for result in results:
             assert result.client_fps >= 58.5
-            assert result.qos_satisfaction > 0.85
+            assert result.qos(60.0).satisfaction > 0.85
 
     def test_odr_consolidates_denser_than_noreg(self):
         """The datacenter claim: ODR sustains more sessions at the
@@ -108,7 +105,6 @@ class TestSharing:
 
 class TestServerMetrics:
     def test_power_grows_with_sessions_but_sublinearly(self):
-        p1 = make_server(1, spec="ODR60").run() and None
         server1 = make_server(1, spec="ODR60")
         server1.run()
         server3 = make_server(3, spec="ODR60")

@@ -96,8 +96,8 @@ class TestObservationFidelity:
         for a, b in zip(plain, observed):
             assert a.client_fps == b.client_fps
             assert a.render_fps == b.render_fps
-            assert a.fps_gap_mean == b.fps_gap_mean
-            assert a.mtp_mean_ms == b.mtp_mean_ms
+            assert a.fps_gap().mean_gap == b.fps_gap().mean_gap
+            assert a.mean_mtp_ms() == b.mean_mtp_ms()
 
     def test_span_counts_match_session_results(self, shared_run):
         _, telemetry, results = shared_run
