@@ -5,14 +5,18 @@ each pipeline step: *render FPS* in the cloud, *encode FPS* in the server
 proxy, and *decode FPS* at the client ("client FPS").  The **FPS gap**
 is the difference between cloud rendering FPS and client decoding FPS —
 every frame in the gap was rendered and then thrown away.
+
+Every completion but a display model's presentation ends a pipeline
+stage's busy interval, so the counts are read from the run's
+:class:`~repro.simcore.tracing.IntervalTrace`, which stores each one once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
-from repro.simcore.tracing import windowed_counts
+from repro.simcore.tracing import IntervalTrace, windowed_counts
 
 __all__ = ["FpsCounter", "FpsGapReport", "fps_gap_report"]
 
@@ -22,6 +26,8 @@ COPY = "copy"
 ENCODE = "encode"
 TRANSMIT = "transmit"
 DECODE = "decode"
+#: A display model's presentation (not a busy interval).
+DISPLAY = "display"
 
 
 @dataclass(frozen=True)
@@ -37,29 +43,38 @@ class FpsGapReport:
     series: List[float]
 
 
-@dataclass
 class FpsCounter:
-    """Records frame completion timestamps per pipeline stage.
+    """Frame completion times per pipeline stage, read from a run's trace.
 
-    Pipeline stages call :meth:`record` with the stage name and the
-    simulation time at which a frame finished that step; the analysis
-    methods then bucket the timestamps into windows.
+    A frame completes ``render``, ``copy``, ``encode``, ``transmit`` or
+    ``decode`` when that stage's busy interval for it ends, so those
+    completion times are the stage's end column in ``trace``
+    (:meth:`~repro.simcore.tracing.IntervalTrace.ends`), in record order.
+    The counter keeps a list of its own only for ``display``: a display
+    model's presentation time (:mod:`repro.pipeline.display`), which ends
+    no busy interval, recorded with :meth:`record_display`.  The analysis
+    methods bucket the times into windows.
     """
 
-    window_ms: float = 1000.0
-    _events: Dict[str, List[float]] = field(default_factory=dict)
+    def __init__(self, trace: IntervalTrace, window_ms: float = 1000.0) -> None:
+        self.trace = trace
+        self.window_ms = window_ms
+        self._display: List[float] = []
 
-    def record(self, stage: str, time_ms: float) -> None:
-        """Record that a frame completed ``stage`` at ``time_ms``."""
-        self._events.setdefault(stage, []).append(time_ms)
+    def record_display(self, time_ms: float) -> None:
+        """Record that a frame was presented on the display at ``time_ms``."""
+        self._display.append(time_ms)
+
+    def _times(self, stage: str) -> Sequence[float]:
+        return self._display if stage == DISPLAY else self.trace.ends(stage)
 
     def count(self, stage: str) -> int:
-        """Total frames that completed ``stage``."""
-        return len(self._events.get(stage, []))
+        """Total frames that completed ``stage`` so far."""
+        return len(self._times(stage))
 
     def times(self, stage: str) -> List[float]:
         """Raw completion timestamps for ``stage``."""
-        return list(self._events.get(stage, []))
+        return list(self._times(stage))
 
     # -- analysis --------------------------------------------------------
 
@@ -71,7 +86,7 @@ class FpsCounter:
         Counts are scaled to frames-per-second regardless of window size.
         """
         window = window_ms if window_ms is not None else self.window_ms
-        counts = windowed_counts(self._events.get(stage, []), window, start, end)
+        counts = windowed_counts(self._times(stage), window, start, end)
         scale = 1000.0 / window
         return [c * scale for c in counts]
 
@@ -79,8 +94,8 @@ class FpsCounter:
         """Average FPS of ``stage`` over ``[start, end)``."""
         if end <= start:
             raise ValueError("empty measurement window")
-        in_range = [t for t in self._events.get(stage, []) if start <= t < end]
-        return len(in_range) * 1000.0 / (end - start)
+        in_range = sum(1 for t in self._times(stage) if start <= t < end)
+        return in_range * 1000.0 / (end - start)
 
     def fps_gap(
         self,

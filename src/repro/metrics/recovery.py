@@ -90,8 +90,8 @@ def compute_recovery(
 
     ``decode_times`` / ``render_times`` are the stage completion times
     (sorted ascending, as :class:`~repro.metrics.counters.FpsCounter`
-    records them); ``mtp_samples`` are ``(issued_at_ms, latency_ms)``
-    pairs.
+    reads them from the run's trace); ``mtp_samples`` are
+    ``(issued_at_ms, latency_ms)`` pairs.
     """
     if fault_end_ms <= fault_start_ms:
         raise ValueError("fault window must be non-empty")

@@ -35,12 +35,11 @@ from typing import TYPE_CHECKING, List, Optional, Set
 
 from repro.pipeline.frames import Frame
 from repro.pipeline.inputs import InputEvent
-from repro.simcore import Actor, Step
+from repro.simcore import Actor
 from repro.simcore.resources import ResourceRequest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pipeline.system import CloudSystem
-    from repro.workloads.distributions import StageTimeSampler
 
 __all__ = ["Application3D"]
 
@@ -95,38 +94,36 @@ class Application3D(Actor):
         self.system.regulator.on_server_input(self, event)
 
     def _begin_frame(self) -> Frame:
-        """Drain pending inputs (input combining) and create the frame."""
-        inputs, self.pending_inputs = self.pending_inputs, []
-        # Inputs masked by a regulation sleep become visible to the *next*
-        # frame's drain.
-        self.pending_inputs, self.masked_inputs = self.masked_inputs, []
-        new_action_ids = {e.input_id for e in inputs if e.is_action}
+        """Drain pending inputs (input combining) and create the frame.
+
+        The frame's id set is ``action ids | inherited ids`` as a new set;
+        a frame without either gets an empty one, and the lists and the
+        inherited set are replaced only when they hold something."""
+        inputs = self.pending_inputs
+        if inputs or self.masked_inputs:
+            # Inputs masked by a regulation sleep become visible to the
+            # *next* frame's drain.
+            self.pending_inputs, self.masked_inputs = self.masked_inputs, []
+        inherited = self.inherited_ids
+        action_ids = {e.input_id for e in inputs if e.is_action} if inputs else None
+        if action_ids:
+            input_ids = action_ids | inherited
+        elif inherited:
+            input_ids = set(inherited)
+        else:
+            input_ids = set()
+        if inherited:
+            self.inherited_ids = set()
         frame = Frame(
             frame_id=next(self._frame_ids),
-            triggered_by_input=bool(new_action_ids),
-            priority=self.priority_armed and bool(new_action_ids),
-            input_ids=new_action_ids | self.inherited_ids,
+            triggered_by_input=bool(action_ids),
+            priority=self.priority_armed and bool(action_ids),
+            input_ids=input_ids,
             t_created=self.env.now,
         )
-        self.inherited_ids = set()
         self.priority_armed = False
         self.frames.append(frame)
         return frame
-
-    def _busy_stage(self, stage: str, sampler: "StageTimeSampler", done: Step) -> None:
-        """Start one contention-inflated stage; ``done()`` runs when it ends."""
-        system = self.system
-        self._stage_start = self.env.now
-        duration = sampler.next() * system.contention.multiplier(stage)
-        system.contention.enter(stage)
-        self.env.call_later(duration, done)
-
-    def _end_stage(self, stage: str) -> None:
-        """Leave the running stage and trace it."""
-        system = self.system
-        start = self._stage_start
-        system.contention.exit(stage)
-        system.trace.record(stage, start, self.env.now)
 
     # -- the main loop -----------------------------------------------------
 
@@ -152,23 +149,34 @@ class Application3D(Actor):
             self._gpu_request = system.gpu_resource.request(self._start_render)
 
     def _start_render(self) -> None:
-        self._busy_stage("render", self._render_sampler, self._rendered)
+        env = self.env
+        self._stage_start = env.now
+        duration = self._render_sampler.next() * self.system.contention.begin("render")
+        env.call_later(duration, self._rendered)
 
     def _rendered(self) -> None:
+        env = self.env
         system = self.system
-        self._end_stage("render")
+        now = env.now
+        system.contention.exit("render")
+        system.trace.record("render", self._stage_start, now)
         if self._gpu_request is not None:
             assert system.gpu_resource is not None
             system.gpu_resource.release(self._gpu_request)
             self._gpu_request = None
         assert self._frame is not None
-        self._frame.t_render_end = self.env.now
-        system.counter.record("render", self.env.now)
-        self._busy_stage("copy", self._copy_sampler, self._copied)
+        self._frame.t_render_end = now
+        # The copy starts as the render ends.
+        self._stage_start = now
+        duration = self._copy_sampler.next() * system.contention.begin("copy")
+        env.call_later(duration, self._copied)
 
     def _copied(self) -> None:
-        self._end_stage("copy")
+        system = self.system
+        now = self.env.now
+        system.contention.exit("copy")
+        system.trace.record("copy", self._stage_start, now)
         frame = self._frame
         assert frame is not None
-        frame.t_copy_end = self.env.now
-        self.system.regulator.app_submit(self, frame, self._gate)
+        frame.t_copy_end = now
+        system.regulator.app_submit(self, frame, self._gate)

@@ -98,13 +98,13 @@ class Client(Actor):
         frame = self._frame
         assert frame is not None
         system.trace.record("decode", self._decode_start, env.now)
-        system.counter.record("decode", env.now)
         if self.display_model is None:
             # The paper's client: a frame becomes photons when its
             # decode completes.
             frame.t_displayed = env.now
             self.displayed.append(frame)
-            system.tracker.frame_displayed(frame.input_ids, env.now)
+            if frame.input_ids:
+                system.tracker.frame_displayed(frame.input_ids, env.now)
         else:
             self._present(frame)
         system.regulator.on_client_display(self, frame)
@@ -129,13 +129,13 @@ class Client(Actor):
         frame.t_displayed = when
         self.displayed.append(frame)
         if when <= env.now:
-            system.counter.record("display", when)
+            system.counter.record_display(when)
             system.tracker.frame_displayed(answer_ids, when)
         else:
             env.call_at(
                 when,
                 lambda ids=answer_ids, t=when: (
-                    system.counter.record("display", t),
+                    system.counter.record_display(t),
                     system.tracker.frame_displayed(ids, t),
                 ),
             )

@@ -11,9 +11,11 @@ renders far fewer frames.
 :class:`ContentionTracker` models this first-order effect: each
 memory-intensive stage registers while busy, and a stage's drawn
 service time is multiplied by ``1 + beta × (other busy stages)`` at the
-moment it starts.  Under NoReg the renderer and encoder are both ~100 %
-busy, so each runs ~``(1+beta)×`` slower than its uncontended time;
-under regulation the overlap—and the penalty—shrinks.
+moment it starts: one :meth:`ContentionTracker.begin` call returns that
+factor and counts the stage busy, and :meth:`ContentionTracker.exit`
+ends it.  Under NoReg the renderer and encoder are both ~100 % busy, so
+each runs ~``(1+beta)×`` slower than its uncontended time; under
+regulation the overlap—and the penalty—shrinks.
 
 The same busy intervals drive the offline DRAM/IPC/power models in
 :mod:`repro.hardware`; this tracker is only the *online* feedback loop.
@@ -61,31 +63,31 @@ class ContentionTracker:
         self.beta = beta
         self.stages = frozenset(stages)
         self.max_multiplier = max_multiplier
-        self._busy: Dict[str, int] = {}
+        #: Busy entries per participating stage; a stage's key stays at 0
+        #: while it is idle.
+        self._busy: Dict[str, int] = dict.fromkeys(self.stages, 0)
         #: Running ``sum(self._busy.values())``.
         self._busy_total = 0
 
-    def enter(self, stage: str) -> None:
-        """Mark ``stage`` busy (nested entries are counted)."""
-        if stage in self.stages:
-            self._busy[stage] = self._busy.get(stage, 0) + 1
-            self._busy_total += 1
+    def begin(self, stage: str) -> float:
+        """Start one busy entry of ``stage`` and return its service-time
+        multiplier, ``1 + beta × (entries busy before it)`` capped at
+        ``max_multiplier``: 1.0 for a stage outside the domain, which is
+        not counted."""
+        busy = self._busy
+        if stage not in busy:
+            return 1.0
+        factor = 1.0 + self.beta * self._busy_total
+        busy[stage] += 1
+        self._busy_total += 1
+        return factor if factor < self.max_multiplier else self.max_multiplier
 
     def exit(self, stage: str) -> None:
         """Mark one busy entry of ``stage`` finished."""
-        if stage not in self.stages:
+        count = self._busy.get(stage)
+        if count is None:
             return
-        count = self._busy.get(stage, 0)
         if count <= 0:
             raise RuntimeError(f"exit of idle stage {stage!r}")
-        if count == 1:
-            del self._busy[stage]
-        else:
-            self._busy[stage] = count - 1
+        self._busy[stage] = count - 1
         self._busy_total -= 1
-
-    def multiplier(self, stage: str) -> float:
-        """Service-time multiplier for ``stage`` starting right now."""
-        if stage not in self.stages:
-            return 1.0
-        return min(1.0 + self.beta * self._busy_total, self.max_multiplier)

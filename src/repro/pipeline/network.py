@@ -76,12 +76,9 @@ class NetworkPath:
         return base * jitter + self.PER_FRAME_OVERHEAD_MS
 
     def finish_transmit(self, frame: Frame) -> None:
-        """``frame`` is serialized: stamp, trace and count it."""
-        env = self.env
-        system = self.system
-        frame.t_send_end = env.now
-        system.trace.record("transmit", frame.t_send_start, frame.t_send_end)
-        system.counter.record("transmit", env.now)
+        """``frame`` is serialized: stamp and trace it."""
+        frame.t_send_end = now = self.env.now
+        self.system.trace.record("transmit", frame.t_send_start, now)
         self.sent_bytes += frame.size_bytes
 
     def deliver(self, frame: Frame) -> None:

@@ -33,16 +33,14 @@ class ServerProxy:
         self._encode_sampler = system.samplers["encode"]
 
     def start_encode(self) -> float:
-        """Begin one encode: enter the DRAM-contention domain and return
-        the encode's duration, inflated by the live multiplier."""
-        system = self.system
-        duration = self._encode_sampler.next() * system.contention.multiplier("encode")
-        system.contention.enter("encode")
-        return duration
+        """Begin one encode: return its drawn duration times the factor
+        the DRAM-contention domain gives it as it enters."""
+        return self._encode_sampler.next() * self.system.contention.begin("encode")
 
     def finish_encode(self, frame: Frame, start: float) -> None:
-        """End the encode of ``frame`` begun at ``start``: trace it, stamp
-        it and assign its encoded size."""
+        """End the encode of ``frame`` begun at ``start``: trace it (the
+        trace's interval is the run's record of the completion), stamp it
+        and assign its encoded size."""
         env = self.env
         system = self.system
         system.contention.exit("encode")
@@ -51,7 +49,6 @@ class ServerProxy:
         # Read the sampler through the system so quality-ladder wrappers
         # (repro.pipeline.abr) spliced in after construction take effect.
         frame.size_bytes = system.size_sampler.next()
-        system.counter.record("encode", env.now)
 
 
 class EncodeLoop(Actor):

@@ -195,9 +195,9 @@ class CloudSystem:
         self.link_resource = uplink
         #: Fault-injection state; set below when a fault plan is given.
         self.faults: Optional["FaultController"] = None
-        self.counter = FpsCounter()
-        self.tracker = MtpLatencyTracker()
         self.trace = IntervalTrace()
+        self.counter = FpsCounter(self.trace)
+        self.tracker = MtpLatencyTracker()
         self.contention = contention
 
         # Per-stage service-time samplers, scaled for platform/resolution.

@@ -118,11 +118,15 @@ class Job:
     """
 
     job_id: str
-    spec: JobSpec
     plan: Plan
     #: Per-job event stream (``sweep_id == job_id``); clients subscribe
     #: through the scheduler, which replays history before going live.
     bus: SweepEventBus
+    #: The submitted :class:`JobSpec`'s label and token.  Its ``params``
+    #: payload is read only at submit, to build ``plan`` and to journal
+    #: it, so the job does not keep it.
+    label: str = ""
+    token: str = ""
     state: JobState = JobState.QUEUED
     submitted_epoch_s: float = 0.0
     started_epoch_s: Optional[float] = None
@@ -139,7 +143,7 @@ class Job:
         report = self.report
         out: Dict[str, Any] = {
             "job_id": self.job_id,
-            "label": self.spec.label,
+            "label": self.label,
             "state": self.state.value,
             "cells": len(self.plan),
             "submitted_epoch_s": self.submitted_epoch_s,

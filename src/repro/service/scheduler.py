@@ -261,9 +261,10 @@ class SweepScheduler:
         bus = SweepEventBus(path=self.events_path, sweep_id=job_id)
         job = Job(
             job_id=job_id,
-            spec=spec,
             plan=plan,
             bus=bus,
+            label=spec.label,
+            token=spec.token,
             submitted_epoch_s=host_epoch(),
             recovered=recovered,
         )
@@ -371,7 +372,7 @@ class SweepScheduler:
                     sweepbus.JOB_RECOVERED,
                     job_id=job.job_id,
                     cells=len(job.plan),
-                    label=job.spec.label,
+                    label=job.label,
                 )
             report = self.loop.run(job.plan, owner=job.job_id, bus=bus, tally=tally)
             # The server keeps every finished job for ``result``; keep

@@ -7,6 +7,11 @@ intervals into an :class:`IntervalTrace`; the DRAM model then computes
 how often memory-intensive stages overlapped, which the paper identifies
 as the mechanism behind row-buffer contention ("frequent rendering will
 increase the probability that these tasks execute simultaneously").
+
+The trace is also the run's only record of stage completions: a frame
+completes a stage when that stage's interval for it ends, so
+:class:`~repro.metrics.counters.FpsCounter` counts FPS from a stage's
+end column (:meth:`IntervalTrace.ends`).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ class TraceRecord:
 _Columns = Tuple["array[float]", "array[float]"]
 
 _NO_INTERVALS = np.empty(0)
+_NO_ENDS: Sequence[float] = ()
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -101,6 +107,13 @@ class IntervalTrace:
         if columns is None:
             return iter(())
         return zip(columns[0], columns[1])
+
+    def ends(self, stage: str) -> Sequence[float]:
+        """End times of ``stage``'s intervals, in record order: the live
+        column, not a copy, so its length is the stage's completion count
+        so far."""
+        columns = self._columns.get(stage)
+        return _NO_ENDS if columns is None else columns[1]
 
     def stages(self) -> List[str]:
         return sorted(self._columns)

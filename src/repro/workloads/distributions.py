@@ -118,10 +118,14 @@ class StageTimeSampler:
     """Stateful AR(1) log-normal + Pareto-spike time generator.
 
     Without spikes the stream feeds only the AR(1) normals, so the
-    sampler claims it as a block-drawn source; with spikes it calls the
-    stream's bound numpy draws in the scalar order (normal, spike
-    Bernoulli, Pareto) — see :mod:`repro.simcore.rng`.
+    sampler claims it as a block-drawn source and binds :meth:`next` to
+    the body draw alone; with spikes it calls the stream's bound numpy
+    draws in the scalar order (normal, spike Bernoulli, Pareto) — see
+    :mod:`repro.simcore.rng`.
     """
+
+    #: Draw the next frame's processing time (ms).
+    next: Callable[[], float]
 
     def __init__(self, model: StageTimeModel, rng: SeededRng):
         self.model = model
@@ -138,16 +142,23 @@ class StageTimeSampler:
         self._random: Callable[[], float]
         if model.spike_prob > 0:
             self._normal, self._random = rng.numpy_draws()
+            self.next = self._next_spiky
         else:
             self._normal = rng.claim_normals()
+            self.next = self._next_body
         # Latent standard-normal AR(1) state, initialized stationary.
         self._z = self._normal()
 
-    def next(self) -> float:
-        """Draw the next frame's processing time (ms)."""
+    def _next_body(self) -> float:
         self._z = z = self._rho * self._z + self._innovation * self._normal()
         time = math.exp(self._mu + self._sigma * z)
-        if self._spike_prob > 0 and self._random() < self._spike_prob:
+        floor = self._floor
+        return floor if floor > time else time
+
+    def _next_spiky(self) -> float:
+        self._z = z = self._rho * self._z + self._innovation * self._normal()
+        time = math.exp(self._mu + self._sigma * z)
+        if self._random() < self._spike_prob:
             model = self.model
             time += self._rng.pareto(model.spike_scale_ms, model.spike_alpha)
         floor = self._floor

@@ -31,27 +31,32 @@ class TestFrame:
 class TestContentionTracker:
     def test_no_contention_multiplier_is_one(self):
         tracker = ContentionTracker(beta=0.25)
-        assert tracker.multiplier("render") == 1.0
+        assert tracker.begin("render") == 1.0
 
     def test_multiplier_grows_with_other_stages(self):
         tracker = ContentionTracker(beta=0.25)
-        tracker.enter("encode")
-        assert tracker.multiplier("render") == pytest.approx(1.25)
-        tracker.enter("copy")
-        assert tracker.multiplier("render") == pytest.approx(1.5)
+        assert tracker.begin("encode") == 1.0
+        assert tracker.begin("copy") == pytest.approx(1.25)
+        assert tracker.begin("render") == pytest.approx(1.5)
+
+    def test_multiplier_saturates_at_the_cap(self):
+        tracker = ContentionTracker(beta=0.25)
+        factors = [tracker.begin(stage) for stage in ["render", "copy", "encode"] * 3]
+        assert factors == [1.0, 1.25, 1.5, 1.75, 2.0, 2.0, 2.0, 2.0, 2.0]
+        assert tracker._busy_total == 9
 
     def test_same_stage_instances_count(self):
         # another session's render instance contends with a new render
         tracker = ContentionTracker(beta=0.25)
-        tracker.enter("render")
-        assert tracker.multiplier("render") == pytest.approx(1.25)
+        tracker.begin("render")
+        assert tracker.begin("render") == pytest.approx(1.25)
 
     def test_non_memory_stage_unaffected(self):
         tracker = ContentionTracker(beta=0.25)
-        tracker.enter("render")
-        assert tracker.multiplier("decode") == 1.0
-        tracker.enter("decode")  # ignored: not a memory stage
-        assert tracker.multiplier("encode") == pytest.approx(1.25)  # only the render entry
+        tracker.begin("render")
+        assert tracker.begin("decode") == 1.0  # not a memory stage: not counted
+        tracker.exit("decode")  # ignored likewise
+        assert tracker.begin("encode") == pytest.approx(1.25)  # only the render entry
 
     @pytest.mark.parametrize("seed", range(5))
     def test_running_count_equals_per_stage_sum(self, seed):
@@ -60,8 +65,10 @@ class TestContentionTracker:
         counts = {"render": 0, "copy": 0, "encode": 0, "decode": 0}
         for _ in range(2000):
             stage = rng.choice(sorted(counts))
+            busy = sum(n for s, n in counts.items() if s in tracker.stages)
             if rng.bernoulli(0.5):
-                tracker.enter(stage)
+                expected = min(1.0 + 0.2 * busy, 10.0) if stage in tracker.stages else 1.0
+                assert tracker.begin(stage) == expected
                 counts[stage] += 1
             elif counts[stage] == 0 and stage in tracker.stages:
                 with pytest.raises(RuntimeError):
@@ -71,28 +78,28 @@ class TestContentionTracker:
                 counts[stage] = max(counts[stage] - 1, 0)
             busy = sum(n for s, n in counts.items() if s in tracker.stages)
             assert tracker._busy_total == busy
-            assert tracker.multiplier("render") == min(1.0 + 0.2 * busy, 10.0)
 
     def test_exit_of_idle_stage_leaves_count_unchanged(self):
         tracker = ContentionTracker()
-        tracker.enter("render")
+        tracker.begin("render")
         with pytest.raises(RuntimeError):
             tracker.exit("copy")
-        assert tracker.multiplier("encode") == pytest.approx(1.25)
+        assert tracker._busy_total == 1
         tracker.exit("render")
         with pytest.raises(RuntimeError):
             tracker.exit("render")
-        assert tracker.multiplier("encode") == 1.0
+        assert tracker.begin("encode") == 1.0
 
     def test_nested_entries(self):
         tracker = ContentionTracker(beta=0.25)
-        tracker.enter("encode")
-        tracker.enter("encode")
-        assert tracker.multiplier("render") == pytest.approx(1.5)
+        tracker.begin("encode")
+        tracker.begin("encode")
+        assert tracker._busy_total == 2
         tracker.exit("encode")
-        assert tracker.multiplier("render") == pytest.approx(1.25)
+        assert tracker.begin("render") == pytest.approx(1.25)
+        tracker.exit("render")
         tracker.exit("encode")
-        assert tracker.multiplier("render") == 1.0
+        assert tracker.begin("render") == 1.0
 
     def test_exit_idle_stage_raises(self):
         with pytest.raises(RuntimeError):

@@ -376,7 +376,7 @@ class TestSubmitVerb:
             )
             assert code == 0
             (job,) = harness.scheduler.jobs()
-            assert job.state.value == "done" and job.spec.label == verb
+            assert job.state.value == "done" and job.label == verb
             assert [s.run_id for s in job.plan] == [s.run_id for s in local]
 
     @pytest.mark.parametrize(

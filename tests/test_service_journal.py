@@ -133,7 +133,7 @@ class TestInProcessRecovery:
             recovered = scheduler.recover()
             assert [job.job_id for job in recovered] == ["job-test123"]
             job = recovered[0]
-            assert job.recovered and job.spec.label == "resumed"
+            assert job.recovered and job.label == "resumed"
 
             wait_journaled(job)
             assert job.state.value == "done"
